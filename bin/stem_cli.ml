@@ -842,7 +842,6 @@ let scrape_cmd =
    durably acknowledged write. *)
 let run_put host port net tenant timeout create args =
   setup_logs ();
-  let jq s = "\"" ^ Obs.Jsonl.escape s ^ "\"" in
   let headers = [ ("x-tenant", tenant) ] in
   let show r =
     print_string r.Serve.Client.rs_body;
@@ -878,8 +877,14 @@ let run_put host port net tenant timeout create args =
       | path :: value :: rest ->
         Option.map
           (fun tl ->
-            Printf.sprintf "{\"var\":%s,\"value\":%s,\"just\":\"user\"}"
-              (jq path) (jq value)
+            Obs.Jsonl.(
+              to_string
+                (J_obj
+                   [
+                     ("var", J_str path);
+                     ("value", J_str value);
+                     ("just", J_str "user");
+                   ]))
             :: tl)
           (pairs rest)
       | [ _ ] -> None

@@ -24,23 +24,8 @@ let wake_all =
     act_in_dependency = None;
   }
 
-let make net ~kind ?label ?activation:act ?schedule ?wants_schedule
-    ?keyed_by_var ?in_dependency ?(fires_on_reset = false) ?recompute
-    ?(strength = 0) ~propagate ~satisfied args =
-  let act =
-    match act with
-    | Some a -> a (* the first-class spec wins over the deprecated shim *)
-    | None ->
-      {
-        act_wake =
-          (match wants_schedule with
-          | None -> Wake_all
-          | Some f -> Custom f);
-        act_schedule = Option.value schedule ~default:Immediate;
-        act_keyed_by_var = Option.value keyed_by_var ~default:false;
-        act_in_dependency = in_dependency;
-      }
-  in
+let make net ~kind ?label ?(activation = wake_all) ?(fires_on_reset = false)
+    ?recompute ?(strength = 0) ~propagate ~satisfied args =
   let c =
     {
       c_id = net.net_next_cstr_id;
@@ -49,13 +34,14 @@ let make net ~kind ?label ?activation:act ?schedule ?wants_schedule
       c_label = (match label with Some l -> l | None -> kind);
       c_args = args;
       c_enabled = true;
-      c_activation = act;
+      c_activation = activation;
       c_watching = [];
       c_mark = 0;
       c_propagate = propagate;
       c_satisfied = satisfied;
       c_in_dependency =
-        Option.value act.act_in_dependency ~default:default_in_dependency;
+        Option.value activation.act_in_dependency
+          ~default:default_in_dependency;
       c_fires_on_reset = fires_on_reset;
       c_recompute = recompute;
       c_strength = strength;

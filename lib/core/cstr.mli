@@ -36,20 +36,7 @@
 
     Watching narrows {e inference only}: every attached constraint of a
     changed variable is still marked for the final [is_satisfied] sweep,
-    so a narrow spec can never hide a violation.
-
-    {2 Migrating from the deprecated optionals}
-
-    [?schedule]/[?wants_schedule]/[?keyed_by_var]/[?in_dependency] are
-    retained for one release and map onto an activation as follows:
-
-    - [~schedule:s] → [Cstr.activation ~schedule:s ()]
-    - [~wants_schedule:f] → [~wake:(Custom f)]
-    - [~keyed_by_var:true] → [~keyed_by_var:true]
-    - [~in_dependency:f] → [~in_dependency:f]
-
-    When [?activation] is given it wins and the deprecated optionals are
-    ignored. *)
+    so a narrow spec can never hide a violation. *)
 
 open Types
 
@@ -71,14 +58,8 @@ val wake_all : 'a activation
     variables — use {!Network.add_constraint}, which also installs the
     watch lists and performs the re-initialising propagation of §4.2.5.
 
-    @param activation the wake/schedule spec; default
-      [Cstr.activation ()] (immediate, wake-all), or the spec implied by
-      the deprecated optionals below.
-    @param schedule deprecated — use [~activation].
-    @param wants_schedule deprecated — use [~activation] with
-      [~wake:(Custom f)].
-    @param keyed_by_var deprecated — use [~activation].
-    @param in_dependency deprecated — use [~activation].
+    @param activation the wake/schedule spec; default {!wake_all}
+      (immediate, wake on every argument).
     @param fires_on_reset default [false].
     @param recompute direct recomputation procedure for the network
       compiler (set by {!Clib.functional}); default [None].
@@ -89,10 +70,6 @@ val make :
   kind:string ->
   ?label:string ->
   ?activation:'a activation ->
-  ?schedule:schedule ->
-  ?wants_schedule:('a cstr -> 'a var option -> bool) ->
-  ?keyed_by_var:bool ->
-  ?in_dependency:('a cstr -> 'a dependency -> 'a var -> bool) ->
   ?fires_on_reset:bool ->
   ?recompute:(unit -> unit) ->
   ?strength:int ->

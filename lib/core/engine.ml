@@ -75,13 +75,6 @@ let sinks net = net.net_sinks
 
 let clear_sinks net = net.net_sinks <- []
 
-let legacy_trace_name = "legacy-trace"
-
-let set_trace net = function
-  | None -> ignore (remove_sink net legacy_trace_name)
-  | Some f ->
-    add_sink net { snk_name = legacy_trace_name; snk_emit = (fun _ _ ev -> f ev) }
-
 let set_clock net clock = net.net_clock <- clock
 
 let set_fail_threshold net n = net.net_fail_threshold <- max 0 n
@@ -187,14 +180,6 @@ let trapped_violation net ?cstr ?var ~where exn =
   violation ?cstr ?var ~exn (Printf.sprintf "exception in %s" where)
 
 (* ------------------------------------------------------------------ *)
-(* Network integrity audit                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Canonical home: [Network.check_integrity] (implementation shared via
-   {!Integrity}); this alias remains for one release. *)
-let check_integrity = Integrity.check_integrity
-
-(* ------------------------------------------------------------------ *)
 (* Contexts                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -268,6 +253,11 @@ let mark_cstr ctx c =
 (* Activation and draining                                             *)
 (* ------------------------------------------------------------------ *)
 
+let budget_prefix = "step budget exhausted"
+
+let over_budget viol =
+  String.starts_with ~prefix:budget_prefix viol.viol_message
+
 let run_inference ctx c changed =
   let net = ctx.cx_net in
   ctx.cx_steps <- ctx.cx_steps + 1;
@@ -275,9 +265,8 @@ let run_inference ctx c changed =
   | Some budget when ctx.cx_steps > budget ->
     Error
       (violation ~cstr:c
-         (Printf.sprintf
-            "step budget exhausted: more than %d inference runs in one episode"
-            budget))
+         (Printf.sprintf "%s: more than %d inference runs in one episode"
+            budget_prefix budget))
   | _ -> (
     net.net_stats.k_inferences <- net.net_stats.k_inferences + 1;
     if tracing net then trace net (T_activate (c, changed));
@@ -781,7 +770,7 @@ let notify_violation net viol =
 
 let audit_after_restore net =
   if net.net_audit_on_restore then
-    match check_integrity net with
+    match Integrity.check_integrity net with
     | [] -> ()
     | issues ->
       Log.err (fun m ->

@@ -70,10 +70,6 @@ val clear_sinks : 'a network -> unit
     (seconds). Mainly for tests that want deterministic spans. *)
 val set_clock : 'a network -> (unit -> float) -> unit
 
-val set_trace : 'a network -> ('a trace_event -> unit) option -> unit
-[@@deprecated "use add_sink / remove_sink; this installs a single sink named \
-               \"legacy-trace\""]
-
 (** {1 Cross-network trace correlation}
 
     Episodes in flight form a process-global stack spanning every
@@ -117,13 +113,14 @@ val set_fail_threshold : 'a network -> int -> unit
     (the default) is unbounded. *)
 val set_step_budget : 'a network -> int option -> unit
 
-(** When enabled, {!check_integrity} runs after every post-violation
-    restore and logs any inconsistency (diagnostic mode; default off). *)
-val set_audit_on_restore : 'a network -> bool -> unit
+(** [over_budget viol] — [viol] is the step-budget overrun
+    {!set_step_budget} bounds, as opposed to a constraint violation. *)
+val over_budget : 'a violation -> bool
 
-val check_integrity : 'a network -> string list
-[@@deprecated "use Network.check_integrity (canonical home of the \
-               integrity/quarantine API)"]
+(** When enabled, {!Network.check_integrity} runs after every
+    post-violation restore and logs any inconsistency (diagnostic mode;
+    default off). *)
+val set_audit_on_restore : 'a network -> bool -> unit
 
 (** Immutable snapshot of the network's event counters. Latency
     histograms and other aggregates are deliberately not here: they are

@@ -37,11 +37,7 @@ val remove_constraint : 'a network -> 'a cstr -> unit
     while propagation is disabled and then re-enable it). *)
 val reinitialize : 'a network -> 'a cstr -> (unit, 'a violation) result
 
-(** {1 Integrity and quarantine}
-
-    This module is the canonical home of the integrity/quarantine API;
-    the remaining [Engine] duplicate ([Engine.check_integrity]) is a
-    deprecated alias kept for one release. *)
+(** {1 Integrity and quarantine} *)
 
 (** Audit var/constraint cross-references and justification records;
     returns a description of every inconsistency ([[]] = consistent). *)

@@ -222,9 +222,7 @@ and 'a wake =
 
 (* The first-class activation spec: what wakes a constraint, when its
    inference runs (immediately or on an agenda stratum), how agenda
-   entries deduplicate, and how its dependency records are interpreted.
-   Replaces the [?wants_schedule]/[?keyed_by_var]/[?in_dependency]
-   optional-closure grab-bag of [Cstr.make]. *)
+   entries deduplicate, and how its dependency records are interpreted. *)
 and 'a activation = {
   act_wake : 'a wake;
   act_schedule : schedule;
@@ -348,7 +346,7 @@ and 'a network = {
      [net_max_changes]: a runaway (or fault-injected) propagation
      surfaces as a violation instead of looping.  [None] = unbounded. *)
   mutable net_step_budget : int option;
-  (* Run {!Engine.check_integrity} after every post-violation restore
+  (* Run {!Network.check_integrity} after every post-violation restore
      and log what it finds (diagnostic mode; off by default). *)
   mutable net_audit_on_restore : bool;
   net_stats : counters;

@@ -150,61 +150,74 @@ let in_range v range =
     match number v with Some x -> Some (lo <= x && x <= hi) | None -> None)
   | _ -> None
 
+let to_token = function
+  | Int i -> string_of_int i
+  | Float f -> Printf.sprintf "%h" f
+  | Bool b -> string_of_bool b
+  | Str s -> "\"" ^ s ^ "\""
+  | Irange (a, b) -> Printf.sprintf "%d..%d" a b
+  | Frange (a, b) -> Printf.sprintf "%h..%h" a b
+  | Dtype n -> "data:" ^ Tt.name n
+  | Etype n -> "elec:" ^ Tt.name n
+  | Rect r ->
+    let ll = Geometry.Rect.ll r in
+    Printf.sprintf "rect %d %d %d %d" ll.Geometry.Point.x ll.Geometry.Point.y
+      (Geometry.Rect.width r) (Geometry.Rect.height r)
+
+(* [LO..HI] split at the first "..": no float literal contains one, so
+   fractional and hex bounds split correctly. *)
+let range_of s =
+  let n = String.length s in
+  let rec find i =
+    if i + 1 >= n then None
+    else if s.[i] = '.' && s.[i + 1] = '.' then
+      let lo = String.sub s 0 i and hi = String.sub s (i + 2) (n - i - 2) in
+      match (int_of_string_opt lo, int_of_string_opt hi) with
+      | Some a, Some b -> Some (Irange (a, b))
+      | _ -> (
+        match (float_of_string_opt lo, float_of_string_opt hi) with
+        | Some a, Some b -> Some (Frange (a, b))
+        | _ -> None)
+    else find (i + 1)
+  in
+  find 0
+
 let of_string s =
   let s = String.trim s in
-  let prefixed p =
-    if String.length s > String.length p && String.sub s 0 (String.length p) = p
-    then Some (String.sub s (String.length p) (String.length s - String.length p))
+  let n = String.length s in
+  let after p =
+    let k = String.length p in
+    if n > k && String.sub s 0 k = p then Some (String.sub s k (n - k))
     else None
   in
   match int_of_string_opt s with
   | Some i -> Some (Int i)
+  | None when n >= 2 && s.[0] = '"' && s.[n - 1] = '"' ->
+    (* before anything else: a string's text may look like a number, a
+       range or a type *)
+    Some (Str (String.sub s 1 (n - 2)))
   | None -> (
-    match float_of_string_opt s with
-    | Some f -> Some (Float f)
-    | None -> (
-      match bool_of_string_opt s with
-      | Some b -> Some (Bool b)
-      | None -> (
-        match prefixed "data:" with
-        | Some name ->
-          Option.map (fun n -> Dtype n)
-            (Signal_types.Type_tree.find_opt Signal_types.Standard.data_hierarchy name)
-        | None -> (
-          match prefixed "elec:" with
-          | Some name ->
-            Option.map (fun n -> Etype n)
-              (Signal_types.Type_tree.find_opt
-                 Signal_types.Standard.electrical_hierarchy name)
-          | None -> (
-            match prefixed "rect " with
-            | Some rest -> (
-              match
-                String.split_on_char ' ' rest
-                |> List.filter (fun x -> x <> "")
-                |> List.map int_of_string_opt
-              with
-              | [ Some x; Some y; Some w; Some h ] when w >= 0 && h >= 0 ->
-                Some (Rect (Geometry.Rect.make (Geometry.Point.make x y) ~width:w ~height:h))
-              | _ -> None)
-            | None -> (
-              (* LO..HI integer range *)
-              match String.index_opt s '.' with
-              | Some i
-                when i + 1 < String.length s
-                     && s.[i + 1] = '.'
-                     && (not (String.contains (String.sub s 0 i) '.')) -> (
-                let lo = String.sub s 0 i
-                and hi = String.sub s (i + 2) (String.length s - i - 2) in
-                match (int_of_string_opt lo, int_of_string_opt hi) with
-                | Some a, Some b -> Some (Irange (a, b))
-                | _ -> (
-                  match (float_of_string_opt lo, float_of_string_opt hi) with
-                  | Some a, Some b -> Some (Frange (a, b))
-                  | _ -> None))
-              | _ ->
-                if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"'
-                then Some (Str (String.sub s 1 (String.length s - 2)))
-                else None))))))
+    match (float_of_string_opt s, bool_of_string_opt s) with
+    | Some f, _ -> Some (Float f)
+    | None, Some b -> Some (Bool b)
+    | None, None -> (
+      match (after "data:", after "elec:", after "rect ") with
+      | Some name, _, _ ->
+        Option.map (fun n -> Dtype n)
+          (Tt.find_opt Signal_types.Standard.data_hierarchy name)
+      | None, Some name, _ ->
+        Option.map (fun n -> Etype n)
+          (Tt.find_opt Signal_types.Standard.electrical_hierarchy name)
+      | None, None, Some rest -> (
+        match
+          String.split_on_char ' ' rest
+          |> List.filter (fun x -> x <> "")
+          |> List.map int_of_string_opt
+        with
+        | [ Some x; Some y; Some w; Some h ] when w >= 0 && h >= 0 ->
+          let ll = Geometry.Point.make x y in
+          Some (Rect (Geometry.Rect.make ll ~width:w ~height:h))
+        | _ -> None)
+      | None, None, None -> range_of s))
 
 let equal_for_tests = equal

@@ -86,12 +86,18 @@ val is_less_abstract : t -> t -> bool
     [Frange]. [None] when shapes don't match. *)
 val in_range : t -> t -> bool option
 
-(** Parse the common textual forms: integers ([8]), floats ([1.5]),
-    booleans, quoted strings, rectangles ([rect X Y W H]), integer
-    ranges ([LO..HI]), data/electrical types ([data:BCDSignal],
-    [elec:CMOS] — resolved in the standard hierarchies). Used by the
-    constraint-editor REPL. *)
+(** Parse the common textual forms: integers ([8]), floats ([1.5],
+    [0x1.8p+0]), booleans, quoted strings, rectangles ([rect X Y W H]),
+    integer and float ranges ([LO..HI]), data/electrical types
+    ([data:BCDSignal], [elec:CMOS] — resolved in the standard
+    hierarchies). Used by the constraint-editor REPL, spec files and
+    journal records. *)
 val of_string : string -> t option
+
+(** The exact inverse of {!of_string}: [of_string (to_token v) = Some v]
+    for every value, bit for bit (floats print in [%h]). The one value
+    writer of journal, snapshot and persist records. *)
+val to_token : t -> string
 
 (** Alcotest-style testable helpers. *)
 val equal_for_tests : t -> t -> bool

@@ -1,7 +1,8 @@
-(* JSONL trace export: one flat JSON object per trace event, plus a
-   small parser for reading a trace back (used by tests and by the
-   round-trip check in `stem trace`).  Hand-rolled — the container has
-   no JSON library, and flat objects of scalars are all we need. *)
+(* The JSON writer of lib/obs, lib/serve and the CLI; JSONL trace
+   export on top of it (one flat object per trace event); and a small
+   parser for flat objects of scalars — trace lines, journal records,
+   set lines.  Hand-rolled: the project takes no JSON library
+   dependency, and these shapes are all it needs. *)
 
 open Constraint_kernel.Types
 
@@ -42,37 +43,67 @@ let escape s =
     Buffer.contents buf
   end
 
-(* All field writers append ',"key":value' — the object writer opens
-   with '{' and overwrites the first comma, so the hot path is pure
-   Buffer appends with no intermediate strings. *)
+(* ---------------- the writer ----------------
 
-let key buf k =
-  Buffer.add_char buf ',';
-  Buffer.add_char buf '"';
-  Buffer.add_string buf k;
-  Buffer.add_char buf '"';
-  Buffer.add_char buf ':'
+   Every JSON document the library serves or stores is written here:
+   one string escape, one number format and one float rule.  Finite
+   floats print in the shortest of %.15g/%.17g that reads back to the
+   same value; JSON has no non-finite numbers, so those print as the
+   strings "nan", "inf" and "-inf". *)
 
-let field_str buf k v =
-  key buf k;
+type json =
+  | J_str of string
+  | J_int of int
+  | J_float of float
+  | J_bool of bool
+  | J_null
+  | J_arr of json list
+  | J_obj of (string * json) list
+
+let add_str buf s =
   Buffer.add_char buf '"';
-  add_escaped buf v;
+  add_escaped buf s;
   Buffer.add_char buf '"'
 
-let field_int buf k v =
-  key buf k;
-  Buffer.add_string buf (string_of_int v)
+let add_float buf v =
+  if Float.is_finite v then begin
+    let s = Printf.sprintf "%.15g" v in
+    Buffer.add_string buf
+      (if float_of_string s = v then s else Printf.sprintf "%.17g" v)
+  end
+  else if Float.is_nan v then Buffer.add_string buf "\"nan\""
+  else Buffer.add_string buf (if v > 0. then "\"inf\"" else "\"-inf\"")
 
-let field_float buf k v =
-  key buf k;
-  match Float.classify_float v with
-  | FP_nan | FP_infinite -> Buffer.add_string buf "null"
-  (* %g is enough precision for the microsecond timings we emit *)
-  | _ -> Buffer.add_string buf (Printf.sprintf "%g" v)
+let framed buf op cl item xs =
+  Buffer.add_char buf op;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf ',';
+      item x)
+    xs;
+  Buffer.add_char buf cl
 
-let field_bool buf k v =
-  key buf k;
-  Buffer.add_string buf (if v then "true" else "false")
+let rec write buf = function
+  | J_str s -> add_str buf s
+  | J_int i -> Buffer.add_string buf (string_of_int i)
+  | J_float f -> add_float buf f
+  | J_bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | J_null -> Buffer.add_string buf "null"
+  | J_arr vs -> framed buf '[' ']' (write buf) vs
+  | J_obj kvs ->
+    framed buf '{' '}'
+      (fun (k, v) ->
+        add_str buf k;
+        Buffer.add_char buf ':';
+        write buf v)
+      kvs
+
+let to_string v =
+  let buf = Buffer.create 256 in
+  write buf v;
+  Buffer.contents buf
+
+let opt f = function None -> J_null | Some x -> f x
 
 let outcome_string = function
   | E_committed -> "committed"
@@ -86,24 +117,6 @@ let outcome_of_string = function
   | "probe_ok" -> Some E_probe_ok
   | "probe_rejected" -> Some E_probe_rejected
   | _ -> None
-
-let field_var buf k v =
-  key buf k;
-  Buffer.add_char buf '"';
-  add_escaped buf v.v_owner;
-  Buffer.add_char buf '.';
-  add_escaped buf v.v_name;
-  Buffer.add_char buf '"'
-
-let field_cstr buf k c =
-  key buf k;
-  Buffer.add_char buf '"';
-  add_escaped buf c.c_kind;
-  Buffer.add_char buf '#';
-  Buffer.add_string buf (string_of_int c.c_id);
-  Buffer.add_char buf '"'
-
-let opt_field f buf k = function None -> () | Some v -> f buf k v
 
 (* Schema v2 adds: a "v" version field on every line; "just" and "deps"
    (semicolon-joined antecedent paths, captured at emit time) on assign
@@ -124,83 +137,77 @@ let just_string = function
   | Tentative -> "tentative"
   | Propagated _ -> "propagated"
 
+(* [some k f x]: the field [(k, f v)] when [x = Some v], else none. *)
+let some k f = function None -> [] | Some x -> [ (k, f x) ]
+
+let text s = J_str s
+
+let event_fields ~pp_value ev =
+  let var v = J_str (Constraint_kernel.Var.path v) in
+  let cstr c = J_str (c.c_kind ^ "#" ^ string_of_int c.c_id) in
+  match ev with
+  | T_assign (v, x, src) ->
+    (* v_just is already updated when the engine traces the assignment,
+       so the antecedent set read here is exact even if the variable is
+       overwritten later in the episode. *)
+    let deps =
+      match Constraint_kernel.Dependency.direct_antecedents v with
+      | [] -> None
+      | ds -> Some (String.concat ";" (List.map Constraint_kernel.Var.path ds))
+    in
+    ( "assign",
+      [
+        ("var", var v);
+        ("value", J_str (pp_value x));
+        ("src", J_str src);
+        ("just", J_str (just_string v.v_just));
+      ]
+      @ some "deps" text deps )
+  | T_reset (v, reason) -> ("reset", [ ("var", var v); ("why", J_str reason) ])
+  | T_activate (c, by) -> ("activate", ("cstr", cstr c) :: some "by" var by)
+  | T_schedule (c, prio) ->
+    ("schedule", [ ("cstr", cstr c); ("prio", J_int prio) ])
+  | T_check (c, ok) -> ("check", [ ("cstr", cstr c); ("ok", J_bool ok) ])
+  | T_violation viol ->
+    ( "violation",
+      (("msg", J_str viol.viol_message) :: some "kind" text viol.viol_cstr_kind)
+      @ some "var" text viol.viol_var_path
+      @ some "exn" text viol.viol_exn )
+  | T_restore v -> ("restore", [ ("var", var v) ])
+  | T_quarantine (c, reason) ->
+    ("quarantine", [ ("cstr", cstr c); ("reason", J_str reason) ])
+  | T_episode_start (id, label, parent) ->
+    ( "episode_start",
+      [ ("id", J_int id); ("label", J_str label) ]
+      @
+      match parent with
+      | None -> []
+      | Some p ->
+        [ ("pnet", J_str p.pr_net); ("pep", J_int p.pr_episode) ]
+        @ some "cause" text p.pr_cause )
+  | T_episode_end sp ->
+    let us x = J_float (x *. 1e6) in
+    ( "episode_end",
+      [
+        ("id", J_int sp.es_id);
+        ("label", J_str sp.es_label);
+        ("outcome", J_str (outcome_string sp.es_outcome));
+        ("us", us (span_total sp));
+        ("prop_us", us sp.es_timings.ph_propagate);
+        ("drain_us", us sp.es_timings.ph_drain);
+        ("check_us", us sp.es_timings.ph_check);
+        ("restore_us", us sp.es_timings.ph_restore);
+        ("steps", J_int sp.es_steps);
+        ("agenda", J_int sp.es_agenda_hwm);
+      ] )
+
 let write_event ?net ~pp_value buf ep seq ev =
-  (* "seq" is written inline so every later field can lead with a comma
-     unconditionally — no first-field bookkeeping on the hot path *)
-  Buffer.add_string buf "{\"seq\":";
-  Buffer.add_string buf (string_of_int seq);
-  field_int buf "ep" ep;
-  field_int buf "v" schema_version;
-  opt_field field_str buf "net" net;
-  (let tag t = field_str buf "t" t in
-   match ev with
-   | T_assign (v, x, src) ->
-     tag "assign";
-     field_var buf "var" v;
-     field_str buf "value" (pp_value x);
-     field_str buf "src" src;
-     field_str buf "just" (just_string v.v_just);
-     (* v_just is already updated when the engine traces the assignment,
-        so the antecedent set read here is exact even if the variable is
-        overwritten later in the episode. *)
-     (match Constraint_kernel.Dependency.direct_antecedents v with
-     | [] -> ()
-     | deps ->
-       field_str buf "deps"
-         (String.concat ";" (List.map Constraint_kernel.Var.path deps)))
-   | T_reset (v, reason) ->
-     tag "reset";
-     field_var buf "var" v;
-     field_str buf "why" reason
-   | T_activate (c, by) ->
-     tag "activate";
-     field_cstr buf "cstr" c;
-     opt_field field_var buf "by" by
-   | T_schedule (c, prio) ->
-     tag "schedule";
-     field_cstr buf "cstr" c;
-     field_int buf "prio" prio
-   | T_check (c, ok) ->
-     tag "check";
-     field_cstr buf "cstr" c;
-     field_bool buf "ok" ok
-   | T_violation viol ->
-     tag "violation";
-     field_str buf "msg" viol.viol_message;
-     opt_field field_str buf "kind" viol.viol_cstr_kind;
-     opt_field field_str buf "var" viol.viol_var_path;
-     opt_field field_str buf "exn" viol.viol_exn
-   | T_restore v ->
-     tag "restore";
-     field_var buf "var" v
-   | T_quarantine (c, reason) ->
-     tag "quarantine";
-     field_cstr buf "cstr" c;
-     field_str buf "reason" reason
-   | T_episode_start (id, label, parent) ->
-     tag "episode_start";
-     field_int buf "id" id;
-     field_str buf "label" label;
-     (match parent with
-     | None -> ()
-     | Some p ->
-       field_str buf "pnet" p.pr_net;
-       field_int buf "pep" p.pr_episode;
-       opt_field field_str buf "cause" p.pr_cause)
-   | T_episode_end sp ->
-     let us x = x *. 1e6 in
-     tag "episode_end";
-     field_int buf "id" sp.es_id;
-     field_str buf "label" sp.es_label;
-     field_str buf "outcome" (outcome_string sp.es_outcome);
-     field_float buf "us" (us (span_total sp));
-     field_float buf "prop_us" (us sp.es_timings.ph_propagate);
-     field_float buf "drain_us" (us sp.es_timings.ph_drain);
-     field_float buf "check_us" (us sp.es_timings.ph_check);
-     field_float buf "restore_us" (us sp.es_timings.ph_restore);
-     field_int buf "steps" sp.es_steps;
-     field_int buf "agenda" sp.es_agenda_hwm);
-  Buffer.add_char buf '}'
+  let t, fields = event_fields ~pp_value ev in
+  write buf
+    (J_obj
+       ([ ("seq", J_int seq); ("ep", J_int ep); ("v", J_int schema_version) ]
+       @ some "net" text net
+       @ (("t", J_str t) :: fields)))
 
 let default_pp_value _ = "<opaque>"
 
@@ -229,13 +236,6 @@ let buffer_sink ?(name = "jsonl") ?(pp_value = default_pp_value) buf =
   { snk_name = name; snk_emit = emit }
 
 (* ---------------- parsing ---------------- *)
-
-type json =
-  | J_str of string
-  | J_int of int
-  | J_float of float
-  | J_bool of bool
-  | J_null
 
 (* Minimal parser for the flat objects we emit: {"k":scalar,...}. *)
 let parse_line line =

@@ -28,7 +28,13 @@ val channel_sink :
 val buffer_sink :
   ?name:string -> ?pp_value:('a -> string) -> Buffer.t -> 'a sink
 
-(** {1 Reading traces back} *)
+(** {1 Writing JSON}
+
+    The one JSON writer of [lib/obs], [lib/serve] and the CLI. Strings
+    escape ['"'], ['\\'] and every control byte; finite floats print
+    in the shortest of [%.15g]/[%.17g] that reads back to the same
+    value; non-finite floats print as the strings ["nan"], ["inf"] and
+    ["-inf"] (JSON has no such numbers). *)
 
 type json =
   | J_str of string
@@ -36,6 +42,21 @@ type json =
   | J_float of float
   | J_bool of bool
   | J_null
+  | J_arr of json list
+  | J_obj of (string * json) list  (** keys written in list order *)
+
+(** Append one document to a buffer. *)
+val write : Buffer.t -> json -> unit
+
+val to_string : json -> string
+
+(** [opt f None = J_null], [opt f (Some x) = f x]. *)
+val opt : ('a -> json) -> 'a option -> json
+
+(** {1 Reading traces back}
+
+    The parser yields scalars only ([J_arr]/[J_obj] never appear in
+    its output). *)
 
 (** Parse one line into its fields, in order of appearance. *)
 val parse_line : string -> ((string * json) list, string) result
@@ -89,5 +110,6 @@ val just_string : 'a justification -> string
 
 val outcome_of_string : string -> episode_outcome option
 
-(** JSON string escaping (exposed for the bench JSON writer). *)
+(** JSON string escaping, without the quotes (for the bench JSON
+    writers). *)
 val escape : string -> string

@@ -327,18 +327,6 @@ let add_family_header buf ~fam ~ty ~help =
   Buffer.add_string buf ty;
   Buffer.add_char buf '\n'
 
-let render_prometheus ?namespace ?labels ?seen buf t =
-  let seen = match seen with Some s -> s | None -> Hashtbl.create 16 in
-  List.iter
-    (fun it ->
-      let fam, ty = prometheus_family ?namespace it in
-      if not (Hashtbl.mem seen fam) then begin
-        Hashtbl.add seen fam ();
-        add_family_header buf ~fam ~ty ~help:(item_name it)
-      end;
-      render_prometheus_series ?namespace ?labels buf it)
-    (items t)
-
 (* ---------------- the kernel sink ---------------- *)
 
 (* Aggregates a network's event stream: one counter per event type,

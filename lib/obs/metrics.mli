@@ -106,17 +106,14 @@ val prometheus_family : ?namespace:string -> item -> string * string
 val render_prometheus_series :
   ?namespace:string -> ?labels:(string * string) list -> Buffer.t -> item -> unit
 
-(** Whole registry, [# HELP]/[# TYPE] headers included. [seen]
-    suppresses headers for families already rendered into [buf] (pass
-    one table across several calls when concatenating registries whose
-    families do not interleave). *)
-val render_prometheus :
-  ?namespace:string ->
-  ?labels:(string * string) list ->
-  ?seen:(string, unit) Hashtbl.t ->
-  Buffer.t ->
-  t ->
-  unit
+(** [add_family_header buf ~fam ~ty ~help] — the [# HELP] (help text
+    escaped) and [# TYPE] lines that open family [fam]. *)
+val add_family_header :
+  Buffer.t -> fam:string -> ty:string -> help:string -> unit
+
+(** [add_series buf name labels value] — one sample line, label values
+    escaped with {!prometheus_escape}. *)
+val add_series : Buffer.t -> string -> (string * string) list -> string -> unit
 
 (** The aggregating trace sink (default name ["metrics"]). *)
 val kernel_sink : ?name:string -> t -> 'a sink

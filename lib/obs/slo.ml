@@ -124,17 +124,23 @@ let evaluate t ~now =
 let firing t = not (Watchdog.ok t.sl_wd)
 
 let status_json t ~now =
-  let burns = burn_rates t ~now in
-  Printf.sprintf
-    "{\"name\":\"%s\",\"target\":%g,\"firing\":%b,\"windows\":[%s]}"
-    (Jsonl.escape t.sl_ob.ob_name)
-    t.sl_ob.ob_target (firing t)
-    (String.concat ","
-       (List.map
-          (fun (w, thr, b) ->
-            Printf.sprintf
-              "{\"seconds\":%g,\"threshold\":%g,\"burn\":%g}" w thr
-              (if Float.is_finite b then b else -1.))
-          burns))
+  Jsonl.J_obj
+    [
+      ("name", J_str t.sl_ob.ob_name);
+      ("target", J_float t.sl_ob.ob_target);
+      ("firing", J_bool (firing t));
+      ( "windows",
+        J_arr
+          (List.map
+             (fun (w, thr, b) ->
+               Jsonl.J_obj
+                 [
+                   ("seconds", J_float w);
+                   ("threshold", J_float thr);
+                   (* a non-finite burn reads as -1, a value, not a string *)
+                   ("burn", J_float (if Float.is_finite b then b else -1.));
+                 ])
+             (burn_rates t ~now)) );
+    ]
 
 let remove t = Watchdog.unregister t.sl_key

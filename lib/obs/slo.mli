@@ -68,8 +68,9 @@ val evaluate : t -> now:float -> unit
 
 val firing : t -> bool
 
-(** One-line JSON status object (burns, thresholds, firing). *)
-val status_json : t -> now:float -> string
+(** JSON status object (burns, thresholds, firing); a non-finite burn
+    reports [-1]. *)
+val status_json : t -> now:float -> Jsonl.json
 
 (** Unregister the backing watchdog. *)
 val remove : t -> unit

@@ -433,18 +433,28 @@ let kernel_sink t ~net =
 (* ------------------------------------------------------------------ *)
 
 let chrome_json t =
-  let sps = spans t in
-  let buf = Buffer.create (256 + (List.length sps * 160)) in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i sp ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"stem\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{\"span\":%d,\"parent\":%d,\"note\":\"%s\"}}"
-           (Jsonl.escape sp.sp_name)
-           (sp.sp_start *. 1e6) (sp.sp_dur *. 1e6) sp.sp_trace sp.sp_id
-           sp.sp_parent (Jsonl.escape sp.sp_note)))
-    sps;
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents buf
+  let event sp =
+    Jsonl.J_obj
+      [
+        ("name", J_str sp.sp_name);
+        ("cat", J_str "stem");
+        ("ph", J_str "X");
+        ("ts", J_float (sp.sp_start *. 1e6));
+        ("dur", J_float (sp.sp_dur *. 1e6));
+        ("pid", J_int 1);
+        ("tid", J_int sp.sp_trace);
+        ( "args",
+          J_obj
+            [
+              ("span", J_int sp.sp_id);
+              ("parent", J_int sp.sp_parent);
+              ("note", J_str sp.sp_note);
+            ] );
+      ]
+  in
+  Jsonl.to_string
+    (J_obj
+       [
+         ("traceEvents", J_arr (List.map event (spans t)));
+         ("displayTimeUnit", J_str "ms");
+       ])

@@ -187,12 +187,20 @@ let healthy () = List.for_all (fun (_, ok, _) -> ok) (health ())
    and still round-trip through [Jsonl.parse_line] / replay (which
    files unknown kinds under R_other). *)
 let alert_json a =
-  Printf.sprintf
-    "{\"v\":%d,\"t\":\"alert\",\"net\":\"%s\",\"rule\":\"%s\",\"window\":%d,\"state\":\"%s\",\"detail\":\"%s\"}"
-    Jsonl.schema_version (Jsonl.escape a.al_net) (Jsonl.escape a.al_rule)
-    a.al_window
-    (match a.al_state with `Firing -> "firing" | `Cleared -> "cleared")
-    (Jsonl.escape a.al_detail)
+  Jsonl.to_string
+    (J_obj
+       [
+         ("v", J_int Jsonl.schema_version);
+         ("t", J_str "alert");
+         ("net", J_str a.al_net);
+         ("rule", J_str a.al_rule);
+         ("window", J_int a.al_window);
+         ( "state",
+           J_str
+             (match a.al_state with `Firing -> "firing" | `Cleared -> "cleared")
+         );
+         ("detail", J_str a.al_detail);
+       ])
 
 let pp_alert ppf a =
   match a.al_state with

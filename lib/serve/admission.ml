@@ -150,79 +150,73 @@ let tenants t =
         t.ad_tenants []
       |> List.sort compare)
 
-let jstr s = "\"" ^ Obs.Jsonl.escape s ^ "\""
+(* Tenant rows sorted by name; caller holds the lock. *)
+let sorted_tenants t =
+  Hashtbl.fold (fun name tn acc -> (name, tn) :: acc) t.ad_tenants []
+  |> List.sort compare
 
 let stats_json t =
   with_lock t (fun () ->
       let now = t.ad_now () in
       let tenants =
-        Hashtbl.fold
-          (fun name tn acc ->
-            Printf.sprintf
-              "{\"tenant\":%s,\"inflight\":%d,\"admitted\":%d,\"rejected\":%d,\"over_budget\":%d,\"strikes\":%d,\"cooldown_s\":%g}"
-              (jstr name) tn.tn_inflight tn.tn_admitted tn.tn_rejected
-              tn.tn_over_budget tn.tn_strikes
-              (max 0.0 (tn.tn_cooldown_until -. now))
-            :: acc)
-          t.ad_tenants []
-        |> List.sort compare
+        sorted_tenants t
+        |> List.map (fun (name, tn) ->
+               Obs.Jsonl.J_obj
+                 [
+                   ("tenant", J_str name);
+                   ("inflight", J_int tn.tn_inflight);
+                   ("admitted", J_int tn.tn_admitted);
+                   ("rejected", J_int tn.tn_rejected);
+                   ("over_budget", J_int tn.tn_over_budget);
+                   ("strikes", J_int tn.tn_strikes);
+                   ( "cooldown_s",
+                     J_float (max 0.0 (tn.tn_cooldown_until -. now)) );
+                 ])
       in
-      Printf.sprintf
-        "{\"total_inflight\":%d,\"max_inflight\":%d,\"max_total\":%d,\"step_budget\":%d,\"deadline_s\":%g,\"tenants\":[%s]}"
-        t.ad_total_inflight t.ad_cfg.ac_max_inflight t.ad_cfg.ac_max_total
-        t.ad_cfg.ac_step_budget t.ad_cfg.ac_deadline
-        (String.concat "," tenants))
-
-(* Prometheus label values: backslash, double quote and newline must be
-   escaped (tenant names arrive from request headers). *)
-let label_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      Obs.Jsonl.(
+        to_string
+          (J_obj
+             [
+               ("total_inflight", J_int t.ad_total_inflight);
+               ("max_inflight", J_int t.ad_cfg.ac_max_inflight);
+               ("max_total", J_int t.ad_cfg.ac_max_total);
+               ("step_budget", J_int t.ad_cfg.ac_step_budget);
+               ("deadline_s", J_float t.ad_cfg.ac_deadline);
+               ("tenants", J_arr tenants);
+             ])))
 
 (* Per-tenant counters in Prometheus exposition format, appended after
    the registry-backed families by the server's /metrics handler.
-   Tenants are dynamic label values, which Obs.Metrics deliberately
-   does not model, so these families render here. *)
+   Tenants are dynamic label values, which Obs.Metrics registries
+   deliberately do not model, so these families render here through
+   its header and series writers. *)
 let render_prometheus ?(namespace = "stem") t buf =
   with_lock t (fun () ->
-      let tenants =
-        Hashtbl.fold (fun name tn acc -> (name, tn) :: acc) t.ad_tenants []
-        |> List.sort compare
-      in
+      let tenants = sorted_tenants t in
       if tenants <> [] then begin
         let req = namespace ^ "_serve_tenant_requests_total" in
         let rej = namespace ^ "_serve_tenant_rejected_total" in
-        Printf.bprintf buf
-          "# HELP %s Write-side requests per tenant (admitted plus \
-           rejected).\n\
-           # TYPE %s counter\n"
-          req req;
+        Obs.Metrics.add_family_header buf ~fam:req ~ty:"counter"
+          ~help:"Write-side requests per tenant (admitted plus rejected).";
         List.iter
           (fun (name, tn) ->
-            Printf.bprintf buf "%s{tenant=\"%s\"} %d\n" req
-              (label_escape name)
-              (tn.tn_admitted + tn.tn_rejected))
+            Obs.Metrics.add_series buf req
+              [ ("tenant", name) ]
+              (string_of_int (tn.tn_admitted + tn.tn_rejected)))
           tenants;
-        Printf.bprintf buf
-          "# HELP %s Admission rejections per tenant, by ladder rung.\n\
-           # TYPE %s counter\n"
-          rej rej;
+        Obs.Metrics.add_family_header buf ~fam:rej ~ty:"counter"
+          ~help:"Admission rejections per tenant, by ladder rung.";
         List.iter
           (fun (name, tn) ->
-            let e = label_escape name in
-            Printf.bprintf buf "%s{tenant=\"%s\",reason=\"busy\"} %d\n" rej e
-              tn.tn_rej_busy;
-            Printf.bprintf buf "%s{tenant=\"%s\",reason=\"overloaded\"} %d\n"
-              rej e tn.tn_rej_overloaded;
-            Printf.bprintf buf "%s{tenant=\"%s\",reason=\"quarantined\"} %d\n"
-              rej e tn.tn_rej_quarantined)
+            List.iter
+              (fun (reason, n) ->
+                Obs.Metrics.add_series buf rej
+                  [ ("tenant", name); ("reason", reason) ]
+                  (string_of_int n))
+              [
+                ("busy", tn.tn_rej_busy);
+                ("overloaded", tn.tn_rej_overloaded);
+                ("quarantined", tn.tn_rej_quarantined);
+              ])
           tenants
       end)

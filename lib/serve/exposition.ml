@@ -2,8 +2,6 @@
    Prometheus text-format document (see mli for why a plain concat is
    not format-conformant). *)
 
-(* Help strings stay free of backslash/newline so they need no
-   escaping beyond what [Metrics.render_prometheus] already does. *)
 let help_table =
   [
     ("episodes_total", "Completed propagation episodes.");
@@ -81,15 +79,7 @@ let render ?(namespace = "stem") sources =
   List.iter
     (fun fam ->
       let ty, items = Hashtbl.find fams fam in
-      Buffer.add_string buf "# HELP ";
-      Buffer.add_string buf fam;
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (help_for fam);
-      Buffer.add_string buf "\n# TYPE ";
-      Buffer.add_string buf fam;
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf ty;
-      Buffer.add_char buf '\n';
+      Obs.Metrics.add_family_header buf ~fam ~ty ~help:(help_for fam);
       List.iter
         (fun (src, it) ->
           let labels = if src = "" then [] else [ ("net", src) ] in

@@ -133,9 +133,9 @@ let trace_of rq =
 type entry = {
   en_name : string;
   en_metrics : Obs.Metrics.t;
-  en_window : unit -> string option;  (* current window slot, JSON *)
-  en_spans : unit -> string list;  (* JSON objects *)
-  en_exemplars : unit -> string list;  (* JSON objects *)
+  en_window : unit -> Obs.Jsonl.json option;  (* current window slot *)
+  en_spans : unit -> Obs.Jsonl.json list;
+  en_exemplars : unit -> Obs.Jsonl.json list;
   en_topo : unit -> string;  (* DOT document *)
   en_sink_on : unit -> unit;  (* attach the /events kernel sink *)
   en_sink_off : unit -> unit;  (* detach it again *)
@@ -159,47 +159,58 @@ let exposed () = List.map (fun e -> e.en_name) (entries ())
 
 (* ---------------- JSON rendering ---------------- *)
 
-let jstr s = "\"" ^ Obs.Jsonl.escape s ^ "\""
-
-let span_latency_us (s : Types.episode_span) =
-  let t = s.Types.es_timings in
-  (t.Types.ph_propagate +. t.Types.ph_drain +. t.Types.ph_check
- +. t.Types.ph_restore)
-  *. 1e6
+module J = Obs.Jsonl
 
 let span_obj net (s : Types.episode_span) =
   let open Types in
   let t = s.es_timings in
-  Printf.sprintf
-    "{\"net\":%s,\"ep\":%d,\"label\":%s,\"outcome\":%s,\"latency_us\":%g,\"propagate_us\":%g,\"drain_us\":%g,\"check_us\":%g,\"restore_us\":%g,\"steps\":%d,\"agenda_hwm\":%d}"
-    (jstr net) s.es_id (jstr s.es_label)
-    (jstr (Obs.Jsonl.outcome_string s.es_outcome))
-    (span_latency_us s)
-    (t.ph_propagate *. 1e6)
-    (t.ph_drain *. 1e6)
-    (t.ph_check *. 1e6)
-    (t.ph_restore *. 1e6)
-    s.es_steps s.es_agenda_hwm
+  J.J_obj
+    [
+      ("net", J_str net);
+      ("ep", J_int s.es_id);
+      ("label", J_str s.es_label);
+      ("outcome", J_str (J.outcome_string s.es_outcome));
+      ("latency_us", J_float (span_total s *. 1e6));
+      ("propagate_us", J_float (t.ph_propagate *. 1e6));
+      ("drain_us", J_float (t.ph_drain *. 1e6));
+      ("check_us", J_float (t.ph_check *. 1e6));
+      ("restore_us", J_float (t.ph_restore *. 1e6));
+      ("steps", J_int s.es_steps);
+      ("agenda_hwm", J_int s.es_agenda_hwm);
+    ]
 
 let exemplar_obj net (ex : 'a Obs.Sampler.exemplar) =
   let open Obs.Sampler in
-  Printf.sprintf
-    "{\"net\":%s,\"episode\":%d,\"reasons\":[%s],\"outcome\":%s,\"latency_us\":%g,\"events\":%d,\"truncated\":%b}"
-    (jstr net) ex.ex_episode
-    (String.concat ","
-       (List.map (fun r -> jstr (reason_label r)) ex.ex_reasons))
-    (jstr (Obs.Jsonl.outcome_string ex.ex_span.Types.es_outcome))
-    (span_latency_us ex.ex_span)
-    (List.length ex.ex_events) ex.ex_truncated
+  J.J_obj
+    [
+      ("net", J_str net);
+      ("episode", J_int ex.ex_episode);
+      ( "reasons",
+        J_arr (List.map (fun r -> J.J_str (reason_label r)) ex.ex_reasons) );
+      ("outcome", J_str (J.outcome_string ex.ex_span.Types.es_outcome));
+      ("latency_us", J_float (Types.span_total ex.ex_span *. 1e6));
+      ("events", J_int (List.length ex.ex_events));
+      ("truncated", J_bool ex.ex_truncated);
+    ]
 
 let window_obj net w =
   let open Obs.Window in
   let s = current w in
-  Printf.sprintf
-    "{\"net\":%s,\"index\":%d,\"episodes\":%d,\"committed\":%d,\"rolled_back\":%d,\"violations\":%d,\"quarantines\":%d,\"sink_errors\":%d,\"p50_us\":%g,\"p95_us\":%g,\"p99_us\":%g,\"episode_rate\":%g}"
-    (jstr net) s.w_index s.w_episodes s.w_committed s.w_rolled_back
-    s.w_violations s.w_quarantines s.w_sink_errors (p50 s) (p95 s) (p99 s)
-    (episode_rate s)
+  J.J_obj
+    [
+      ("net", J_str net);
+      ("index", J_int s.w_index);
+      ("episodes", J_int s.w_episodes);
+      ("committed", J_int s.w_committed);
+      ("rolled_back", J_int s.w_rolled_back);
+      ("violations", J_int s.w_violations);
+      ("quarantines", J_int s.w_quarantines);
+      ("sink_errors", J_int s.w_sink_errors);
+      ("p50_us", J_float (p50 s));
+      ("p95_us", J_float (p95 s));
+      ("p99_us", J_float (p99 s));
+      ("episode_rate", J_float (episode_rate s));
+    ]
 
 (* ---------------- exposing networks ---------------- *)
 
@@ -373,8 +384,7 @@ let slos_json ?now () =
              compare (Obs.Slo.objective a).Obs.Slo.ob_name
                (Obs.Slo.objective b).Obs.Slo.ob_name)
     in
-    "[" ^ String.concat "," (List.map (fun s -> Obs.Slo.status_json s ~now) rows)
-    ^ "]"
+    J.to_string (J_arr (List.map (fun s -> Obs.Slo.status_json s ~now) rows))
 
 (* Swing every exposed net's sink on the 0<->1 subscriber edges.  The
    hook runs outside the hub lock precisely so taking [reg_mu] here
@@ -405,29 +415,36 @@ let render_metrics () =
 let healthz_status () = if Obs.Watchdog.healthy () then 200 else 503
 
 let healthz_json () =
-  let rows = Obs.Watchdog.health () in
   let st = Stream.stats hub in
-  let nets =
-    List.map
-      (fun (net, ok, firing) ->
-        Printf.sprintf "{\"net\":%s,\"ok\":%b,\"firing\":[%s]}" (jstr net) ok
-          (String.concat ","
-             (List.map
-                (fun (r, d) ->
-                  Printf.sprintf "{\"rule\":%s,\"detail\":%s}" (jstr r)
-                    (jstr d))
-                firing)))
-      rows
+  let net (net, ok, firing) =
+    J.J_obj
+      [
+        ("net", J_str net);
+        ("ok", J_bool ok);
+        ( "firing",
+          J_arr
+            (List.map
+               (fun (r, d) ->
+                 J.J_obj [ ("rule", J_str r); ("detail", J_str d) ])
+               firing) );
+      ]
   in
   let es = entries () in
-  let windows = List.filter_map (fun e -> e.en_window ()) es in
-  Printf.sprintf
-    "{\"healthy\":%b,\"nets\":[%s],\"windows\":[%s],\"stream\":{\"published\":%d,\"dropped\":%d,\"subscribers\":%d},\"exposed\":[%s]}"
-    (Obs.Watchdog.healthy ())
-    (String.concat "," nets)
-    (String.concat "," windows)
-    st.Stream.st_published st.Stream.st_dropped st.Stream.st_subscribers
-    (String.concat "," (List.map (fun e -> jstr e.en_name) es))
+  J.to_string
+    (J_obj
+       [
+         ("healthy", J_bool (Obs.Watchdog.healthy ()));
+         ("nets", J_arr (List.map net (Obs.Watchdog.health ())));
+         ("windows", J_arr (List.filter_map (fun e -> e.en_window ()) es));
+         ( "stream",
+           J_obj
+             [
+               ("published", J_int st.Stream.st_published);
+               ("dropped", J_int st.Stream.st_dropped);
+               ("subscribers", J_int st.Stream.st_subscribers);
+             ] );
+         ("exposed", J_arr (List.map (fun e -> J.J_str e.en_name) es));
+       ])
 
 let alerts_ndjson () =
   let buf = Buffer.create 512 in
@@ -441,70 +458,76 @@ let alerts_ndjson () =
     (Obs.Watchdog.registered ());
   Buffer.contents buf
 
-(* JSON numbers must be finite; series data can hold anything *)
-let jnum v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v
-  else if Float.is_nan v then "\"nan\""
-  else if v > 0. then "\"inf\""
-  else "\"-inf\""
-
 let series_json () =
   match history_store () with
   | None -> None
   | Some ts ->
     let st = Obs.Tsdb.stats ts in
-    let rows =
-      List.map
-        (fun (name, points, first, last) ->
-          Printf.sprintf
-            "{\"series\":%s,\"points\":%d,\"first\":%s,\"last\":%s}" (jstr name)
-            points (jnum first) (jnum last))
-        (Obs.Tsdb.series ts)
+    let row (name, points, first, last) =
+      J.J_obj
+        [
+          ("series", J_str name);
+          ("points", J_int points);
+          ("first", J_float first);
+          ("last", J_float last);
+        ]
     in
     Some
-      (Printf.sprintf
-         "{\"dir\":%s,\"segments\":%d,\"blocks\":%d,\"points\":%d,\"disk_bytes\":%d,\"compression\":%s,\"series\":[%s]}"
-         (jstr (Obs.Tsdb.dir ts))
-         st.Obs.Tsdb.st_segments st.Obs.Tsdb.st_blocks st.Obs.Tsdb.st_points
-         st.Obs.Tsdb.st_disk_bytes
-         (jnum st.Obs.Tsdb.st_ratio)
-         (String.concat "," rows))
+      (J.to_string
+         (J_obj
+            [
+              ("dir", J_str (Obs.Tsdb.dir ts));
+              ("segments", J_int st.Obs.Tsdb.st_segments);
+              ("blocks", J_int st.Obs.Tsdb.st_blocks);
+              ("points", J_int st.Obs.Tsdb.st_points);
+              ("disk_bytes", J_int st.Obs.Tsdb.st_disk_bytes);
+              ("compression", J_float st.Obs.Tsdb.st_ratio);
+              ("series", J_arr (List.map row (Obs.Tsdb.series ts)));
+            ]))
 
 let query_json ts ~series ~from_ ~to_ ~step =
-  match step with
-  | Some step ->
-    let buckets = Obs.Tsdb.query_range ts ~series ~from_ ~to_ ~step in
-    Printf.sprintf
-      "{\"metric\":%s,\"from\":%s,\"to\":%s,\"step\":%s,\"buckets\":[%s]}"
-      (jstr series) (jnum from_) (jnum to_) (jnum step)
-      (String.concat ","
-         (List.map
-            (fun b ->
-              Printf.sprintf
-                "{\"t\":%s,\"min\":%s,\"max\":%s,\"avg\":%s,\"count\":%d}"
-                (jnum b.Obs.Tsdb.bk_t) (jnum b.Obs.Tsdb.bk_min)
-                (jnum b.Obs.Tsdb.bk_max) (jnum b.Obs.Tsdb.bk_avg)
-                b.Obs.Tsdb.bk_count)
-            buckets))
-  | None ->
-    let pts = Obs.Tsdb.query ts ~series ~from_ ~to_ in
-    Printf.sprintf "{\"metric\":%s,\"from\":%s,\"to\":%s,\"points\":[%s]}"
-      (jstr series) (jnum from_) (jnum to_)
-      (String.concat ","
-         (List.map
-            (fun (t, v) -> Printf.sprintf "[%s,%s]" (jnum t) (jnum v))
-            pts))
+  let head =
+    [ ("metric", J.J_str series); ("from", J_float from_); ("to", J_float to_) ]
+  in
+  J.to_string
+    (match step with
+    | Some step ->
+      let bucket b =
+        J.J_obj
+          [
+            ("t", J_float b.Obs.Tsdb.bk_t);
+            ("min", J_float b.Obs.Tsdb.bk_min);
+            ("max", J_float b.Obs.Tsdb.bk_max);
+            ("avg", J_float b.Obs.Tsdb.bk_avg);
+            ("count", J_int b.Obs.Tsdb.bk_count);
+          ]
+      in
+      J_obj
+        (head
+        @ [
+            ("step", J_float step);
+            ( "buckets",
+              J_arr
+                (List.map bucket
+                   (Obs.Tsdb.query_range ts ~series ~from_ ~to_ ~step)) );
+          ])
+    | None ->
+      J_obj
+        (head
+        @ [
+            ( "points",
+              J_arr
+                (List.map
+                   (fun (t, v) -> J.J_arr [ J_float t; J_float v ])
+                   (Obs.Tsdb.query ts ~series ~from_ ~to_)) );
+          ]))
 
 let spans_json () =
-  "["
-  ^ String.concat "," (List.concat_map (fun e -> e.en_spans ()) (entries ()))
-  ^ "]"
+  J.to_string (J_arr (List.concat_map (fun e -> e.en_spans ()) (entries ())))
 
 let exemplars_json () =
-  "["
-  ^ String.concat ","
-      (List.concat_map (fun e -> e.en_exemplars ()) (entries ()))
-  ^ "]"
+  J.to_string
+    (J_arr (List.concat_map (fun e -> e.en_exemplars ()) (entries ())))
 
 let topo_dot ?net () =
   match (net, entries ()) with
@@ -528,7 +551,7 @@ let tenant_of rq =
 let retry_after s =
   [ ("retry-after", string_of_int (max 1 (int_of_float (ceil s)))) ]
 
-let err_json msg = Printf.sprintf "{\"error\":%s}" (jstr msg)
+let err_json msg = J.to_string (J_obj [ ("error", J_str msg) ])
 
 let rejection = function
   | Admission.Admitted _ -> assert false
@@ -584,69 +607,62 @@ let entry_for rq id =
     else Ok e
 
 let entry_obj e =
-  Printf.sprintf
-    "{\"id\":%s,\"tenant\":%s,\"vars\":%d,\"acked\":%d,\"journal\":%s}"
-    (jstr (Wstore.id e))
-    (jstr (Wstore.tenant e))
-    (List.length (Wstore.state e))
-    (Wstore.acked e)
-    (match Wstore.journal e with
-    | None -> "null"
-    | Some j ->
-      Printf.sprintf "{\"fsync\":%s,\"size\":%d,\"appended\":%d}"
-        (jstr (Format.asprintf "%a" Journal.pp_fsync (Journal.fsync_policy j)))
-        (Journal.size j) (Journal.appended j))
+  J.J_obj
+    [
+      ("id", J_str (Wstore.id e));
+      ("tenant", J_str (Wstore.tenant e));
+      ("vars", J_int (List.length (Wstore.state e)));
+      ("acked", J_int (Wstore.acked e));
+      ( "journal",
+        J.opt
+          (fun j ->
+            J.J_obj
+              [
+                ( "fsync",
+                  J_str
+                    (Format.asprintf "%a" Journal.pp_fsync
+                       (Journal.fsync_policy j)) );
+                ("size", J_int (Journal.size j));
+                ("appended", J_int (Journal.appended j));
+              ])
+          (Wstore.journal e) );
+    ]
 
-let nets_json () =
-  "[" ^ String.concat "," (List.map entry_obj (Wstore.list ())) ^ "]"
+let nets_json () = J.to_string (J_arr (List.map entry_obj (Wstore.list ())))
 
 let state_json e =
-  let rows =
-    List.map
-      (fun (path, v, just) ->
-        Printf.sprintf "{\"var\":%s,\"value\":%s,\"just\":%s}" (jstr path)
-          (match v with None -> "null" | Some v -> jstr v)
-          (jstr just))
-      (Wstore.state e)
+  let row (path, v, just) =
+    J.J_obj
+      [
+        ("var", J_str path);
+        ("value", J.opt (fun v -> J.J_str v) v);
+        ("just", J_str just);
+      ]
   in
-  Printf.sprintf "{\"id\":%s,\"tenant\":%s,\"acked\":%d,\"vars\":[%s]}"
-    (jstr (Wstore.id e))
-    (jstr (Wstore.tenant e))
-    (Wstore.acked e)
-    (String.concat "," rows)
+  J.to_string
+    (J_obj
+       [
+         ("id", J_str (Wstore.id e));
+         ("tenant", J_str (Wstore.tenant e));
+         ("acked", J_int (Wstore.acked e));
+         ("vars", J_arr (List.map row (Wstore.state e)));
+       ])
 
 let prov_span_obj (s : Obs.Provenance.span) =
-  Printf.sprintf
-    "{\"id\":%d,\"net\":%s,\"ep\":%d,\"seq\":%d,\"var\":%s,\"value\":%s,\"just\":%s,\"source\":%s,\"antecedents\":[%s],\"dead\":%b}"
-    s.Obs.Provenance.sp_id
-    (jstr s.Obs.Provenance.sp_net)
-    s.Obs.Provenance.sp_episode s.Obs.Provenance.sp_seq
-    (jstr s.Obs.Provenance.sp_var)
-    (match s.Obs.Provenance.sp_value with
-    | None -> "null"
-    | Some v -> jstr v)
-    (jstr s.Obs.Provenance.sp_just)
-    (jstr s.Obs.Provenance.sp_source)
-    (String.concat ","
-       (List.map string_of_int s.Obs.Provenance.sp_antecedents))
-    s.Obs.Provenance.sp_dead
-
-(* One NDJSON batch item: {"var":"a.x","value":"8","just":"user"}. *)
-let parse_set_line line =
-  match Obs.Jsonl.parse_line line with
-  | Error msg -> Error msg
-  | Ok fields -> (
-    match (Obs.Jsonl.str fields "var", Obs.Jsonl.str fields "value") with
-    | None, _ -> Error "missing \"var\""
-    | _, None -> Error "missing \"value\""
-    | Some path, Some token -> (
-      match Wstore.value_of_token token with
-      | None -> Error (Printf.sprintf "unparseable value %S" token)
-      | Some v -> (
-        let j = Option.value (Obs.Jsonl.str fields "just") ~default:"user" in
-        match Wstore.just_of_string j with
-        | None -> Error (Printf.sprintf "bad justification %S" j)
-        | Some just -> Ok (path, v, just))))
+  let open Obs.Provenance in
+  J.J_obj
+    [
+      ("id", J_int s.sp_id);
+      ("net", J_str s.sp_net);
+      ("ep", J_int s.sp_episode);
+      ("seq", J_int s.sp_seq);
+      ("var", J_str s.sp_var);
+      ("value", J.opt (fun v -> J.J_str v) s.sp_value);
+      ("just", J_str s.sp_just);
+      ("source", J_str s.sp_source);
+      ("antecedents", J_arr (List.map (fun i -> J.J_int i) s.sp_antecedents));
+      ("dead", J_bool s.sp_dead);
+    ]
 
 let body_lines rq =
   String.split_on_char '\n' rq.Http.rq_body
@@ -675,7 +691,7 @@ let create_handler rq =
           expose ~name:id ~pp_value:Wstore.pp_value ~board:(Wstore.board e)
             (Wstore.net e);
           if tracing () then attach_trace_sink e;
-          Router.json ~status:201 (entry_obj e))
+          Router.json ~status:201 (J.to_string (entry_obj e)))
 
 let set_handler rq =
   match entry_for rq (param_id rq) with
@@ -685,12 +701,9 @@ let set_handler rq =
         match body_lines rq with
         | [] -> Router.json ~status:422 (err_json "empty set batch")
         | lines ->
-          let results = Buffer.create 256 in
+          let results = ref [] in
           let applied = ref 0 and failed = ref 0 and aborted = ref 0 in
-          let emit s =
-            if Buffer.length results > 0 then Buffer.add_char results ',';
-            Buffer.add_string results s
-          in
+          let emit fields = results := J.J_obj fields :: !results in
           List.iter
             (fun line ->
               if !aborted > 0 || Admission.deadline_exceeded !admission ticket
@@ -699,19 +712,17 @@ let set_handler rq =
                 incr aborted
               end
               else
-                match parse_set_line line with
+                match Result.bind (J.parse_line line) Wstore.decode_set with
                 | Error msg ->
                   incr failed;
-                  emit
-                    (Printf.sprintf "{\"ok\":false,\"error\":%s}" (jstr msg))
+                  emit [ ("ok", J_bool false); ("error", J_str msg) ]
                 | Ok (path, value, just) -> (
                   match
                     Wstore.apply_set ?trace:(trace_of rq) e ~path ~value ~just
                   with
                   | Ok () ->
                     incr applied;
-                    emit
-                      (Printf.sprintf "{\"var\":%s,\"ok\":true}" (jstr path))
+                    emit [ ("var", J_str path); ("ok", J_bool true) ]
                   | Error err ->
                     (match err with
                     | Wstore.Violation { over_budget = true; _ } ->
@@ -719,20 +730,27 @@ let set_handler rq =
                     | _ -> ());
                     incr failed;
                     emit
-                      (Printf.sprintf "{\"var\":%s,\"ok\":false,\"error\":%s}"
-                         (jstr path)
-                         (jstr (Wstore.set_error_message err)))))
+                      [
+                        ("var", J_str path);
+                        ("ok", J_bool false);
+                        ("error", J_str (Wstore.set_error_message err));
+                      ]))
             lines;
           let status =
             if !aborted > 0 then 503 else if !failed > 0 then 422 else 200
           in
           let headers = if !aborted > 0 then retry_after 1.0 else [] in
           Router.json ~status ~headers
-            (Printf.sprintf
-               "{\"id\":%s,\"applied\":%d,\"failed\":%d,\"aborted\":%d,\"acked\":%d,\"results\":[%s]}"
-               (jstr (Wstore.id e))
-               !applied !failed !aborted (Wstore.acked e)
-               (Buffer.contents results)))
+            (J.to_string
+               (J_obj
+                  [
+                    ("id", J_str (Wstore.id e));
+                    ("applied", J_int !applied);
+                    ("failed", J_int !failed);
+                    ("aborted", J_int !aborted);
+                    ("acked", J_int (Wstore.acked e));
+                    ("results", J_arr (List.rev !results));
+                  ])))
 
 let why_handler rq =
   match entry_for rq (param_id rq) with
@@ -742,15 +760,17 @@ let why_handler rq =
     | None -> Router.json ~status:422 (err_json "missing ?var=")
     | Some path ->
       let steps = Obs.Provenance.why (Wstore.prov e) path in
+      let step st =
+        J.J_obj
+          [
+            ("depth", J_int st.Obs.Provenance.ws_depth);
+            ("span", prov_span_obj st.Obs.Provenance.ws_span);
+          ]
+      in
       Router.json
-        (Printf.sprintf "{\"var\":%s,\"chain\":[%s]}" (jstr path)
-           (String.concat ","
-              (List.map
-                 (fun st ->
-                   Printf.sprintf "{\"depth\":%d,\"span\":%s}"
-                     st.Obs.Provenance.ws_depth
-                     (prov_span_obj st.Obs.Provenance.ws_span))
-                 steps))))
+        (J.to_string
+           (J_obj
+              [ ("var", J_str path); ("chain", J_arr (List.map step steps)) ])))
 
 let blame_handler rq =
   match entry_for rq (param_id rq) with
@@ -761,15 +781,19 @@ let blame_handler rq =
     | Some path ->
       let spans = Obs.Provenance.blame (Wstore.prov e) path in
       Router.json
-        (Printf.sprintf "{\"var\":%s,\"downstream\":[%s]}" (jstr path)
-           (String.concat "," (List.map prov_span_obj spans))))
+        (J.to_string
+           (J_obj
+              [
+                ("var", J_str path);
+                ("downstream", J_arr (List.map prov_span_obj spans));
+              ])))
 
 let snapshot_handler rq =
   match entry_for rq (param_id rq) with
   | Error reply -> reply
   | Ok e ->
     Wstore.with_episode_lock (fun () -> Wstore.snapshot e);
-    Router.json (entry_obj e)
+    Router.json (J.to_string (entry_obj e))
 
 let drop_handler rq =
   match entry_for rq (param_id rq) with
@@ -778,7 +802,7 @@ let drop_handler rq =
     let id = Wstore.id e in
     ignore (Wstore.drop ~id);
     ignore (unexpose id);
-    Router.json (Printf.sprintf "{\"dropped\":%s}" (jstr id))
+    Router.json (J.to_string (J_obj [ ("dropped", J_str id) ]))
 
 (* ---------------- the server ---------------- *)
 
@@ -879,7 +903,8 @@ let routes sv =
          GET  /nets            hosted networks, JSON\n\
          POST /nets?id=NAME    create from a spec body (201; 409 duplicate)\n\
          GET  /nets/:id/state  every variable, value and justification\n\
-         POST /nets/:id/set    NDJSON {\"var\":..,\"value\":..,\"just\":..} batch\n\
+         POST /nets/:id/set    NDJSON batch, one object per line with\n\
+        \                      string fields var, value and just\n\
          POST /nets/:id/why    ?var= backward causal chain, JSON\n\
          POST /nets/:id/blame  ?var= forward fan-out, JSON\n\
          POST /nets/:id/snapshot  checkpoint now (journal truncated)\n\

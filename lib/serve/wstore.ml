@@ -28,26 +28,6 @@ open Constraint_kernel
 
 let pp_value = Dval.to_string
 
-(* ---------------- value tokens ----------------
-
-   Round-trippable renderings for journal/snapshot records: the exact
-   inverse of [Dval.of_string], with floats in hex ([%h]) so replay is
-   bit-identical. *)
-
-let value_token = function
-  | Dval.Int i -> string_of_int i
-  | Dval.Float f -> Fmt.str "%h" f
-  | Dval.Bool b -> string_of_bool b
-  | Dval.Str s -> "\"" ^ s ^ "\""
-  | Dval.Irange (a, b) -> Printf.sprintf "%d..%d" a b
-  | Dval.Frange (a, b) -> Fmt.str "%h..%h" a b
-  | Dval.Dtype n -> "data:" ^ Signal_types.Type_tree.name n
-  | Dval.Etype n -> "elec:" ^ Signal_types.Type_tree.name n
-  | Dval.Rect r ->
-    let ll = Geometry.Rect.ll r in
-    Printf.sprintf "rect %d %d %d %d" ll.Geometry.Point.x ll.Geometry.Point.y
-      (Geometry.Rect.width r) (Geometry.Rect.height r)
-
 let value_of_token = Dval.of_string
 
 let just_of_string = function
@@ -249,18 +229,29 @@ let jnl_path dir id = Filename.concat dir (id ^ ".jnl")
 
 (* ---------------- records ---------------- *)
 
-let jfield k v = Printf.sprintf "\"%s\":\"%s\"" k (Obs.Jsonl.escape v)
-
 let set_record ~path ~value ~just =
-  Printf.sprintf "{\"v\":%d,\"t\":\"wal_set\",%s,%s,%s}"
-    Obs.Jsonl.schema_version (jfield "var" path)
-    (jfield "value" (value_token value))
-    (jfield "just" (Obs.Jsonl.just_string just))
+  Obs.Jsonl.(
+    to_string
+      (J_obj
+         [
+           ("v", J_int schema_version);
+           ("t", J_str "wal_set");
+           ("var", J_str path);
+           ("value", J_str (Dval.to_token value));
+           ("just", J_str (just_string just));
+         ]))
 
 let spec_record ~id ~tenant ~spec =
-  Printf.sprintf "{\"v\":%d,\"t\":\"wal_spec\",%s,%s,%s}"
-    Obs.Jsonl.schema_version (jfield "net" id) (jfield "tenant" tenant)
-    (jfield "spec" spec)
+  Obs.Jsonl.(
+    to_string
+      (J_obj
+         [
+           ("v", J_int schema_version);
+           ("t", J_str "wal_spec");
+           ("net", J_str id);
+           ("tenant", J_str tenant);
+           ("spec", J_str spec);
+         ]))
 
 (* The snapshot is exactly the externally-entered state: every
    user/application-justified value, one wal_set line each.  Derived
@@ -297,62 +288,78 @@ let snapshot e =
 
 type set_error =
   | Unknown_var of string
-  | Bad_value of string
-  | Bad_just of string
   | Violation of { message : string; over_budget : bool }
 
 let set_error_message = function
   | Unknown_var p -> "unknown variable " ^ p
-  | Bad_value s -> "unparseable value " ^ s
-  | Bad_just s -> "bad justification " ^ s
   | Violation { message; _ } -> message
 
-let over_budget_message msg =
-  (* the engine's step-budget violation (engine.ml) *)
-  let prefix = "step budget exhausted" in
-  String.length msg >= String.length prefix
-  && String.sub msg 0 (String.length prefix) = prefix
+(* The one decoder of a set line — an HTTP batch item, a journal record
+   or a snapshot record — from its parsed fields.  A missing "just"
+   means a user set. *)
+let decode_set fields =
+  match (Obs.Jsonl.str fields "var", Obs.Jsonl.str fields "value") with
+  | None, _ -> Error "missing \"var\""
+  | _, None -> Error "missing \"value\""
+  | Some path, Some token -> (
+    match value_of_token token with
+    | None -> Error (Printf.sprintf "unparseable value %S" token)
+    | Some value -> (
+      let j = Option.value (Obs.Jsonl.str fields "just") ~default:"user" in
+      match just_of_string j with
+      | None -> Error (Printf.sprintf "bad justification %S" j)
+      | Some just -> Ok (path, value, just)))
+
+(* The one way a decoded set enters a network, live or replayed: find
+   the variable, run the episode.  The caller holds the episode lock.
+   With a [trace], the episode runs under the request's ambient trace
+   context so the tracing kernel sink parents the episode span (and its
+   propagate/drain/check children) under that request. *)
+let enter trace net ~path ~value ~just =
+  match Editor.find_var net path with
+  | None -> Error (Unknown_var path)
+  | Some v -> (
+    let run () = Engine.set ~just net v value in
+    let result =
+      match trace with
+      | None -> run ()
+      | Some (t, ctx) -> Obs.Tracing.with_ambient t ctx run
+    in
+    match result with
+    | Ok () -> Ok ()
+    | Error viol ->
+      Error
+        (Violation
+           {
+             message = Fmt.str "%a" Types.pp_violation viol;
+             over_budget = Engine.over_budget viol;
+           }))
 
 (* One set: engine episode, then journal append, then Ok — the ack
-   ordering the durability guarantee rests on.  Caller holds no locks;
-   the episode lock is taken here. *)
+   ordering the durability guarantee rests on.  The append happens
+   under the episode lock, so journal order is episode order. *)
 let apply_set ?trace e ~path ~value ~just =
   with_episode_lock (fun () ->
-      match Editor.find_var e.e_net path with
-      | None -> Error (Unknown_var path)
-      | Some v -> (
-        (* Engine.set runs under the request's ambient trace context so
-           the tracing kernel sink parents the episode span (and its
-           propagate/drain/check children) under this request. *)
-        let run () = Engine.set ~just e.e_net v value in
-        let result =
-          match trace with
-          | None -> run ()
-          | Some (t, ctx) -> Obs.Tracing.with_ambient t ctx run
-        in
-        match result with
-        | Error viol ->
-          let message = Fmt.str "%a" Types.pp_violation viol in
-          Error
-            (Violation { message; over_budget = over_budget_message message })
-        | Ok () ->
-          (match e.e_journal with
-          | Some j -> Journal.append ?trace j (set_record ~path ~value ~just)
-          | None -> ());
-          e.e_acked <- e.e_acked + 1;
-          e.e_since_snapshot <- e.e_since_snapshot + 1;
-          if
-            e.e_dir <> None
-            && e.e_snapshot_every > 0
-            && e.e_since_snapshot >= e.e_snapshot_every
-          then snapshot e;
-          Ok ()))
+      match enter trace e.e_net ~path ~value ~just with
+      | Error _ as err -> err
+      | Ok () ->
+        (match e.e_journal with
+        | Some j -> Journal.append ?trace j (set_record ~path ~value ~just)
+        | None -> ());
+        e.e_acked <- e.e_acked + 1;
+        e.e_since_snapshot <- e.e_since_snapshot + 1;
+        if
+          e.e_dir <> None
+          && e.e_snapshot_every > 0
+          && e.e_since_snapshot >= e.e_snapshot_every
+        then snapshot e;
+        Ok ())
 
 let state e =
   List.rev_map
     (fun v ->
       ( Var.path v,
-        Option.map value_token (Var.value v),
+        Option.map Dval.to_token (Var.value v),
         Obs.Jsonl.just_string (Var.justification v) ))
     e.e_net.Types.net_vars
   |> List.sort compare
@@ -495,26 +502,6 @@ type recovery = {
   rc_divergences : Obs.Replay.divergence list;
 }
 
-(* Parse one wal_set payload into (path, value, just). *)
-let parse_set_line line =
-  match Obs.Jsonl.parse_line line with
-  | Error msg -> Error msg
-  | Ok fields -> (
-    match Obs.Jsonl.str fields "t" with
-    | Some "wal_set" -> (
-      match (Obs.Jsonl.str fields "var", Obs.Jsonl.str fields "value") with
-      | Some path, Some token -> (
-        match value_of_token token with
-        | None -> Error ("unparseable value " ^ token)
-        | Some value -> (
-          let just_s = Option.value (Obs.Jsonl.str fields "just") ~default:"user" in
-          match just_of_string just_s with
-          | None -> Error ("bad justification " ^ just_s)
-          | Some just -> Ok (path, value, just)))
-      | _ -> Error "wal_set without var/value")
-    | Some t -> Error ("unexpected record kind " ^ t)
-    | None -> Error "record without t field")
-
 (* Recovery: load snapshot -> rebuild from spec -> re-enter snapshot
    sets -> replay journal tail, tolerating a torn final record.  With
    [verify], a from-creation JSONL trace is captured across the whole
@@ -568,49 +555,25 @@ let recover ?(verify = false) ~dir ~id () =
               ~dir:(Some dir)
               ~step_budget:Admission.default_config.Admission.ac_step_budget
           in
-          let replay_one src n line =
-            match parse_set_line line with
-            | Error msg -> warn src n msg
-            | Ok (path, value, just) ->
-              with_episode_lock (fun () ->
-                  match Editor.find_var net path with
-                  | None -> warn src n ("unknown variable " ^ path)
-                  | Some v -> (
-                    match Engine.set ~just net v value with
-                    | Ok () -> ()
-                    | Error viol ->
-                      warn src n (Fmt.str "%a" Types.pp_violation viol)))
+          let replay src n fields =
+            match Obs.Jsonl.str fields "t" with
+            | Some "wal_set" -> (
+              match decode_set fields with
+              | Error msg -> warn src n msg
+              | Ok (path, value, just) -> (
+                let enter_set () = enter None net ~path ~value ~just in
+                match with_episode_lock enter_set with
+                | Ok () -> ()
+                | Error err -> warn src n (set_error_message err)))
+            | Some t -> warn src n ("unexpected record kind " ^ t)
+            | None -> warn src n "record without t field"
           in
-          let snap_sets = ref 0 in
-          List.iter
-            (fun (n, fields) ->
-              match Obs.Jsonl.str fields "t" with
-              | Some "wal_set" -> (
-                incr snap_sets;
-                match
-                  ( Obs.Jsonl.str fields "var",
-                    Option.bind (Obs.Jsonl.str fields "value") value_of_token,
-                    Option.bind (Obs.Jsonl.str fields "just") just_of_string )
-                with
-                | Some path, Some value, Some just ->
-                  with_episode_lock (fun () ->
-                      match Editor.find_var net path with
-                      | None -> warn "snapshot" n ("unknown variable " ^ path)
-                      | Some v -> (
-                        match Engine.set ~just net v value with
-                        | Ok () -> ()
-                        | Error viol ->
-                          warn "snapshot" n
-                            (Fmt.str "%a" Types.pp_violation viol)))
-                | _ -> warn "snapshot" n "malformed wal_set record")
-              | Some t -> warn "snapshot" n ("unexpected record kind " ^ t)
-              | None -> warn "snapshot" n "record without t field")
-            rest;
-          let replayed = ref 0 in
+          List.iter (fun (n, fields) -> replay "snapshot" n fields) rest;
           List.iteri
             (fun i line ->
-              incr replayed;
-              replay_one "journal" (i + 1) line)
+              match Obs.Jsonl.parse_line line with
+              | Ok fields -> replay "journal" (i + 1) fields
+              | Error msg -> warn "journal" (i + 1) msg)
             records;
           let divergences, verified =
             if verify then begin
@@ -630,8 +593,12 @@ let recover ?(verify = false) ~dir ~id () =
             Ok
               {
                 rc_entry = e;
-                rc_snapshot_sets = !snap_sets;
-                rc_journal_replayed = !replayed;
+                rc_snapshot_sets =
+                  List.length
+                    (List.filter
+                       (fun (_, f) -> Obs.Jsonl.str f "t" = Some "wal_set")
+                       rest);
+                rc_journal_replayed = List.length records;
                 rc_warnings = List.rev !warnings;
                 rc_verified = verified;
                 rc_divergences = divergences;

@@ -26,10 +26,8 @@ open Constraint_kernel
     one renderer must be used consistently). *)
 val pp_value : Dval.t -> string
 
-(** {1 Value tokens} — round-trippable renderings for journal and
-    snapshot records (floats in [%h] so replay is bit-identical). *)
-
-val value_token : Dval.t -> string
+(** {1 Value tokens} — records carry values as [Dval.to_token]
+    strings; this is their parser ([Dval.of_string]). *)
 
 val value_of_token : string -> Dval.t option
 
@@ -103,13 +101,20 @@ val valid_id : string -> bool
 
 type set_error =
   | Unknown_var of string
-  | Bad_value of string
-  | Bad_just of string
   | Violation of { message : string; over_budget : bool }
       (** [over_budget]: the episode blew its step budget — admission
           counts it as a strike *)
 
 val set_error_message : set_error -> string
+
+(** [decode_set fields] — the one decoder of a set line's parsed
+    fields ([Obs.Jsonl.parse_line]) into [(path, value, just)], shared
+    by the HTTP batch, journal replay and snapshot load. A missing
+    ["just"] reads as ["user"]. Record readers check ["t"] =
+    ["wal_set"] before calling it. *)
+val decode_set :
+  (string * Obs.Jsonl.json) list ->
+  (string * Dval.t * Dval.t Types.justification, string) result
 
 (** [apply_set e ~path ~value ~just] — one write episode under the
     global lock, journaled after commit, acknowledged after the

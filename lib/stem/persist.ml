@@ -20,18 +20,11 @@ let pp_pins ppf pins =
     (fun ppf (p : Point.t) -> Fmt.pf ppf "%d:%d" p.Point.x p.Point.y)
     ppf pins
 
-let value_token v =
-  (* compact, re-parseable rendering (no spaces) *)
-  match v with
-  | Dval.Int i -> string_of_int i
-  | Dval.Float f -> Fmt.str "%h" f
-  | Dval.Irange (a, b) -> Printf.sprintf "%d..%d" a b
-  | Dval.Frange (a, b) -> Fmt.str "%h..%h" a b
-  | Dval.Bool b -> string_of_bool b
-  | Dval.Dtype n -> "data:" ^ Signal_types.Type_tree.name n
-  | Dval.Etype n -> "elec:" ^ Signal_types.Type_tree.name n
+(* Records are space-separated, so only space-free tokens fit. *)
+let value_token = function
   | Dval.Str _ | Dval.Rect _ ->
     invalid_arg "Persist: value kind not representable as a token"
+  | v -> Dval.to_token v
 
 let save_signal buf ss =
   Buffer.add_string buf

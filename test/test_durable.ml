@@ -274,6 +274,61 @@ let test_recover_dir_cleans_stray_tmp () =
                    ~id:(Serve.Wstore.id rc.Serve.Wstore.rc_entry)))
             recoveries))
 
+(* The on-disk record format, pinned byte for byte: a fixed write
+   sequence (escaped spec and tenant text, int, float and float-range
+   values, both justifications) must produce exactly these journal
+   payloads and snapshot files, so a writer change cannot silently
+   alter what recovery reads. *)
+let test_golden_records () =
+  with_dir (fun d ->
+      Serve.Wstore.configure ~dir:d ~fsync:Serve.Journal.Never
+        ~snapshot_every:10_000 ();
+      let spec = "# \"golden\" \\ fixture\nvar a.x = 4\nvar a.y\neq a.x a.y\nvar a.r\n" in
+      let e =
+        match Serve.Wstore.create ~tenant:"t\"q" ~id:"gold" ~spec () with
+        | Ok e -> e
+        | Error msg -> Alcotest.failf "create: %s" msg
+      in
+      let snap () = read_file (Filename.concat d "gold.snap") in
+      let spec_line =
+        "{\"v\":2,\"t\":\"wal_spec\",\"net\":\"gold\",\"tenant\":\"t\\\"q\",\
+         \"spec\":\"# \\\"golden\\\" \\\\ fixture\\nvar a.x = 4\\nvar a.y\\neq \
+         a.x a.y\\nvar a.r\\n\"}\n"
+      in
+      Alcotest.(check string) "creation snapshot"
+        (spec_line
+       ^ "{\"v\":2,\"t\":\"wal_set\",\"var\":\"a.x\",\"value\":\"4\",\"just\":\"application\"}\n"
+        )
+        (snap ());
+      set_int e "a.x" 7;
+      let set path value just =
+        match Serve.Wstore.apply_set e ~path ~value ~just with
+        | Ok () -> ()
+        | Error err ->
+          Alcotest.failf "set %s: %s" path (Serve.Wstore.set_error_message err)
+      in
+      set "a.r" (Dval.Float 1.5) Constraint_kernel.Types.User;
+      set "a.r" (Dval.Frange (1.5, 2.)) Constraint_kernel.Types.Application;
+      let records, warnings =
+        Serve.Journal.read (Filename.concat d "gold.jnl")
+      in
+      Alcotest.(check int) "no journal warnings" 0 (List.length warnings);
+      Alcotest.(check (list string)) "journal records"
+        [
+          "{\"v\":2,\"t\":\"wal_set\",\"var\":\"a.x\",\"value\":\"7\",\"just\":\"user\"}";
+          "{\"v\":2,\"t\":\"wal_set\",\"var\":\"a.r\",\"value\":\"0x1.8p+0\",\"just\":\"user\"}";
+          "{\"v\":2,\"t\":\"wal_set\",\"var\":\"a.r\",\"value\":\"0x1.8p+0..0x1p+1\",\"just\":\"application\"}";
+        ]
+        records;
+      Serve.Wstore.with_episode_lock (fun () -> Serve.Wstore.snapshot e);
+      Alcotest.(check string) "checkpoint snapshot"
+        (spec_line
+       ^ "{\"v\":2,\"t\":\"wal_set\",\"var\":\"a.x\",\"value\":\"7\",\"just\":\"user\"}\n\
+          {\"v\":2,\"t\":\"wal_set\",\"var\":\"a.r\",\"value\":\"0x1.8p+0..0x1p+1\",\"just\":\"application\"}\n"
+        )
+        (snap ());
+      ignore (Serve.Wstore.drop ~id:"gold"))
+
 (* Replay reconvergence is order-independent: any interleaving of sets
    on distinct variables reaches the same fixpoint — the property the
    whole journal-replay design rests on (Apt's commutativity result).
@@ -519,6 +574,183 @@ let test_write_api_backpressure () =
       Alcotest.(check int) "healthy admission admits again" 200
         r.Serve.Client.rs_status)
 
+(* One inference run per episode, two strikes to a one-minute
+   quarantine. *)
+let one_step_admission () =
+  Serve.Admission.create
+    ~config:
+      {
+        Serve.Admission.default_config with
+        Serve.Admission.ac_step_budget = 1;
+        ac_strike_limit = 2;
+        ac_cooldown = 60.;
+      }
+    ()
+
+(* A set that blows the step budget is a strike: 422 for the write,
+   [over_budget] and a strike on /admission, and once the strikes
+   reach the limit the tenant sits out its cooldown with 429. *)
+let test_over_budget_strikes () =
+  with_write_server (fun port ->
+      Serve.set_admission (one_step_admission ());
+      let spec = "var a.x\nvar a.y\nvar a.z\neq a.x a.y\neq a.y a.z\n" in
+      let r = post_ok ~port ~body:spec "/nets?id=ob" in
+      Alcotest.(check int) "create ok" 201 r.Serve.Client.rs_status;
+      let set () =
+        post_ok ~port ~body:"{\"var\":\"a.x\",\"value\":\"1\"}\n"
+          "/nets/ob/set"
+      in
+      let r = set () in
+      Alcotest.(check int) "over-budget set is 422" 422 r.Serve.Client.rs_status;
+      Alcotest.(check bool) "the error names the budget" true
+        (contains ~sub:"step budget exhausted" r.Serve.Client.rs_body);
+      let tenant_field name =
+        let doc = Strict_json.parse_json (get_as ~port "/admission").rs_body in
+        match doc with
+        | Obj kvs -> (
+          match List.assoc_opt "tenants" kvs with
+          | Some (Arr [ Obj t ]) -> List.assoc_opt name t
+          | _ -> Alcotest.fail "expected one tenant row")
+        | _ -> Alcotest.fail "/admission is not an object"
+      in
+      Alcotest.(check bool) "over_budget counted" true
+        (tenant_field "over_budget" = Some (Num 1.));
+      Alcotest.(check bool) "one strike" true
+        (tenant_field "strikes" = Some (Num 1.));
+      Alcotest.(check int) "second overrun is 422 too" 422
+        (set ()).Serve.Client.rs_status;
+      let r = set () in
+      Alcotest.(check int) "then the tenant is quarantined" 429
+        r.Serve.Client.rs_status;
+      Alcotest.(check bool) "as a quarantine" true
+        (contains ~sub:"quarantined" r.Serve.Client.rs_body))
+
+(* Every JSON and NDJSON response, parsed by the strict parser, for a
+   tenant whose name percent-encodes a quote, a backslash, a newline
+   and a 0x01 byte — the bytes a hand-rolled writer forgets to escape.
+   Over-budget sets push the tenant into quarantine so its SLO fires
+   and /alerts has lines to render. *)
+let test_strict_json_endpoints () =
+  let tenant = "t\"\\\n\001" in
+  let q path =
+    path ^ (if String.contains path '?' then "&" else "?") ^ "tenant=t%22%5C%0A%01"
+  in
+  with_dir (fun hist ->
+      with_write_server (fun port ->
+          Serve.set_admission (one_step_admission ());
+          ignore (Serve.enable_history hist);
+          Serve.set_tracing true;
+          Fun.protect
+            ~finally:(fun () ->
+              Serve.set_tracing false;
+              Serve.disable_history ())
+            (fun () ->
+              let call ?(meth = "GET") ?(body = "") path =
+                match Serve.Client.request ~meth ~body ~port (q path) with
+                | Ok r -> r
+                | Error e -> Alcotest.failf "%s %s: %s" meth path e
+              in
+              let strict what body =
+                try Strict_json.parse_json body
+                with Strict_json.Bad_json msg ->
+                  Alcotest.failf "%s: %s in %S" what msg body
+              in
+              let check_doc ?meth ?body ~status path =
+                let r = call ?meth ?body path in
+                Alcotest.(check int) (path ^ " status") status
+                  r.Serve.Client.rs_status;
+                strict path r.Serve.Client.rs_body
+              in
+              let check_lines what body =
+                String.split_on_char '\n' body
+                |> List.filter (fun l -> l <> "")
+                |> List.map (strict what)
+              in
+              (* one /events subscriber, started before the writes *)
+              let events = ref (Error "not run") in
+              let reader =
+                Thread.create
+                  (fun () -> events := Serve.Client.get ~port "/events?max=4")
+                  ()
+              in
+              let deadline = Unix.gettimeofday () +. 5.0 in
+              while
+                Serve.Stream.subscribers Serve.hub = 0
+                && Unix.gettimeofday () < deadline
+              do
+                Thread.yield ()
+              done;
+              let spec =
+                "var a.x\nvar a.y\neq a.x a.y\nvar b.x\nvar b.y\nvar b.z\n\
+                 eq b.x b.y\neq b.y b.z\n"
+              in
+              (match
+                 check_doc ~meth:"POST" ~body:spec ~status:201 "/nets?id=hx"
+               with
+              | Strict_json.Obj kvs ->
+                Alcotest.(check bool) "tenant decoded and escaped" true
+                  (List.assoc_opt "tenant" kvs = Some (Str tenant))
+              | _ -> Alcotest.fail "create body is not an object");
+              ignore
+                (check_doc ~meth:"POST" ~status:200
+                   ~body:"{\"var\":\"a.x\",\"value\":\"1.25\"}\n"
+                   "/nets/hx/set");
+              (* a parse error, an unknown (hostile) variable and a
+                 string value, all echoed back in the results *)
+              ignore
+                (check_doc ~meth:"POST" ~status:422
+                   ~body:
+                     "{\"var\":\"a.x\",\"value\":\"nonsense{\"}\n\
+                      {\"var\":\"q\\\"\\\\\\u0001\",\"value\":\"1\"}\n\
+                      {\"var\":\"a.x\",\"value\":\"\\\"s\\\"\"}\n"
+                   "/nets/hx/set");
+              (* the over-budget writes: two strikes, then quarantine;
+                 whole-second ticks, so the store's millisecond rounding
+                 cannot move a sample past the evaluation time *)
+              let t = Float.round (Unix.gettimeofday ()) in
+              Serve.history_tick ~now:(t -. 2.) ();
+              let over = "{\"var\":\"b.x\",\"value\":\"1\"}\n" in
+              List.iter
+                (fun status ->
+                  ignore
+                    (check_doc ~meth:"POST" ~status ~body:over "/nets/hx/set"))
+                [ 422; 422; 429; 429 ];
+              Serve.history_tick ~now:(t -. 1.) ();
+              List.iter
+                (fun (path, status) -> ignore (check_doc ~status path))
+                [
+                  ("/nets", 200);
+                  ("/nets/hx/state", 200);
+                  ("/nets/nope/state", 404);
+                  ("/admission", 200);
+                  ("/spans", 200);
+                  ("/exemplars", 200);
+                  ("/series", 200);
+                  ("/query?metric=serve.requests&from=0&to=4e9", 200);
+                  ("/query?metric=serve.requests&from=0&to=4e9&step=1e9", 200);
+                  ("/query?metric=serve.requests&step=-1", 422);
+                  ("/slo", 200);
+                  ("/trace", 200);
+                ];
+              List.iter
+                (fun path ->
+                  ignore (check_doc ~meth:"POST" ~status:200 path))
+                [ "/nets/hx/why?var=a.y"; "/nets/hx/blame?var=a.x" ];
+              ignore (check_doc ~meth:"POST" ~status:422 "/nets/hx/why");
+              let h = call "/healthz" in
+              ignore (strict "/healthz" h.Serve.Client.rs_body);
+              let alerts = check_lines "/alerts" (call "/alerts").rs_body in
+              Alcotest.(check bool) "the tenant's SLO alert is logged" true
+                (alerts <> []);
+              Thread.join reader;
+              (match !events with
+              | Ok r ->
+                Alcotest.(check int) "/events lines" 4
+                  (List.length (check_lines "/events" r.Serve.Client.rs_body))
+              | Error e -> Alcotest.failf "/events: %s" e);
+              ignore
+                (check_doc ~meth:"POST" ~status:200 "/nets/hx/drop"))))
+
 (* ---------------- client deadline ---------------- *)
 
 let test_client_total_deadline () =
@@ -564,6 +796,8 @@ let suite =
         test_recover_fresh_snapshot_only;
       Alcotest.test_case "recover_dir cleans stray tmp" `Quick
         test_recover_dir_cleans_stray_tmp;
+      Alcotest.test_case "golden journal and snapshot bytes" `Quick
+        test_golden_records;
       QCheck_alcotest.to_alcotest prop_replay_order_independent;
       Alcotest.test_case "admission bounds" `Quick test_admission_bounds;
       Alcotest.test_case "admission quarantine and healing" `Quick
@@ -573,6 +807,10 @@ let suite =
         test_write_api_end_to_end;
       Alcotest.test_case "write api backpressure" `Quick
         test_write_api_backpressure;
+      Alcotest.test_case "over-budget sets strike and quarantine" `Quick
+        test_over_budget_strikes;
+      Alcotest.test_case "strict JSON from every endpoint" `Quick
+        test_strict_json_endpoints;
       Alcotest.test_case "client total deadline" `Quick
         test_client_total_deadline;
     ] )

@@ -528,22 +528,6 @@ let test_board_bundle () =
 
 (* ---------------- deprecated shims ---------------- *)
 
-let test_deprecated_shims () =
-  let net = mknet () in
-  let a, b, _, _, _ = chain net in
-  ignore (Engine.set net a 1);
-  Alcotest.(check (option int)) "set propagates" (Some 1) (Var.value b);
-  ignore (Engine.set ~just:Types.Application net a 2);
-  Alcotest.(check bool) "set ~just:Application records Application" true
-    (match Var.justification a with Types.Application -> true | _ -> false);
-  let hits = ref 0 in
-  (Engine.set_trace [@warning "-3"]) net (Some (fun _ -> incr hits));
-  ignore (Engine.set net a 3);
-  Alcotest.(check bool) "set_trace shim still delivers events" true (!hits > 0);
-  (Engine.set_trace [@warning "-3"]) net None;
-  Alcotest.(check int) "set_trace None uninstalls" 0
-    (List.length (Engine.sinks net))
-
 (* ---------------- provenance ---------------- *)
 
 let pnet name = Engine.create_network ~name ()
@@ -815,7 +799,6 @@ let suite =
       Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
       Alcotest.test_case "jsonl escaping" `Quick test_jsonl_escaping;
       Alcotest.test_case "board bundle" `Quick test_board_bundle;
-      Alcotest.test_case "deprecated shims" `Quick test_deprecated_shims;
       Alcotest.test_case "provenance queries" `Quick test_provenance_queries;
       Alcotest.test_case "provenance rollback" `Quick test_provenance_rollback;
       Alcotest.test_case "provenance eviction" `Quick test_provenance_eviction;

@@ -393,6 +393,53 @@ let prop_dval_parser_roundtrip_ints =
     QCheck.(int_range (-100000) 100000)
     (fun i -> Dval.of_string (string_of_int i) = Some (Dval.Int i))
 
+(* Every value, every constructor: the token written into journal,
+   snapshot and persist records parses back to the same value, floats
+   bit for bit (the infinities and -0 included; %h drops a nan's
+   payload, so any nan reads back as nan). *)
+let prop_dval_token_roundtrip =
+  let open Signal_types in
+  let feq x y =
+    Int64.bits_of_float x = Int64.bits_of_float y
+    || (Float.is_nan x && Float.is_nan y)
+  in
+  let same a b =
+    match (a, b) with
+    | Dval.Float x, Dval.Float y -> feq x y
+    | Dval.Frange (a1, b1), Dval.Frange (a2, b2) -> feq a1 a2 && feq b1 b2
+    | _ -> Dval.equal a b
+  in
+  let fl = QCheck.Gen.(oneof [ float; oneofl [ nan; infinity; -0.; 1.5 ] ]) in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun i -> Dval.Int i) int;
+          map (fun f -> Dval.Float f) fl;
+          map (fun b -> Dval.Bool b) bool;
+          map (fun s -> Dval.Str s) (string_size (int_range 0 12));
+          map (fun s -> Dval.Str (s ^ "..")) (string_size (int_range 0 4));
+          map
+            (fun (x, y, w, h) ->
+              Dval.Rect
+                (Geometry.Rect.make (Geometry.Point.make x y) ~width:w
+                   ~height:h))
+            (quad int int nat nat);
+          map (fun n -> Dval.Dtype n)
+            (oneofl (Type_tree.all Standard.data_hierarchy));
+          map (fun n -> Dval.Etype n)
+            (oneofl (Type_tree.all Standard.electrical_hierarchy));
+          map (fun (a, b) -> Dval.Irange (a, b)) (pair int int);
+          map (fun (a, b) -> Dval.Frange (a, b)) (pair fl fl);
+        ])
+  in
+  QCheck.Test.make ~name:"of_string (to_token v) = Some v" ~count:1000
+    (QCheck.make ~print:Dval.to_token gen)
+    (fun v ->
+      match Dval.of_string (Dval.to_token v) with
+      | Some v' -> same v v'
+      | None -> false)
+
 let test_dval_parser_cases () =
   let check s expected =
     Alcotest.(check (option string))
@@ -407,6 +454,9 @@ let test_dval_parser_cases () =
   check "data:BCDSignal" (Some "data:BCDSignal");
   check "elec:CMOS" (Some "elec:CMOS");
   check "\"hello\"" (Some "\"hello\"");
+  check "1.5..2.5" (Some "[1.5..2.5]");
+  check "0x1.8p+0..0x1p+1" (Some "[1.5..2]");
+  check "\"a..b\"" (Some "\"a..b\"");
   check "data:NoSuchType" None;
   check "rect 0 0 -1 5" None;
   check "garbage!" None
@@ -455,6 +505,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_dval_max_assoc;
       QCheck_alcotest.to_alcotest prop_dval_compatible_symmetric;
       QCheck_alcotest.to_alcotest prop_dval_parser_roundtrip_ints;
+      QCheck_alcotest.to_alcotest prop_dval_token_roundtrip;
       tc "Dval parser cases" `Quick test_dval_parser_cases;
       QCheck_alcotest.to_alcotest prop_stretch_corners_to_corners;
       QCheck_alcotest.to_alcotest prop_stretch_identity;

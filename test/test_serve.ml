@@ -72,9 +72,7 @@ let test_render_prometheus () =
   Obs.Metrics.set_gauge g 2.5;
   let h = Obs.Metrics.histogram ~bounds:[| 1.0; 2.0; 5.0 |] m "lat" in
   List.iter (Obs.Metrics.observe h) [ 0.5; 1.5; 9.0 ];
-  let buf = Buffer.create 256 in
-  Obs.Metrics.render_prometheus ~labels:[ ("net", "a\"b\\c\nd") ] buf m;
-  let out = Buffer.contents buf in
+  let out = Serve.Exposition.render [ ("a\"b\\c\nd", m) ] in
   List.iter
     (fun sub ->
       Alcotest.(check bool) ("exposition contains " ^ sub) true

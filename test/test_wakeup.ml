@@ -127,17 +127,22 @@ let test_probe_restores_watches () =
   let after = List.map Var.path (Cstr.watching c) in
   Alcotest.(check (list string)) "watch set restored after rollback" before after
 
-(* --- deprecated optionals shim ------------------------------------ *)
+(* --- a custom wake predicate ------------------------------------- *)
 
-let test_deprecated_shim () =
+let test_custom_wake () =
   let net = Engine.create_network ~name:"w" () in
   let a = ivar net "a" and r = ivar net "r" in
-  (* old-style construction: ?schedule/?wants_schedule/?keyed_by_var *)
   let c =
-    Cstr.make net ~kind:"old-style"
-      ~schedule:(On_agenda Types.functional_priority)
-      ~wants_schedule:(fun _c changed ->
-        match changed with Some v -> not (Var.equal v r) | None -> true)
+    Cstr.make net ~kind:"custom"
+      ~activation:
+        (Cstr.activation
+           ~wake:
+             (Custom
+                (fun _c changed ->
+                  match changed with
+                  | Some v -> not (Var.equal v r)
+                  | None -> true))
+           ~schedule:(On_agenda Types.functional_priority) ())
       ~propagate:(fun ctx c _ ->
         match Var.value a with
         | None -> Ok ()
@@ -152,9 +157,9 @@ let test_deprecated_shim () =
   in
   check_ok "attach" (Network.add_constraint net c);
   check_ok "set" (Engine.set net a 21);
-  Alcotest.(check (option int)) "old-style still propagates" (Some 42)
+  Alcotest.(check (option int)) "custom wake propagates" (Some 42)
     (Var.value r);
-  (* the shim maps wants_schedule to a Custom wake: both args watched *)
+  (* a Custom wake is consulted on every touch: both args watched *)
   Alcotest.(check bool) "a watched" true (mem_cstr c (Var.watchers a));
   Alcotest.(check bool) "r watched" true (mem_cstr c (Var.watchers r))
 
@@ -270,7 +275,7 @@ let suite =
       tc "editor rewires watch lists" `Quick test_editor_rewires_watches;
       tc "rotation moves the watch" `Quick test_rotation_moves_watch;
       tc "probe/rollback restores watches" `Quick test_probe_restores_watches;
-      tc "deprecated make optionals still work" `Quick test_deprecated_shim;
+      tc "custom wake predicate" `Quick test_custom_wake;
       tc "agenda stats per stratum" `Quick test_agenda_stats;
       tc "network agenda totals" `Quick test_network_agenda_totals;
       tc "suppression counters" `Quick test_suppression_counters;
