@@ -10,14 +10,28 @@ let create () =
     ag_prios = [||];
     ag_slots = [||];
     ag_live = 0;
-    ag_members = Hashtbl.create 32;
+    ag_stamp = fresh_stamp ();
+    ag_len = 0;
     ag_pushed = [||];
     ag_popped = [||];
     ag_hwm = [||];
   }
 
-let member_key c var =
-  (c.c_id, match var with None -> -1 | Some v -> v.v_id)
+(* Membership lives on the constraint ([c_queued]/[c_queued_keys]), so
+   deduplication is a stamp compare plus a scan of that constraint's own
+   pending keys — one key for functional constraints, at most one per
+   argument for var-keyed ones — instead of hashing a (cstr, var) pair. *)
+let key_of var = match var with None -> -1 | Some v -> v.v_id
+
+(* The pending keys of [c] in [a]; marks left by other agendas are stale. *)
+let keys a c = if c.c_queued = a.ag_stamp then c.c_queued_keys else []
+
+(* Shared so that queueing an entry with no variable allocates no list. *)
+let unkeyed = [ -1 ]
+
+let rec remove_key k = function
+  | [] -> []
+  | k' :: rest -> if k' = k then rest else k' :: remove_key k rest
 
 (* Slot of [priority], registering a new stratum if needed.  Strata are
    few and registration is rare, so the lookup is a linear scan of a
@@ -59,13 +73,17 @@ let slot_of a priority =
   end
 
 let schedule a ~priority c ~var =
-  let key = member_key c var in
-  if Hashtbl.mem a.ag_members key then false
+  let key = key_of var in
+  let pending = keys a c in
+  if List.mem key pending then false
   else begin
     let s = slot_of a priority in
     let q = a.ag_slots.(s) in
     Queue.add { e_cstr = c; e_var = var } q;
-    Hashtbl.add a.ag_members key ();
+    c.c_queued <- a.ag_stamp;
+    c.c_queued_keys <-
+      (if pending = [] && key = -1 then unkeyed else key :: pending);
+    a.ag_len <- a.ag_len + 1;
     a.ag_live <- a.ag_live lor (1 lsl s);
     a.ag_pushed.(s) <- a.ag_pushed.(s) + 1;
     let depth = Queue.length q in
@@ -89,13 +107,16 @@ let pop a =
     let e = Queue.pop q in
     if Queue.is_empty q then a.ag_live <- a.ag_live land lnot (1 lsl s);
     a.ag_popped.(s) <- a.ag_popped.(s) + 1;
-    Hashtbl.remove a.ag_members (member_key e.e_cstr e.e_var);
+    a.ag_len <- a.ag_len - 1;
+    let c = e.e_cstr in
+    if c.c_queued = a.ag_stamp then
+      c.c_queued_keys <- remove_key (key_of e.e_var) c.c_queued_keys;
     Some e
   end
 
 let is_empty a = a.ag_live = 0
 
-let length a = Hashtbl.length a.ag_members
+let length a = a.ag_len
 
 type stratum_stats = {
   sa_priority : int;
@@ -123,6 +144,7 @@ let stats a =
     (List.init (Array.length a.ag_prios) Fun.id)
 
 let clear a =
-  Hashtbl.reset a.ag_members;
+  a.ag_stamp <- fresh_stamp ();
+  a.ag_len <- 0;
   Array.iter Queue.clear a.ag_slots;
   a.ag_live <- 0

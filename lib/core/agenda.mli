@@ -18,7 +18,10 @@ open Types
 val create : unit -> 'a agenda
 
 (** [schedule a ~priority c ~var] enqueues [(c, var)] unless an identical
-    entry is already pending. Returns [true] if actually enqueued. *)
+    entry is already pending. Returns [true] if actually enqueued.
+    Membership is kept on [c] itself, stamped with the agenda, so the
+    test never hashes; a constraint pending in two agendas at once may
+    be enqueued twice in the older one, never missed. *)
 val schedule : 'a agenda -> priority:int -> 'a cstr -> var:'a var option -> bool
 
 (** Remove and return the first entry of the highest-priority non-empty
@@ -27,8 +30,10 @@ val pop : 'a agenda -> 'a agenda_entry option
 
 val is_empty : 'a agenda -> bool
 
+(** Entries pending across all strata (a counter). *)
 val length : 'a agenda -> int
 
+(** Drop every pending entry. *)
 val clear : 'a agenda -> unit
 
 (** {1 Introspection} *)

@@ -34,9 +34,12 @@ let make net ~kind ?label ?(activation = wake_all) ?(fires_on_reset = false)
       c_label = (match label with Some l -> l | None -> kind);
       c_args = args;
       c_enabled = true;
+      c_kind_disabled = List.mem kind net.net_disabled_kinds;
       c_activation = activation;
       c_watching = [];
       c_mark = 0;
+      c_queued = 0;
+      c_queued_keys = [];
       c_propagate = propagate;
       c_satisfied = satisfied;
       c_in_dependency =

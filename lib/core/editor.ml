@@ -32,9 +32,7 @@ let trace_consequences ppf v =
 let unsatisfied net =
   List.filter
     (fun c ->
-      c.c_enabled
-      && (not (List.mem c.c_kind net.net_disabled_kinds))
-      && not (Cstr.is_satisfied_safe c))
+      c.c_enabled && (not c.c_kind_disabled) && not (Cstr.is_satisfied_safe c))
     (List.rev net.net_cstrs)
 
 (* Wakeup-discipline and per-stratum agenda traffic, for `health`
@@ -88,8 +86,7 @@ let dump_network ppf net =
     (Fmt.list ~sep:Fmt.cut (fun ppf c -> Fmt.pf ppf "- %a" Cstr.pp c))
     bad
 
-let find_var net path =
-  List.find_opt (fun v -> Var.path v = path) net.net_vars
+let find_var net path = Hashtbl.find_opt net.net_paths path
 
 let find_cstr net id = List.find_opt (fun c -> c.c_id = id) net.net_cstrs
 

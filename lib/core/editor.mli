@@ -35,7 +35,9 @@ val unsatisfied : 'a network -> 'a cstr list
 val pp_trace_event : Format.formatter -> 'a trace_event -> unit
 
 (** [find_var net path] — look a variable up by its ["owner.name"]
-    identification path (§4.1.1). *)
+    identification path (§4.1.1): one lookup in the network's path
+    index. When several variables share a path, the latest created
+    wins. *)
 val find_var : 'a network -> string -> 'a var option
 
 (** [find_cstr net id] — look a constraint up by id. *)

@@ -23,12 +23,12 @@ let create_network ?(name = "network") () =
     net_clock = Unix.gettimeofday;
     net_next_episode = 0;
     net_cur_episode = 0;
-    net_next_stamp = 0;
     net_agenda_totals = Hashtbl.create 7;
     net_next_seq = 0;
     net_next_var_id = 0;
     net_next_cstr_id = 0;
     net_vars = [];
+    net_paths = Hashtbl.create 64;
     net_cstrs = [];
     net_disabled_kinds = [];
     net_fail_threshold = 3;
@@ -43,12 +43,22 @@ let disable net = net.net_enabled <- false
 
 let is_enabled net = net.net_enabled
 
+(* The kind list is the record of what is disabled; each constraint
+   carries the resolved flag ([c_kind_disabled]), set here for existing
+   constraints and by [Cstr.make] for later ones. *)
+let set_kind_flags net kind off =
+  List.iter
+    (fun c -> if c.c_kind = kind then c.c_kind_disabled <- off)
+    net.net_cstrs
+
 let disable_kind net kind =
   if not (List.mem kind net.net_disabled_kinds) then
-    net.net_disabled_kinds <- kind :: net.net_disabled_kinds
+    net.net_disabled_kinds <- kind :: net.net_disabled_kinds;
+  set_kind_flags net kind true
 
 let enable_kind net kind =
-  net.net_disabled_kinds <- List.filter (( <> ) kind) net.net_disabled_kinds
+  net.net_disabled_kinds <- List.filter (( <> ) kind) net.net_disabled_kinds;
+  set_kind_flags net kind false
 
 let set_violation_handler net h = net.net_on_violation <- h
 
@@ -184,13 +194,10 @@ let trapped_violation net ?cstr ?var ~where exn =
 (* ------------------------------------------------------------------ *)
 
 let new_ctx net =
-  net.net_next_stamp <- net.net_next_stamp + 1;
   {
     cx_net = net;
-    cx_visited_vars = Hashtbl.create 32;
-    cx_change_counts = Hashtbl.create 32;
-    cx_visited_order = [];
-    cx_stamp = net.net_next_stamp;
+    cx_trail = Trail_end;
+    cx_stamp = fresh_stamp ();
     cx_cstr_order = [];
     cx_agenda = Agenda.create ();
     cx_steps = 0;
@@ -198,14 +205,26 @@ let new_ctx net =
     cx_watch_undo = [];
   }
 
+(* The first write of [v] in this episode stamps it, zeroes its change
+   counter and pushes its prior state on the trail.  A nested episode on
+   the same network re-stamps the variables it writes, so a later write
+   here saves them a second time; the restore below runs newest-first,
+   which leaves the first (pre-episode) state in place. *)
 let save_state ctx v =
-  if not (Hashtbl.mem ctx.cx_visited_vars v.v_id) then begin
-    Hashtbl.add ctx.cx_visited_vars v.v_id
-      { sv_var = v; sv_value = v.v_value; sv_just = v.v_just };
-    ctx.cx_visited_order <- v :: ctx.cx_visited_order
+  if v.v_stamp <> ctx.cx_stamp then begin
+    v.v_stamp <- ctx.cx_stamp;
+    v.v_changes <- 0;
+    ctx.cx_trail <-
+      Saved
+        {
+          sv_var = v;
+          sv_value = v.v_value;
+          sv_just = v.v_just;
+          sv_next = ctx.cx_trail;
+        }
   end
 
-let visited ctx v = Hashtbl.mem ctx.cx_visited_vars v.v_id
+let visited ctx v = v.v_stamp = ctx.cx_stamp
 
 (* Restoration must complete no matter what the change hooks do: a
    throwing [v_on_change] is counted and logged, never allowed to leave
@@ -221,25 +240,24 @@ let undo_watches ctx =
 
 let restore ctx =
   undo_watches ctx;
-  List.iter
-    (fun v ->
-      match Hashtbl.find_opt ctx.cx_visited_vars v.v_id with
-      | None -> ()
-      | Some saved ->
-        v.v_value <- saved.sv_value;
-        v.v_just <- saved.sv_just;
-        if tracing ctx.cx_net then trace ctx.cx_net (T_restore v);
-        (try v.v_on_change v
-         with e ->
-           ctx.cx_net.net_stats.k_trapped <-
-             ctx.cx_net.net_stats.k_trapped + 1;
-           Log.warn (fun m ->
-               m "on-change hook of %s.%s raised during restore: %s" v.v_owner
-                 v.v_name (Printexc.to_string e))))
-    ctx.cx_visited_order
+  let rec go = function
+    | Trail_end -> ()
+    | Saved { sv_var = v; sv_value; sv_just; sv_next } ->
+      v.v_value <- sv_value;
+      v.v_just <- sv_just;
+      if tracing ctx.cx_net then trace ctx.cx_net (T_restore v);
+      (try v.v_on_change v
+       with e ->
+         ctx.cx_net.net_stats.k_trapped <- ctx.cx_net.net_stats.k_trapped + 1;
+         Log.warn (fun m ->
+             m "on-change hook of %s raised during restore: %s" v.v_path
+               (Printexc.to_string e)));
+      go sv_next
+  in
+  go ctx.cx_trail;
+  ctx.cx_trail <- Trail_end
 
-let cstr_enabled ctx c =
-  c.c_enabled && not (List.mem c.c_kind ctx.cx_net.net_disabled_kinds)
+let[@inline] cstr_enabled c = c.c_enabled && not c.c_kind_disabled
 
 (* O(1) visited-marking via episode stamps: no hashing, one int compare
    and (at most) one store per touch. *)
@@ -278,6 +296,11 @@ let run_inference ctx c changed =
            ~where:(Printf.sprintf "propagate of %s#%d" c.c_kind c.c_id)
            e))
 
+(* [List.exists (Var.equal v)] without the partial application: this
+   runs once per activation. *)
+let rec watches ws v =
+  match ws with [] -> false | w :: rest -> w.v_id = v.v_id || watches rest v
+
 (* Deliver a wakeup: mark the constraint, consult its wake spec, then
    run the inference now or push it on its agenda stratum.  On the hot
    path ([propagate_from]) watch-based gating has already happened
@@ -287,7 +310,7 @@ let run_inference ctx c changed =
    faithful to the spec — e.g. a functional constraint asserts nothing
    through its own result variable.  [changed = None] always wakes. *)
 let activate ctx c ~changed =
-  if not (cstr_enabled ctx c) then Ok ()
+  if not (cstr_enabled c) then Ok ()
   else begin
     mark_cstr ctx c;
     let wanted =
@@ -295,9 +318,7 @@ let activate ctx c ~changed =
       | Wake_all -> true
       | Custom f -> f c changed
       | Watch _ | Two_watch -> (
-        match changed with
-        | None -> true
-        | Some v -> List.exists (Var.equal v) c.c_watching)
+        match changed with None -> true | Some v -> watches c.c_watching v)
     in
     if not wanted then Ok ()
     else
@@ -323,18 +344,7 @@ let constraints_of ctx v =
     ctx.cx_net.net_stats.k_trapped <- ctx.cx_net.net_stats.k_trapped + 1;
     Error
       (violation ~var:v ~exn:e
-         (Printf.sprintf "exception in implicit-constraint hook of %s.%s"
-            v.v_owner v.v_name))
-
-let implicits_of ctx v =
-  match v.v_implicit v with
-  | cs -> Ok cs
-  | exception e ->
-    ctx.cx_net.net_stats.k_trapped <- ctx.cx_net.net_stats.k_trapped + 1;
-    Error
-      (violation ~var:v ~exn:e
-         (Printf.sprintf "exception in implicit-constraint hook of %s.%s"
-            v.v_owner v.v_name))
+         (Printf.sprintf "exception in implicit-constraint hook of %s" v.v_path))
 
 (* 2-watch rotation: [v], watched by [c], just received a value.  Try to
    move the watch to an unset, currently-unwatched argument; succeed =
@@ -394,97 +404,128 @@ let rotate_watch ctx c v =
      structure and always wake).
 
    The gap between the two walks is what [k_suppressed] counts — the
-   wakeups the paper's wake-all discipline would have delivered. *)
+   wakeups the paper's wake-all discipline would have delivered.
+
+   The walks are written as plain recursive functions with explicit
+   matches (no [let*], no local closures or refs) because they run once
+   per propagation step; [skip_id] is the id of the constraint that made
+   the change, or -1. *)
+let rec mark_attached ctx skip_id n = function
+  | [] -> n
+  | c :: rest ->
+    if c.c_id <> skip_id && cstr_enabled c then begin
+      mark_cstr ctx c;
+      mark_attached ctx skip_id (n + 1) rest
+    end
+    else mark_attached ctx skip_id n rest
+
+(* [unwoken] counts down from the number of marked constraints; what is
+   left when the walk ends (or fails) was suppressed. *)
+let note_suppressed net unwoken =
+  if unwoken > 0 then
+    net.net_stats.k_suppressed <- net.net_stats.k_suppressed + unwoken
+
+let rec wake_watchers ctx v changed skip_id unwoken = function
+  | [] ->
+    note_suppressed ctx.cx_net unwoken;
+    Ok ()
+  | c :: rest ->
+    if not (cstr_enabled c) then wake_watchers ctx v changed skip_id unwoken rest
+    else begin
+      (* rotation bookkeeping runs even for the source constraint: its
+         watch must leave the variable it just set *)
+      let suppressed =
+        match c.c_activation.act_wake with
+        | Two_watch -> rotate_watch ctx c v
+        | Wake_all | Watch _ | Custom _ -> false
+      in
+      if suppressed || c.c_id = skip_id then
+        wake_watchers ctx v changed skip_id unwoken rest
+      else begin
+        let stats = ctx.cx_net.net_stats in
+        stats.k_wakeups <- stats.k_wakeups + 1;
+        match activate ctx c ~changed with
+        | Ok () -> wake_watchers ctx v changed skip_id (unwoken - 1) rest
+        | Error _ as e ->
+          note_suppressed ctx.cx_net (unwoken - 1);
+          e
+      end
+    end
+
+let rec wake_implicit ctx changed skip_id = function
+  | [] -> Ok ()
+  | c :: rest ->
+    if c.c_id = skip_id || not (cstr_enabled c) then
+      wake_implicit ctx changed skip_id rest
+    else begin
+      let stats = ctx.cx_net.net_stats in
+      stats.k_wakeups <- stats.k_wakeups + 1;
+      match activate ctx c ~changed with
+      | Ok () -> wake_implicit ctx changed skip_id rest
+      | Error _ as e -> e
+    end
+
+let propagate_changed ctx v skip_id =
+  let eligible = mark_attached ctx skip_id 0 v.v_cstrs in
+  let changed = Some v in
+  (* the watcher list is read once: rotation mutates the live one *)
+  match wake_watchers ctx v changed skip_id eligible v.v_watchers with
+  | Error _ as e -> e
+  | Ok () -> (
+    match v.v_implicit v with
+    | [] -> Ok ()
+    | implicit -> wake_implicit ctx changed skip_id implicit
+    | exception e ->
+      ctx.cx_net.net_stats.k_trapped <- ctx.cx_net.net_stats.k_trapped + 1;
+      Error
+        (violation ~var:v ~exn:e
+           (Printf.sprintf "exception in implicit-constraint hook of %s"
+              v.v_path)))
+
 let propagate_from ctx v ~except =
-  let net = ctx.cx_net in
-  let skip c =
-    match except with None -> false | Some e -> e.c_id = c.c_id
-  in
-  let eligible = ref 0 in
-  List.iter
-    (fun c ->
-      if (not (skip c)) && cstr_enabled ctx c then begin
-        mark_cstr ctx c;
-        incr eligible
-      end)
-    v.v_cstrs;
-  let woken = ref 0 in
-  let rec wake = function
-    | [] -> Ok ()
-    | c :: rest ->
-      if not (cstr_enabled ctx c) then wake rest
-      else begin
-        (* rotation bookkeeping runs even for the source constraint:
-           its watch must leave the variable it just set *)
-        let suppressed =
-          match c.c_activation.act_wake with
-          | Two_watch -> rotate_watch ctx c v
-          | Wake_all | Watch _ | Custom _ -> false
-        in
-        if suppressed || skip c then wake rest
-        else begin
-          incr woken;
-          let* () = activate ctx c ~changed:(Some v) in
-          wake rest
-        end
-      end
-  in
-  (* snapshot: rotation mutates the live watcher list *)
-  let result = wake v.v_watchers in
-  net.net_stats.k_wakeups <- net.net_stats.k_wakeups + !woken;
-  net.net_stats.k_suppressed <-
-    net.net_stats.k_suppressed + max 0 (!eligible - !woken);
-  let* () = result in
-  let* implicit = implicits_of ctx v in
-  let rec wake_implicit = function
-    | [] -> Ok ()
-    | c :: rest ->
-      if skip c || not (cstr_enabled ctx c) then wake_implicit rest
-      else begin
-        net.net_stats.k_wakeups <- net.net_stats.k_wakeups + 1;
-        let* () = activate ctx c ~changed:(Some v) in
-        wake_implicit rest
-      end
-  in
-  wake_implicit implicit
+  propagate_changed ctx v (match except with None -> -1 | Some c -> c.c_id)
 
-let drain ctx =
-  let rec go () =
-    match Agenda.pop ctx.cx_agenda with
-    | None -> Ok ()
-    | Some { e_cstr; e_var } ->
-      if cstr_enabled ctx e_cstr then
-        let* () = run_inference ctx e_cstr e_var in
-        go ()
-      else go ()
-  in
-  go ()
+let rec drain ctx =
+  match Agenda.pop ctx.cx_agenda with
+  | None -> Ok ()
+  | Some { e_cstr; e_var } ->
+    if cstr_enabled e_cstr then
+      match run_inference ctx e_cstr e_var with
+      | Ok () -> drain ctx
+      | Error _ as e -> e
+    else drain ctx
 
+let check_one net c =
+  if not (cstr_enabled c) then Ok ()
+  else begin
+    net.net_stats.k_checks <- net.net_stats.k_checks + 1;
+    match c.c_satisfied c with
+    | sat ->
+      if tracing net then trace net (T_check (c, sat));
+      if sat then Ok ()
+      else
+        Error
+          (violation ~cstr:c
+             (Printf.sprintf "constraint %s#%d not satisfied after propagation"
+                c.c_kind c.c_id))
+    | exception e ->
+      Error
+        (trapped_violation net ~cstr:c
+           ~where:(Printf.sprintf "satisfied of %s#%d" c.c_kind c.c_id)
+           e)
+  end
+
+(* [cx_cstr_order] is newest first; checking on the way back out of the
+   recursion visits it in activation order without reversing (and
+   allocating) the list, and stops at the first violation. *)
 let check_visited ctx =
   let net = ctx.cx_net in
   let rec go = function
     | [] -> Ok ()
-    | c :: rest ->
-      if cstr_enabled ctx c then begin
-        net.net_stats.k_checks <- net.net_stats.k_checks + 1;
-        match c.c_satisfied c with
-        | sat ->
-          if tracing net then trace net (T_check (c, sat));
-          if sat then go rest
-          else
-            Error
-              (violation ~cstr:c
-                 (Printf.sprintf "constraint %s#%d not satisfied after propagation"
-                    c.c_kind c.c_id))
-        | exception e ->
-          Error
-            (trapped_violation net ~cstr:c
-               ~where:(Printf.sprintf "satisfied of %s#%d" c.c_kind c.c_id)
-               e)
-      end
-      else go rest
+    | c :: older -> (
+      match go older with Ok () -> check_one net c | Error _ as e -> e)
   in
-  go (List.rev ctx.cx_cstr_order)
+  go ctx.cx_cstr_order
 
 (* ------------------------------------------------------------------ *)
 (* Cross-network episode correlation                                   *)
@@ -503,7 +544,7 @@ let check_visited ctx =
 type ambient_frame = {
   af_net : string;
   af_episode : int;
-  mutable af_cause : string option;
+  mutable af_cause : string; (* "" = not known *)
 }
 
 let ambient_stack : ambient_frame list ref = ref []
@@ -512,28 +553,28 @@ let current_trace_parent () =
   match !ambient_stack with
   | [] -> None
   | f :: _ ->
-    Some { pr_net = f.af_net; pr_episode = f.af_episode; pr_cause = f.af_cause }
+    Some
+      {
+        pr_net = f.af_net;
+        pr_episode = f.af_episode;
+        pr_cause = (if f.af_cause = "" then None else Some f.af_cause);
+      }
 
 let note_trace_cause path =
-  match !ambient_stack with [] -> () | f :: _ -> f.af_cause <- Some path
+  match !ambient_stack with [] -> () | f :: _ -> f.af_cause <- path
 
 (* ------------------------------------------------------------------ *)
 (* Assignment inside an episode                                        *)
 (* ------------------------------------------------------------------ *)
 
-let bump_change_count ctx v =
-  let n = try Hashtbl.find ctx.cx_change_counts v.v_id with Not_found -> 0 in
-  Hashtbl.replace ctx.cx_change_counts v.v_id (n + 1)
-
-let change_count ctx v =
-  try Hashtbl.find ctx.cx_change_counts v.v_id with Not_found -> 0
+let change_count ctx v = if v.v_stamp = ctx.cx_stamp then v.v_changes else 0
 
 (* The change hook runs with the new value already installed; if it
    throws, the violation aborts the episode and the saved state (taken
    before the store) rolls the variable back. *)
 let install ctx v x ~just ~source_label =
   save_state ctx v;
-  bump_change_count ctx v;
+  v.v_changes <- v.v_changes + 1;
   v.v_value <- Some x;
   v.v_just <- just;
   ctx.cx_net.net_stats.k_assignments <- ctx.cx_net.net_stats.k_assignments + 1;
@@ -541,7 +582,7 @@ let install ctx v x ~just ~source_label =
     trace ctx.cx_net (T_assign (v, x, source_label));
     (* keep the ambient frame's cause current, so a cross-network push
        triggered by this assignment can name its exact antecedent *)
-    note_trace_cause (Var.path v)
+    note_trace_cause v.v_path
   end;
   match v.v_on_change v with
   | () -> Ok ()
@@ -549,8 +590,7 @@ let install ctx v x ~just ~source_label =
     ctx.cx_net.net_stats.k_trapped <- ctx.cx_net.net_stats.k_trapped + 1;
     Error
       (violation ~var:v ~exn:e
-         (Printf.sprintf "exception in on-change hook of %s.%s" v.v_owner
-            v.v_name))
+         (Printf.sprintf "exception in on-change hook of %s" v.v_path))
 
 let set_by_constraint ctx v x ~source ~record =
   match v.v_value with
@@ -602,13 +642,14 @@ let set_by_constraint ctx v x ~source ~record =
         Error
           (violation ~cstr:source ~var:v
              (Printf.sprintf "cannot overwrite %s: %s" (Var.path v) why))
-      | Ok Accept ->
-        let* () =
+      | Ok Accept -> (
+        match
           install ctx v x
             ~just:(Propagated { source; record })
             ~source_label:source.c_source_label
-        in
-        propagate_from ctx v ~except:(Some source)
+        with
+        | Ok () -> propagate_changed ctx v source.c_id
+        | Error _ as e -> e)
     end
 
 let propagate_reset ctx v ~except =
@@ -632,7 +673,7 @@ let erase ctx v ~just ~source_label =
   v.v_just <- just;
   if tracing ctx.cx_net then begin
     trace ctx.cx_net (T_reset (v, source_label));
-    note_trace_cause (Var.path v)
+    note_trace_cause v.v_path
   end;
   match v.v_on_change v with
   | () -> Ok ()
@@ -640,8 +681,7 @@ let erase ctx v ~just ~source_label =
     ctx.cx_net.net_stats.k_trapped <- ctx.cx_net.net_stats.k_trapped + 1;
     Error
       (violation ~var:v ~exn:e
-         (Printf.sprintf "exception in on-change hook of %s.%s" v.v_owner
-            v.v_name))
+         (Printf.sprintf "exception in on-change hook of %s" v.v_path))
 
 let reset_by_constraint ctx v ~source =
   match v.v_value with
@@ -716,46 +756,48 @@ let begin_episode net ~label =
   let id = net.net_next_episode in
   let prev = net.net_cur_episode in
   net.net_cur_episode <- id;
-  let parent = current_trace_parent () in
+  if tracing net then
+    trace net (T_episode_start (id, label, current_trace_parent ()));
   ambient_stack :=
-    { af_net = net.net_name; af_episode = id; af_cause = None } :: !ambient_stack;
-  trace net (T_episode_start (id, label, parent));
+    { af_net = net.net_name; af_episode = id; af_cause = "" } :: !ambient_stack;
   (id, prev)
 
 let pop_ambient () =
   match !ambient_stack with [] -> () | _ :: rest -> ambient_stack := rest
 
 (* Fold the episode-local agenda's per-stratum counters into the
-   network's cumulative totals. *)
+   network's cumulative totals.  Strata are registered on their first
+   push, so every slot has traffic to merge. *)
 let merge_agenda_totals net ag =
-  List.iter
-    (fun (s : Agenda.stratum_stats) ->
-      let t =
-        match Hashtbl.find_opt net.net_agenda_totals s.Agenda.sa_priority with
-        | Some t -> t
-        | None ->
-          let t = { at_pushed = 0; at_popped = 0; at_hwm = 0 } in
-          Hashtbl.add net.net_agenda_totals s.Agenda.sa_priority t;
-          t
-      in
-      t.at_pushed <- t.at_pushed + s.Agenda.sa_pushed;
-      t.at_popped <- t.at_popped + s.Agenda.sa_popped;
-      if s.Agenda.sa_hwm > t.at_hwm then t.at_hwm <- s.Agenda.sa_hwm)
-    (Agenda.stats ag)
+  for s = 0 to Array.length ag.ag_prios - 1 do
+    let p = ag.ag_prios.(s) in
+    let t =
+      match Hashtbl.find net.net_agenda_totals p with
+      | t -> t
+      | exception Not_found ->
+        let t = { at_pushed = 0; at_popped = 0; at_hwm = 0 } in
+        Hashtbl.add net.net_agenda_totals p t;
+        t
+    in
+    t.at_pushed <- t.at_pushed + ag.ag_pushed.(s);
+    t.at_popped <- t.at_popped + ag.ag_popped.(s);
+    if ag.ag_hwm.(s) > t.at_hwm then t.at_hwm <- ag.ag_hwm.(s)
+  done
 
 let end_episode net (id, prev) ~label ~outcome ~timings ~ctx =
   merge_agenda_totals net ctx.cx_agenda;
   pop_ambient ();
-  trace net
-    (T_episode_end
-       {
-         es_id = id;
-         es_label = label;
-         es_outcome = outcome;
-         es_timings = timings;
-         es_steps = ctx.cx_steps;
-         es_agenda_hwm = ctx.cx_agenda_hwm;
-       });
+  if tracing net then
+    trace net
+      (T_episode_end
+         {
+           es_id = id;
+           es_label = label;
+           es_outcome = outcome;
+           es_timings = timings;
+           es_steps = ctx.cx_steps;
+           es_agenda_hwm = ctx.cx_agenda_hwm;
+         });
   net.net_cur_episode <- prev
 
 let notify_violation net viol =

@@ -221,12 +221,17 @@ val trace : 'a network -> 'a trace_event -> unit
 
 val new_ctx : 'a network -> 'a ctx
 
-(** Record the variable's pre-propagation state (put-if-absent). *)
+(** Record the variable's pre-propagation state on the episode's trail,
+    the first time the episode writes it (an episode-stamp compare, no
+    lookup). *)
 val save_state : 'a ctx -> 'a var -> unit
 
+(** The variable carries this episode's stamp: it was saved (written)
+    in this episode and not re-stamped since by a nested episode. *)
 val visited : 'a ctx -> 'a var -> bool
 
-(** Restore every visited variable to its saved state. *)
+(** Restore every saved variable from the trail, newest entry first, so
+    the oldest saved state of each variable is the one left in place. *)
 val restore : 'a ctx -> unit
 
 (** [run_episode ?label net f] — create a context, run [f], drain, check

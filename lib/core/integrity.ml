@@ -12,7 +12,7 @@ let check_integrity net =
   let cstr_ids = Hashtbl.create 64 and var_ids = Hashtbl.create 64 in
   List.iter (fun c -> Hashtbl.replace cstr_ids c.c_id c) net.net_cstrs;
   List.iter (fun v -> Hashtbl.replace var_ids v.v_id ()) net.net_vars;
-  let path v = v.v_owner ^ "." ^ v.v_name in
+  let path v = v.v_path in
   List.iter
     (fun v ->
       List.iter

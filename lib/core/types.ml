@@ -173,6 +173,9 @@ and 'a var = {
   v_id : int;
   v_owner : string; (* path of the parent design object *)
   v_name : string; (* field name within the parent *)
+  (* "owner.name", rendered once at creation: the key of the network's
+     path index and the path every trace event and query names. *)
+  v_path : string;
   v_equal : 'a -> 'a -> bool;
   v_pp : Format.formatter -> 'a -> unit;
   mutable v_value : 'a option;
@@ -195,6 +198,11 @@ and 'a var = {
   (* Hook run after the variable's value changes (assign or reset);
      used by property variables and views for erasure notification. *)
   mutable v_on_change : 'a var -> unit;
+  (* Episode bookkeeping without hashing: [v] has been saved on the
+     trail of the episode whose stamp equals [v_stamp], and has changed
+     [v_changes] times in it (the N-change rule). *)
+  mutable v_stamp : int;
+  mutable v_changes : int;
 }
 
 (* Which argument changes wake a constraint's inference procedure.
@@ -247,6 +255,10 @@ and 'a cstr = {
   mutable c_label : string;
   mutable c_args : 'a var list;
   mutable c_enabled : bool;
+  (* [c_kind] is among the network's disabled kinds; kept in step by
+     [Engine.disable_kind]/[enable_kind] and set at creation, so the
+     hot path reads a field instead of searching the kind list. *)
+  mutable c_kind_disabled : bool;
   c_activation : 'a activation;
   (* The variables whose change currently wakes this constraint —
      [c_args] for [Wake_all]/[Custom], the static subset for [Watch],
@@ -256,6 +268,12 @@ and 'a cstr = {
   (* Episode stamp for O(1) visited-marking (no hashing): [c] is marked
      in the episode whose stamp equals [c_mark]. *)
   mutable c_mark : int;
+  (* Agenda membership without hashing: [c_queued_keys] lists the keys
+     of [c]'s pending entries in the agenda whose stamp equals
+     [c_queued] (-1 = an entry with no variable, otherwise the
+     variable's id); in any other agenda nothing of [c] is pending. *)
+  mutable c_queued : int;
+  mutable c_queued_keys : int list;
   (* immediateInferenceByChanging: — examine the changed variable (or
      [None] for a scheduled run) and assign inferred values through
      [Engine.set_by_constraint].  Mutable so the fault-injection harness
@@ -287,7 +305,19 @@ and 'a cstr = {
   mutable c_quarantined : string option;
 }
 
-and 'a saved = { sv_var : 'a var; sv_value : 'a option; sv_just : 'a justification }
+(* The undo trail of an episode, newest entry first: each entry is a
+   variable's value and justification from before the episode first
+   wrote it.  A variable can appear twice when a nested episode on the
+   same network re-stamped it in between; restoring newest-first leaves
+   the older (pre-episode) entry in place last. *)
+and 'a trail =
+  | Trail_end
+  | Saved of {
+      sv_var : 'a var;
+      sv_value : 'a option;
+      sv_just : 'a justification;
+      sv_next : 'a trail;
+    }
 
 and 'a agenda_entry = { e_cstr : 'a cstr; e_var : 'a var option }
 
@@ -301,7 +331,10 @@ and 'a agenda = {
   mutable ag_prios : int array; (* sorted ascending; slot -> priority *)
   mutable ag_slots : 'a agenda_entry Queue.t array; (* slot -> FIFO *)
   mutable ag_live : int; (* bitmask: bit i set <=> slot i non-empty *)
-  ag_members : (int * int, unit) Hashtbl.t; (* (cstr id, var id or -1) *)
+  (* Membership stamp, matched against [c_queued]; replaced by [clear]
+     so every earlier mark goes stale at once. *)
+  mutable ag_stamp : int;
+  mutable ag_len : int; (* entries pending across all strata *)
   mutable ag_pushed : int array; (* per-slot entries enqueued *)
   mutable ag_popped : int array; (* per-slot entries drained *)
   mutable ag_hwm : int array; (* per-slot depth high-water mark *)
@@ -329,7 +362,6 @@ and 'a network = {
   mutable net_clock : unit -> float;
   mutable net_next_episode : int; (* episode ids handed out so far *)
   mutable net_cur_episode : int; (* id of the episode in flight; 0 = none *)
-  mutable net_next_stamp : int; (* visited-mark stamps handed out (ctx) *)
   (* Cumulative per-stratum agenda accounting, keyed by priority;
      merged from the episode-local agenda at every episode end. *)
   net_agenda_totals : (int, agenda_totals) Hashtbl.t;
@@ -337,6 +369,8 @@ and 'a network = {
   mutable net_next_var_id : int;
   mutable net_next_cstr_id : int;
   mutable net_vars : 'a var list; (* reverse creation order *)
+  (* Path index: "owner.name" -> the latest variable created under it. *)
+  net_paths : (string, 'a var) Hashtbl.t;
   mutable net_cstrs : 'a cstr list;
   mutable net_disabled_kinds : string list;
   (* Trapped exceptions before a constraint is quarantined; 0 disables
@@ -388,10 +422,8 @@ and 'a trace_event =
 
 and 'a ctx = {
   cx_net : 'a network;
-  cx_visited_vars : (int, 'a saved) Hashtbl.t;
-  cx_change_counts : (int, int) Hashtbl.t; (* var id -> changes this episode *)
-  mutable cx_visited_order : 'a var list; (* reverse visit order *)
-  cx_stamp : int; (* this episode's visited-mark stamp (c_mark) *)
+  mutable cx_trail : 'a trail; (* saved prior state, newest first *)
+  cx_stamp : int; (* this episode's stamp (v_stamp, c_mark) *)
   mutable cx_cstr_order : 'a cstr list; (* reverse activation order *)
   cx_agenda : 'a agenda;
   mutable cx_steps : int; (* inference runs this episode (step budget) *)
@@ -401,6 +433,14 @@ and 'a ctx = {
      with the values they were chosen against. *)
   mutable cx_watch_undo : (unit -> unit) list;
 }
+
+(* Episode and agenda stamps come from one process-wide counter, so a
+   stamp never matches a mark left by another episode or agenda — even
+   one of a different network whose constraints reach this network's
+   variables. *)
+let stamps = Atomic.make 0
+
+let fresh_stamp () = Atomic.fetch_and_add stamps 1 + 1
 
 let fresh_counters () =
   {
@@ -477,7 +517,7 @@ let violation ?cstr ?var ?exn message =
     viol_cstr_id = (match cstr with None -> None | Some c -> Some c.c_id);
     viol_cstr_kind = (match cstr with None -> None | Some c -> Some c.c_kind);
     viol_var_path =
-      (match var with None -> None | Some v -> Some (v.v_owner ^ "." ^ v.v_name));
+      (match var with None -> None | Some v -> Some v.v_path);
     viol_exn = Option.map Printexc.to_string exn;
   }
 
@@ -499,11 +539,10 @@ let pp_justification pp_val ppf = function
   | Propagated { source; record } ->
     let pp_record ppf = function
       | All_arguments -> Fmt.string ppf "all-args"
-      | Single_var v -> Fmt.pf ppf "via %s.%s" v.v_owner v.v_name
+      | Single_var v -> Fmt.pf ppf "via %s" v.v_path
       | Some_vars vs ->
         Fmt.pf ppf "via {%a}"
-          (Fmt.list ~sep:Fmt.comma (fun ppf v ->
-               Fmt.pf ppf "%s.%s" v.v_owner v.v_name))
+          (Fmt.list ~sep:Fmt.comma (fun ppf v -> Fmt.string ppf v.v_path))
           vs
       | Opaque -> Fmt.string ppf "opaque"
     in

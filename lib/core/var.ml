@@ -12,6 +12,7 @@ let create net ~owner ~name ~equal ~pp ?(overwrite = default_overwrite) ?value (
       v_id = net.net_next_var_id;
       v_owner = owner;
       v_name = name;
+      v_path = owner ^ "." ^ name;
       v_equal = equal;
       v_pp = pp;
       v_value = value;
@@ -21,10 +22,13 @@ let create net ~owner ~name ~equal ~pp ?(overwrite = default_overwrite) ?value (
       v_overwrite = overwrite;
       v_implicit = (fun _ -> []);
       v_on_change = (fun _ -> ());
+      v_stamp = 0;
+      v_changes = 0;
     }
   in
   net.net_next_var_id <- net.net_next_var_id + 1;
   net.net_vars <- v :: net.net_vars;
+  Hashtbl.replace net.net_paths v.v_path v;
   v
 
 let id v = v.v_id
@@ -33,7 +37,7 @@ let name v = v.v_name
 
 let owner v = v.v_owner
 
-let path v = v.v_owner ^ "." ^ v.v_name
+let path v = v.v_path
 
 let value v = v.v_value
 

@@ -7,7 +7,9 @@
 
 open Types
 
-(** [create net ~owner ~name ~equal ~pp ()] makes a fresh variable.
+(** [create net ~owner ~name ~equal ~pp ()] makes a fresh variable and
+    enters it in the network's path index, where it shadows any earlier
+    variable with the same path.
 
     @param overwrite custom overwrite rule (default: user- and
       tentative-justified values reject differing propagated values;
@@ -33,7 +35,8 @@ val name : 'a var -> string
 
 val owner : 'a var -> string
 
-(** ["owner.name"] — the unique identification path of §4.1.1. *)
+(** ["owner.name"] — the unique identification path of §4.1.1,
+    rendered once at creation. *)
 val path : 'a var -> string
 
 val value : 'a var -> 'a option

@@ -6,15 +6,15 @@ type built = {
   db_paths : (class_delay * (Delay_path.path * var) list) list;
 }
 
-(* registries are keyed by (environment id, cell uid): cell uids are
-   only unique within one environment *)
-let built_table : (int * int, built) Hashtbl.t = Hashtbl.create 17
+(* Registries keyed by cell uid (unique within one environment), one
+   pair per environment and collected with it. *)
+let built_table : env -> (int, built) Hashtbl.t =
+  Stem.Env.local (fun () -> Hashtbl.create 17)
 
-let hooked : (int * int, unit) Hashtbl.t = Hashtbl.create 17
+let hooked : env -> (int, unit) Hashtbl.t =
+  Stem.Env.local (fun () -> Hashtbl.create 17)
 
-let key_of env cls = (env.env_id, cls.cc_uid)
-
-let is_built env cls = Hashtbl.mem built_table (key_of env cls)
+let is_built env cls = Hashtbl.mem (built_table env) cls.cc_uid
 
 let instance_delay env inst cd =
   let key = delay_key ~from_:cd.cd_from ~to_:cd.cd_to in
@@ -42,15 +42,15 @@ let instance_delay env inst cd =
     v
 
 let teardown env cls =
-  match Hashtbl.find_opt built_table (key_of env cls) with
+  match Hashtbl.find_opt (built_table env) cls.cc_uid with
   | None -> ()
   | Some b ->
     List.iter (Network.remove_constraint env.env_cnet) b.db_cstrs;
-    Hashtbl.remove built_table (key_of env cls)
+    Hashtbl.remove (built_table env) cls.cc_uid
 
 let install_hook env cls =
-  if not (Hashtbl.mem hooked (key_of env cls)) then begin
-    Hashtbl.add hooked (key_of env cls) ();
+  if not (Hashtbl.mem (hooked env) cls.cc_uid) then begin
+    Hashtbl.add (hooked env) cls.cc_uid ();
     let erase ~key =
       match key with
       | None | Some "structure" -> teardown env cls
@@ -104,11 +104,12 @@ let build env cls =
       cls.cc_delays
   in
   install_hook env cls;
-  Hashtbl.replace built_table (key_of env cls) { db_cstrs = !cstrs; db_paths = with_paths };
+  Hashtbl.replace (built_table env) cls.cc_uid
+    { db_cstrs = !cstrs; db_paths = with_paths };
   List.fold_left (fun acc (_, ps) -> acc + List.length ps) 0 with_paths
 
 let ensure env cls =
-  match Hashtbl.find_opt built_table (key_of env cls) with
+  match Hashtbl.find_opt (built_table env) cls.cc_uid with
   | Some b -> List.fold_left (fun acc (_, ps) -> acc + List.length ps) 0 b.db_paths
   | None -> build env cls
 
@@ -138,7 +139,7 @@ let critical_path env cls ~from_ ~to_ =
   match delay env cls ~from_ ~to_ with
   | None -> None
   | Some _ -> (
-    match Hashtbl.find_opt built_table (key_of env cls) with
+    match Hashtbl.find_opt (built_table env) cls.cc_uid with
     | None -> None
     | Some b -> (
       match find_delay_opt cls ~from_ ~to_ with

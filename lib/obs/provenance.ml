@@ -93,7 +93,7 @@ type 'a t = {
   rg_id : int array; (* span id held in the slot; 0 = empty *)
   rg_episode : int array;
   rg_seq : int array;
-  rg_vid : int array; (* variable id; the path is [pv_paths.(vid)] *)
+  rg_vid : int array; (* variable id; the variable is [pv_vars.(vid)] *)
   rg_value : 'a option array; (* raw value; None for a reset *)
   rg_flags : int array; (* just tag (bits 0-2) | dead | antmore *)
   rg_source : string array;
@@ -102,7 +102,7 @@ type 'a t = {
   rg_cross : parent_ref option array;
   pv_ants : (int, int list) Hashtbl.t; (* span id -> antecedents, arity >= 2 *)
   mutable pv_latest : int array; (* v_id -> latest live span id, 0 = none *)
-  mutable pv_paths : string array; (* v_id -> rendered path memo, "" = unseen *)
+  mutable pv_vars : 'a var array; (* v_id -> the variable, once seen *)
   mutable pv_next_id : int;
   mutable pv_frames : frame list; (* innermost first *)
   mutable pv_episodes : episode list; (* newest first *)
@@ -143,7 +143,7 @@ let find_span t id =
           sp_net = t.pv_net.net_name;
           sp_episode = t.rg_episode.(slot);
           sp_seq = t.rg_seq.(slot);
-          sp_var = t.pv_paths.(t.rg_vid.(slot));
+          sp_var = Var.path t.pv_vars.(t.rg_vid.(slot));
           sp_value = Option.map t.pv_pp t.rg_value.(slot);
           sp_just = just_names.(flags land 7);
           sp_source = t.rg_source.(slot);
@@ -158,33 +158,29 @@ let find_span t id =
           sp_dead = flags land flag_dead <> 0;
         }
 
-let ensure_var t vid =
-  if vid >= Array.length t.pv_latest then begin
-    let n = max (vid + 1) ((2 * Array.length t.pv_latest) + 16) in
-    let latest = Array.make n 0 in
-    Array.blit t.pv_latest 0 latest 0 (Array.length t.pv_latest);
+(* Grow the per-variable arrays to cover [v] and enter [v] at its id.
+   New slots of [pv_vars] are padded with [v] itself; a slot is read
+   only for a variable that has passed through here. *)
+let ensure_var t v =
+  let len = Array.length t.pv_latest in
+  if v.v_id >= len then begin
+    let n = max (v.v_id + 1) ((2 * len) + 16) in
+    let latest = Array.make n 0 and vars = Array.make n v in
+    Array.blit t.pv_latest 0 latest 0 len;
+    Array.blit t.pv_vars 0 vars 0 len;
     t.pv_latest <- latest;
-    let paths = Array.make n "" in
-    Array.blit t.pv_paths 0 paths 0 (Array.length t.pv_paths);
-    t.pv_paths <- paths
+    t.pv_vars <- vars
   end
+  else if Array.unsafe_get t.pv_vars v.v_id != v then
+    Array.unsafe_set t.pv_vars v.v_id v
 
-(* Queries address variables by path; the emit path addresses them by
-   [v_id].  The memo array maps id -> path; this linear scan is the
-   (query-time-only) inverse. *)
-let vid_of_path t path =
-  let n = Array.length t.pv_paths in
-  let rec go i =
-    if i >= n then None
-    else if String.equal t.pv_paths.(i) path then Some i
-    else go (i + 1)
-  in
-  go 0
-
+(* Queries address variables by path, through the network's path
+   index; the emit path addresses them by [v_id]. *)
 let latest_span t path =
-  match vid_of_path t path with
-  | None -> None
-  | Some vid -> find_span t t.pv_latest.(vid)
+  match Editor.find_var t.pv_net path with
+  | Some v when v.v_id < Array.length t.pv_latest ->
+    find_span t t.pv_latest.(v.v_id)
+  | Some _ | None -> None
 
 let live_spans t =
   let lo = max 1 (t.pv_next_id - t.pv_capacity) in
@@ -204,18 +200,6 @@ let net_name t = t.pv_net.net_name
 
 (* ---------------- sink behaviour ---------------- *)
 
-(* [Var.path] concatenates owner and name on every call; an assign-heavy
-   episode renders the same handful of paths thousands of times, so memo
-   by the variable's id (paths are immutable after creation). *)
-let path_of t v =
-  ensure_var t v.v_id;
-  match t.pv_paths.(v.v_id) with
-  | "" ->
-    let p = Var.path v in
-    t.pv_paths.(v.v_id) <- p;
-    p
-  | p -> p
-
 (* One assignment (or reset, with [value] = None).  [ant0]/[antmore]
    carry the antecedent span ids; the overwhelmingly common arities 0
    and 1 stay in the flat ring, higher arities spill to [pv_ants]. *)
@@ -224,14 +208,14 @@ let path_of t v =
 let ant_of t v source record arg =
   if (not (Var.equal arg v)) && source.c_in_dependency source record arg
   then begin
-    ensure_var t arg.v_id;
+    ensure_var t arg;
     Array.unsafe_get t.pv_latest arg.v_id
   end
   else 0
 
 let record_span t ep seq v ~value ~source ~ant0 ~antmore =
   let vid = v.v_id in
-  ignore (path_of t v : string) (* fill the memo; queries render from it *);
+  ensure_var t v;
   let id = t.pv_next_id in
   t.pv_next_id <- id + 1;
   let cross =
@@ -240,7 +224,7 @@ let record_span t ep seq v ~value ~source ~ant0 ~antmore =
     | _ -> None (* sink attached mid-episode *)
   in
   (* [slot] is masked into the ring and [vid] was range-checked by
-     [path_of]/[ensure_var], so the unchecked accesses are in bounds *)
+     [ensure_var], so the unchecked accesses are in bounds *)
   let slot = slot_of t id in
   (match Array.unsafe_get t.rg_id slot with
   | 0 -> ()
@@ -380,8 +364,8 @@ let attach ?(name = default_sink_name) ?(capacity = 8192)
       rg_prior = Array.make capacity 0;
       rg_cross = Array.make capacity None;
       pv_ants = Hashtbl.create 16;
-      pv_latest = Array.make 64 0;
-      pv_paths = Array.make 64 "";
+      pv_latest = [||];
+      pv_vars = [||];
       pv_next_id = 1;
       pv_frames = [];
       pv_episodes = [];

@@ -65,50 +65,63 @@ let create ts ob =
 let objective t = t.sl_ob
 
 (* Counters only move forward, so the window delta is last - first of
-   the samples inside it; a counter that did not move (or a window
-   with fewer than two samples) burns nothing. *)
+   the samples inside it; a window with fewer than two samples has no
+   delta at all. *)
 let counter_delta pts =
   match pts with
-  | [] | [ _ ] -> 0.
+  | [] | [ _ ] -> None
   | (_, first) :: rest ->
     let _, last = List.nth rest (List.length rest - 1) in
-    max 0. (last -. first)
+    Some (max 0. (last -. first))
 
+(* [None] when the window holds no data to judge by; a window whose
+   total did not move had no bad events, so its fraction is 0. *)
 let bad_fraction t ~from_ ~to_ =
   match t.sl_ob.ob_kind with
-  | Error_ratio { total; errors } ->
-    let d_total = counter_delta (Tsdb.query t.sl_ts ~series:total ~from_ ~to_) in
-    if d_total <= 0. then 0.
-    else
+  | Error_ratio { total; errors } -> (
+    match counter_delta (Tsdb.query t.sl_ts ~series:total ~from_ ~to_) with
+    | None -> None
+    | Some d_total when d_total <= 0. -> Some 0.
+    | Some d_total ->
       let d_err =
-        counter_delta (Tsdb.query t.sl_ts ~series:errors ~from_ ~to_)
+        Option.value ~default:0.
+          (counter_delta (Tsdb.query t.sl_ts ~series:errors ~from_ ~to_))
       in
-      min 1. (d_err /. d_total)
+      Some (min 1. (d_err /. d_total)))
   | Latency_above { series; limit } -> (
     match Tsdb.query t.sl_ts ~series ~from_ ~to_ with
-    | [] -> 0.
+    | [] -> None
     | pts ->
       let bad = List.length (List.filter (fun (_, v) -> v > limit) pts) in
-      float_of_int bad /. float_of_int (List.length pts))
+      Some (float_of_int bad /. float_of_int (List.length pts)))
 
+(* [now] is quantized the way [Tsdb.append] quantizes timestamps, so a
+   sample appended at [now] is inside the window ending at [now]. *)
 let burn_rates t ~now =
+  let now = Tsdb.quantize now in
   let budget = max 1e-9 (1. -. t.sl_ob.ob_target) in
   List.map
     (fun (w, thr) ->
       let bad = bad_fraction t ~from_:(now -. w) ~to_:now in
-      (w, thr, bad /. budget))
+      (w, thr, Option.map (fun b -> b /. budget) bad))
     t.sl_ob.ob_windows
 
 let pp_burns burns =
   String.concat ", "
     (List.map
-       (fun (w, thr, b) -> Printf.sprintf "%.1fx/%gs (thr %g)" b w thr)
+       (fun (w, thr, b) ->
+         match b with
+         | Some b -> Printf.sprintf "%.1fx/%gs (thr %g)" b w thr
+         | None -> Printf.sprintf "no data/%gs (thr %g)" w thr)
        burns)
 
 let evaluate t ~now =
   let burns = burn_rates t ~now in
   let exceeded =
-    burns <> [] && List.for_all (fun (_, thr, b) -> b >= thr) burns
+    burns <> []
+    && List.for_all
+         (fun (_, thr, b) -> match b with Some b -> b >= thr | None -> false)
+         burns
   in
   t.sl_verdict :=
     (if exceeded then
@@ -137,8 +150,7 @@ let status_json t ~now =
                  [
                    ("seconds", J_float w);
                    ("threshold", J_float thr);
-                   (* a non-finite burn reads as -1, a value, not a string *)
-                   ("burn", J_float (if Float.is_finite b then b else -1.));
+                   ("burn", Jsonl.opt (fun b -> Jsonl.J_float b) b);
                  ])
              (burn_rates t ~now)) );
     ]

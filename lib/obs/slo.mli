@@ -18,7 +18,8 @@
 type kind =
   | Error_ratio of { total : string; errors : string }
       (** two counter series: bad fraction = Δerrors / Δtotal over the
-          window (0 when the total did not move) *)
+          window (0 when the total did not move, no data with fewer
+          than two samples of the total) *)
   | Latency_above of { series : string; limit : float }
       (** a sampled quantile series: bad fraction = fraction of
           samples above [limit] *)
@@ -59,8 +60,12 @@ val create : Tsdb.t -> objective -> t
 
 val objective : t -> objective
 
-(** [(lookback, threshold, burn)] per configured window at [now]. *)
-val burn_rates : t -> now:float -> (float * float * float) list
+(** [(lookback, threshold, burn)] per configured window ending at [now]
+    (quantized to the millisecond, as {!Tsdb.append} stores
+    timestamps). [burn] is [None] when the window holds no data: fewer
+    than two samples of the total counter, or no latency sample. A
+    window without data never counts as exceeded. *)
+val burn_rates : t -> now:float -> (float * float * float option) list
 
 (** Evaluate at [now] and push the firing/cleared transition through
     the watchdog (visible in [Watchdog.health ()] and the alert log). *)
@@ -68,8 +73,8 @@ val evaluate : t -> now:float -> unit
 
 val firing : t -> bool
 
-(** JSON status object (burns, thresholds, firing); a non-finite burn
-    reports [-1]. *)
+(** JSON status object (burns, thresholds, firing); a window without
+    data reports ["burn": null], distinct from [0] for no bad events. *)
 val status_json : t -> now:float -> Jsonl.json
 
 (** Unregister the backing watchdog. *)

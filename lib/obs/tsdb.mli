@@ -35,6 +35,10 @@ val dir : t -> string
 (** Warnings met while scanning existing segments at {!open_}. *)
 val recovery_warnings : t -> string list
 
+(** [quantize t] — [t] rounded to the millisecond, the quantization
+    {!append} applies to timestamps. *)
+val quantize : float -> float
+
 (** Record one point. Timestamps are quantized to milliseconds. *)
 val append : t -> series:string -> t:float -> v:float -> unit
 

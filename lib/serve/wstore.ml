@@ -65,10 +65,9 @@ let split_path lineno p =
 
 let build_spec ~id text =
   let net = Engine.create_network ~name:id () in
-  let vars : (string, Dval.t Types.var) Hashtbl.t = Hashtbl.create 16 in
   let inits = ref [] in
   let var_of lineno p =
-    match Hashtbl.find_opt vars p with
+    match Editor.find_var net p with
     | Some v -> v
     | None -> raise (Spec_error (lineno, "unknown variable " ^ p))
   in
@@ -90,10 +89,9 @@ let build_spec ~id text =
         match fields with
         | "var" :: path :: rest ->
           let owner, name = split_path lineno path in
-          if Hashtbl.mem vars path then
+          if Editor.find_var net path <> None then
             raise (Spec_error (lineno, "duplicate variable " ^ path));
-          let v = Dclib.variable net ~owner ~name () in
-          Hashtbl.replace vars path v;
+          ignore (Dclib.variable net ~owner ~name ());
           (match rest with
           | [] -> ()
           | "=" :: tokens ->

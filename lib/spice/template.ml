@@ -1,11 +1,12 @@
 open Stem.Design
 
-let table : (int * int, Element.element list) Hashtbl.t = Hashtbl.create 17
+(* Cell uid -> elements, one table per environment (uids are only
+   unique within one), collected with the environment. *)
+let table : env -> (int, Element.element list) Hashtbl.t =
+  Stem.Env.local (fun () -> Hashtbl.create 17)
 
-let key env cls = (env.env_id, cls.cc_uid)
+let register env cls elements = Hashtbl.replace (table env) cls.cc_uid elements
 
-let register env cls elements = Hashtbl.replace table (key env cls) elements
+let find env cls = Hashtbl.find_opt (table env) cls.cc_uid
 
-let find env cls = Hashtbl.find_opt table (key env cls)
-
-let is_leaf_template env cls = Hashtbl.mem table (key env cls)
+let is_leaf_template env cls = Hashtbl.mem (table env) cls.cc_uid

@@ -21,3 +21,8 @@ val find_cell : env -> string -> cell_class option
 val enable_propagation : env -> bool -> unit
 
 val propagation_enabled : env -> bool
+
+(** [local make] — per-environment storage: the returned function gives
+    each environment its own [make ()], created on first use and
+    collected together with the environment. *)
+val local : (unit -> 'a) -> env -> 'a

@@ -142,6 +142,41 @@ let test_estimate_blocks_network () =
   | Some d -> check_float "calculated after removal" (1.1 +. 1.2) d
   | None -> Alcotest.fail "calculated delay expected"
 
+(* Delay networks and SPICE templates are registered per environment
+   and must be collected with it: build 40 designs, each in a fresh
+   environment that is dropped afterwards, and the live heap after a
+   full major GC stays flat instead of growing by one design each. *)
+let test_designs_die_with_env () =
+  let design () =
+    let env = Stem.Env.create () in
+    let gates = Cell_library.Gates.make env in
+    let ra = Cell_library.Composed.ripple_adder env gates ~bits:4 in
+    Spice.Gate_templates.nand2 env gates.Cell_library.Gates.nand2 ~a:"a" ~b:"b"
+      ~y:"y";
+    Alcotest.(check bool) "delay computed" true
+      (Dn.delay env ra.Cell_library.Composed.ra_cell
+         ~from_:ra.Cell_library.Composed.ra_cin
+         ~to_:ra.Cell_library.Composed.ra_cout
+      <> None);
+    Alcotest.(check bool) "template registered" true
+      (Spice.Template.is_leaf_template env gates.Cell_library.Gates.nand2);
+    env
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let base = live () in
+  let held = design () in
+  let footprint = live () - base in
+  ignore (Sys.opaque_identity held);
+  let after = Array.init 40 (fun _ -> ignore (design ()); live ()) in
+  let growth = after.(39) - after.(4) in
+  if growth > footprint / 2 then
+    Alcotest.failf
+      "live heap grew by %d words over designs 5..40 (one design is %d)"
+      growth footprint
+
 let suite =
   let tc = Alcotest.test_case in
   ( "delay",
@@ -154,4 +189,5 @@ let suite =
       tc "fig 5.2 accumulator" `Quick test_fig_5_2_accumulator;
       tc "teardown on structure change" `Quick test_teardown_on_structure_change;
       tc "estimate blocks network" `Quick test_estimate_blocks_network;
+      tc "designs die with their environment" `Quick test_designs_die_with_env;
     ] )

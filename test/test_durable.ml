@@ -705,9 +705,9 @@ let test_strict_json_endpoints () =
                       {\"var\":\"a.x\",\"value\":\"\\\"s\\\"\"}\n"
                    "/nets/hx/set");
               (* the over-budget writes: two strikes, then quarantine;
-                 whole-second ticks, so the store's millisecond rounding
-                 cannot move a sample past the evaluation time *)
-              let t = Float.round (Unix.gettimeofday ()) in
+                 unrounded tick times, so the SLO must see the sample
+                 the tick appends at its own time *)
+              let t = Unix.gettimeofday () in
               Serve.history_tick ~now:(t -. 2.) ();
               let over = "{\"var\":\"b.x\",\"value\":\"1\"}\n" in
               List.iter

@@ -307,7 +307,7 @@ let test_slo_burn_rate_fires_and_clears () =
         (fun () ->
           let now = 299. in
           (match Obs.Slo.burn_rates slo ~now with
-          | [ (60., 2.0, fast); (300., 1.0, slow) ] ->
+          | [ (60., 2.0, Some fast); (300., 1.0, Some slow) ] ->
             if fast < 2.0 then Alcotest.failf "fast burn %.1f < 2" fast;
             if slow < 1.0 then Alcotest.failf "slow burn %.2f < 1" slow
           | _ -> Alcotest.fail "unexpected burn_rates shape");
@@ -358,10 +358,73 @@ let test_slo_latency_kind () =
           (* 20 of the last 50 samples above the limit: bad fraction
              0.4, budget 0.1 -> burn 4x *)
           match Obs.Slo.burn_rates slo ~now:99. with
-          | [ (_, _, burn) ] ->
+          | [ (_, _, Some burn) ] ->
             if burn < 3.9 || burn > 4.1 then
               Alcotest.failf "latency burn %.2f, expected ~4" burn
           | _ -> Alcotest.fail "one window expected"))
+
+(* Ticks at sub-millisecond offsets: each sample is stored at the
+   rounded millisecond, after the unrounded tick time.  The window must
+   still end at the sample appended on the same tick, so the objective
+   fires on the first burning tick, not the next. *)
+let test_slo_fires_on_first_burning_tick () =
+  with_dir (fun d ->
+      let ts = Obs.Tsdb.open_ d in
+      let ob =
+        Obs.Slo.availability ~target:0.99 ~windows:[ (10., 1.0) ] ~name:"tick"
+          ~total:"t.requests" ~errors:"t.rejected" ()
+      in
+      let slo = Obs.Slo.create ts ob in
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Slo.remove slo;
+          Obs.Tsdb.close ts)
+        (fun () ->
+          let last = 20 in
+          for i = 0 to last do
+            let now = 1000. +. float_of_int i +. 0.0006 in
+            Obs.Tsdb.append ts ~series:"t.requests" ~t:now
+              ~v:(10. *. float_of_int i);
+            Obs.Tsdb.append ts ~series:"t.rejected" ~t:now
+              ~v:(if i < last then 0. else 5.);
+            Obs.Slo.evaluate slo ~now;
+            Alcotest.(check bool)
+              (Printf.sprintf "tick %d firing" i)
+              (i = last) (Obs.Slo.firing slo)
+          done))
+
+(* No data is not the same as no errors: the first reads "burn": null,
+   the second "burn": 0, and neither fires. *)
+let test_slo_no_data_is_null () =
+  with_dir (fun d ->
+      let ts = Obs.Tsdb.open_ d in
+      let ob =
+        Obs.Slo.availability ~target:0.99 ~windows:[ (10., 1.0) ] ~name:"quiet"
+          ~total:"q.requests" ~errors:"q.rejected" ()
+      in
+      let slo = Obs.Slo.create ts ob in
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Slo.remove slo;
+          Obs.Tsdb.close ts)
+        (fun () ->
+          let burn_json now =
+            Obs.Jsonl.to_string (Obs.Slo.status_json slo ~now)
+          in
+          Alcotest.(check bool) "no samples: no burn" true
+            (Obs.Slo.burn_rates slo ~now:5. = [ (10., 1.0, None) ]);
+          Alcotest.(check bool) "rendered as null" true
+            (Astring_contains.contains (burn_json 5.) "\"burn\":null");
+          for i = 0 to 5 do
+            Obs.Tsdb.append ts ~series:"q.requests" ~t:(float_of_int i)
+              ~v:(10. *. float_of_int i)
+          done;
+          Alcotest.(check bool) "traffic, no errors: burn 0" true
+            (Obs.Slo.burn_rates slo ~now:5. = [ (10., 1.0, Some 0.) ]);
+          Alcotest.(check bool) "rendered as 0" true
+            (Astring_contains.contains (burn_json 5.) "\"burn\":0");
+          Obs.Slo.evaluate slo ~now:5.;
+          Alcotest.(check bool) "not firing" false (Obs.Slo.firing slo)))
 
 (* ---------------- board sampling ---------------- *)
 
@@ -550,6 +613,10 @@ let suite =
       Alcotest.test_case "slo: burn rate fires and clears" `Quick
         test_slo_burn_rate_fires_and_clears;
       Alcotest.test_case "slo: latency objective" `Quick test_slo_latency_kind;
+      Alcotest.test_case "slo: fires on the first burning tick" `Quick
+        test_slo_fires_on_first_burning_tick;
+      Alcotest.test_case "slo: no data is null, not 0" `Quick
+        test_slo_no_data_is_null;
       Alcotest.test_case "board: samples on window tick" `Quick
         test_board_samples_on_window_tick;
       Alcotest.test_case "serve: /series /query /slo + HEAD" `Quick
