@@ -596,6 +596,12 @@ let run_serve bind port rate duration window_eps data fsync verify_replay
     Fmt.epr "bad --fsync %S (always | never | interval:SECONDS)@." fsync;
     2
   | Some fsync_policy ->
+  (* the demo net is served first: a recovered net of the same name
+     takes its place *)
+  let _env, net, board, round =
+    health_setup ~window_width:(Obs.Window.Episodes window_eps)
+  in
+  Serve.expose ~pp_value:Dval.to_string ~board net;
   (* durability + recovery before the listener opens: a client must
      never observe a hosted network that is still mid-replay *)
   (match data with
@@ -626,33 +632,27 @@ let run_serve bind port rate duration window_eps data fsync verify_replay
           List.iter
             (fun d -> Fmt.pr "  DIVERGENCE %a@." Obs.Replay.pp_divergence d)
             rc.Serve.Wstore.rc_divergences
-        end;
-        Serve.expose ~name:id ~pp_value:Serve.Wstore.pp_value
-          ~board:(Serve.Wstore.board e) (Serve.Wstore.net e))
+        end)
       recoveries);
-  (* after recovery, so every recovered net gets its episode->span
-     kernel sink too *)
-  if tracing then Serve.set_tracing true;
-  let _env, net, board, round =
-    health_setup ~window_width:(Obs.Window.Episodes window_eps)
+  let history =
+    Option.map
+      (fun dir ->
+        let ts = Obs.Tsdb.open_ dir in
+        List.iter
+          (fun w -> Fmt.pr "history recovery: %s@." w)
+          (Obs.Tsdb.recovery_warnings ts);
+        Fmt.pr "history in %s (%d points on disk; GET /query /series /slo)@."
+          dir (Obs.Tsdb.stats ts).Obs.Tsdb.st_points;
+        ts)
+      history
   in
-  Serve.expose ~pp_value:Dval.to_string ~board net;
-  (* after every expose: enabling wires each exposed board's sampler *)
-  (match history with
-  | None -> ()
-  | Some dir ->
-    let ts = Serve.enable_history dir in
-    List.iter
-      (fun w -> Fmt.pr "history recovery: %s@." w)
-      (Obs.Tsdb.recovery_warnings ts);
-    let st = Obs.Tsdb.stats ts in
-    Fmt.pr "history in %s (%d points on disk; GET /query /series /slo)@." dir
-      st.Obs.Tsdb.st_points);
-  match Serve.start ~bind_addr:bind ~port () with
+  match Serve.start ~bind_addr:bind ~port ?history () with
   | exception Unix.Unix_error (e, _, _) ->
     Fmt.epr "cannot bind %s:%d: %s@." bind port (Unix.error_message e);
+    Option.iter Obs.Tsdb.close history;
     1
   | sv ->
+    Obs.Tracing.set_enabled (Serve.tracer sv) tracing;
     let stopping = ref false in
     let on_signal = Sys.Signal_handle (fun _ -> stopping := true) in
     (try Sys.set_signal Sys.sigint on_signal with Invalid_argument _ -> ());
@@ -681,39 +681,39 @@ let run_serve bind port rate duration window_eps data fsync verify_replay
       let now = Unix.gettimeofday () in
       if now -. !last_sample >= 1.0 then begin
         last_sample := now;
-        Serve.history_tick ~now ();
+        Serve.history_tick ~now sv;
         (* bound the kill -9 data-loss window: seal + fsync open blocks
            every --history-flush seconds (sealing early trades a little
            compression for durability, exactly like --fsync interval) *)
         if history_flush > 0.0 && now -. !last_flush >= history_flush then begin
           last_flush := now;
-          Option.iter Obs.Tsdb.flush (Serve.history_store ())
+          Option.iter Obs.Tsdb.flush history
         end
       end;
       try Unix.sleepf period with Unix.Unix_error (EINTR, _, _) -> ()
     done;
     Obs.Board.checkpoint board;
+    (* the last sample, while the server still runs *)
+    Serve.history_tick sv;
     (* graceful drain: stop accepting and finish in-flight requests
        first, then flush every journal and take final snapshots *)
     Serve.stop sv;
     (match Serve.Wstore.close_all () with
     | [] -> ()
-    | ids ->
-      List.iter (fun id -> ignore (Serve.unexpose id)) ids;
-      Fmt.pr "flushed and snapshotted: %s@." (String.concat ", " ids));
+    | ids -> Fmt.pr "flushed and snapshotted: %s@." (String.concat ", " ids));
     ignore (Serve.unexpose net.Constraint_kernel.Types.net_name);
     (* seal + fsync every open block so a restart recovers the series *)
-    if history <> None then begin
-      Serve.history_tick ();
-      Serve.disable_history ();
-      Fmt.pr "history sealed@."
-    end;
+    Option.iter
+      (fun ts ->
+        Obs.Tsdb.close ts;
+        Fmt.pr "history sealed@.")
+      history;
     let st = Serve.stream_stats () in
     Fmt.pr
       "stopped after %.1fs: %d edit round(s), %d request(s) served, %d event \
        line(s) streamed (%d dropped)@."
       (Unix.gettimeofday () -. t0)
-      !tick (Serve.requests_served ()) st.Serve.Stream.st_published
+      !tick (Serve.requests_served sv) st.Serve.Stream.st_published
       st.Serve.Stream.st_dropped;
     0
 

@@ -16,146 +16,72 @@ module Wstore = Wstore
 
 open Constraint_kernel
 
-let events_sink_name = "serve.events"
-
-(* One process-global hub: every exposed network publishes into it,
-   every /events subscriber (of any server instance) drains from it. *)
-let hub = Stream.create ()
+let hub = Wstore.hub
 
 let stream_stats () = Stream.stats hub
 
-(* ---------------- server self-metrics ---------------- *)
+let expose = Wstore.expose
 
-(* Worker threads bump these without a lock: an int-field race can
-   lose an increment, never corrupt memory — acceptable for a request
-   counter, not worth a mutex on every request. *)
-let self = Obs.Metrics.create ()
+let unexpose = Wstore.unexpose
 
-let self_requests = Obs.Metrics.counter self "serve.requests"
+(* ---------------- the server's state ---------------- *)
 
-let self_published = Obs.Metrics.counter self "serve.events_published"
-
-let self_dropped = Obs.Metrics.counter self "serve.events_dropped"
-
-let self_subs = Obs.Metrics.gauge self "serve.events_subscribers"
-
-(* Counters must only move forward; the hub keeps the truth, so raise
-   ours to match at scrape time. *)
-let sync_self () =
-  let st = Stream.stats hub in
-  let catch_up c target =
-    let cur = Obs.Metrics.count c in
-    if target > cur then Obs.Metrics.incr ~by:(target - cur) c
-  in
-  catch_up self_published st.Stream.st_published;
-  catch_up self_dropped st.Stream.st_dropped;
-  Obs.Metrics.set_gauge self_subs (float_of_int st.Stream.st_subscribers)
-
-let requests_served () = Obs.Metrics.count self_requests
-
-(* One process-global admission controller guards every write route.
-   Tests swap in their own instance (tiny budgets, injected clock).
-   Defined up here because /metrics renders its per-tenant counters. *)
-let admission = ref (Admission.create ())
-
-let set_admission a = admission := a
-
-(* ---------------- long-horizon history ---------------- *)
-
-(* One process-global time-series store, off by default.  When
-   enabled, every exposed board samples its instruments into it on
-   window rotation (prefixed by the network name), and the server's
-   own tick (see [history_tick]) adds what no board owns: the serve
-   counters and per-tenant admission totals, plus per-tenant SLO
-   evaluation over the stored series. *)
-
+(* The server's long-horizon history: the store it was started with
+   (the caller opened it and closes it after [stop]) and one
+   availability SLO per tenant seen on its admission controller. *)
 type history = {
   hs_ts : Obs.Tsdb.t;
   hs_slos : (string, Obs.Slo.t) Hashtbl.t;  (* tenant -> availability SLO *)
 }
 
-let history_mu = Mutex.create ()
+type t = {
+  sv_fd : Unix.file_descr;
+  sv_port : int;
+  mutable sv_router : Router.t;
+  mutable sv_running : bool;
+  mutable sv_threads : Thread.t list;
+  sv_queue : Unix.file_descr Queue.t;
+  sv_mu : Mutex.t;
+  sv_cond : Condition.t;
+  mutable sv_conns : Unix.file_descr list;
+  sv_admission : Admission.t;  (* guards every write route *)
+  sv_tracer : Obs.Tracing.t;  (* request spans; off until enabled *)
+  sv_history : history option;
+  (* self-metrics: worker threads bump these without a lock; an
+     int-field race can lose an increment, never corrupt memory *)
+  sv_self : Obs.Metrics.t;
+  sv_requests : Obs.Metrics.counter;
+  sv_published : Obs.Metrics.counter;
+  sv_dropped : Obs.Metrics.counter;
+  sv_subs : Obs.Metrics.gauge;
+}
 
-let history_v : history option ref = ref None
+let port t = t.sv_port
 
-let history_get () =
-  Mutex.lock history_mu;
-  let h = !history_v in
-  Mutex.unlock history_mu;
-  h
+let running t = t.sv_running
 
-let history_store () = Option.map (fun h -> h.hs_ts) (history_get ())
+let tracer t = t.sv_tracer
 
-(* ---------------- request tracing ---------------- *)
+let requests_served t = Obs.Metrics.count t.sv_requests
 
-(* One process-global tracer, off by default: a disabled tracer costs
-   each request one boolean load.  When enabled, every request gets a
-   root span named by its matched route, with parse / admit / episode
-   (+ propagate/drain/check children, via the kernel sink) / append /
-   fsync stages under one trace id, and the per-stage latency
-   histograms below join /metrics. *)
-let tracer =
-  Obs.Tracing.create ~capacity:4096 ~stage_prefix:"serve.stage."
-    ~stages:[ "parse"; "admit"; "episode"; "append"; "fsync" ]
-    ()
-
-let tracing () = Obs.Tracing.enabled tracer
-
-let trace_json () = Obs.Tracing.chrome_json tracer
-
-let attach_trace_sink e =
-  Engine.add_sink (Wstore.net e)
-    (Obs.Tracing.kernel_sink tracer ~net:(Wstore.id e))
-
-let set_tracing on =
-  Obs.Tracing.set_enabled tracer on;
-  (* swing the episode->span kernel sink on every hosted net; newly
-     created nets attach in create_handler while tracing is on *)
-  List.iter
-    (fun e ->
-      if on then attach_trace_sink e
-      else
-        ignore
-          (Engine.remove_sink (Wstore.net e) Obs.Tracing.kernel_sink_name))
-    (Wstore.list ())
+(* Counters must only move forward; the hub keeps the truth, so raise
+   ours to match at scrape time. *)
+let sync_self sv =
+  let st = Stream.stats hub in
+  let catch_up c target =
+    let cur = Obs.Metrics.count c in
+    if target > cur then Obs.Metrics.incr ~by:(target - cur) c
+  in
+  catch_up sv.sv_published st.Stream.st_published;
+  catch_up sv.sv_dropped st.Stream.st_dropped;
+  Obs.Metrics.set_gauge sv.sv_subs (float_of_int st.Stream.st_subscribers)
 
 (* The (tracer, ctx) pair handlers thread into Wstore/Journal, if this
    request is being traced. *)
-let trace_of rq =
+let trace_of sv rq =
   match rq.Http.rq_ctx with
-  | Some ctx when Obs.Tracing.enabled tracer -> Some (tracer, ctx)
+  | Some ctx when Obs.Tracing.enabled sv.sv_tracer -> Some (sv.sv_tracer, ctx)
   | _ -> None
-
-(* ---------------- the exposure registry ---------------- *)
-
-(* Closures erase the network's value type, so heterogeneous networks
-   live in one table. *)
-type entry = {
-  en_name : string;
-  en_metrics : Obs.Metrics.t;
-  en_window : unit -> Obs.Jsonl.json option;  (* current window slot *)
-  en_spans : unit -> Obs.Jsonl.json list;
-  en_exemplars : unit -> Obs.Jsonl.json list;
-  en_topo : unit -> string;  (* DOT document *)
-  en_sink_on : unit -> unit;  (* attach the /events kernel sink *)
-  en_sink_off : unit -> unit;  (* detach it again *)
-  en_history : Obs.Tsdb.t option -> unit;  (* wire the board's sampler *)
-}
-
-let reg_mu = Mutex.create ()
-
-let registry : (string, entry) Hashtbl.t = Hashtbl.create 8
-
-let with_registry f =
-  Mutex.lock reg_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock reg_mu) f
-
-let entries () =
-  with_registry (fun () ->
-      Hashtbl.fold (fun _ e acc -> e :: acc) registry []
-      |> List.sort (fun a b -> compare a.en_name b.en_name))
-
-let exposed () = List.map (fun e -> e.en_name) (entries ())
 
 (* ---------------- JSON rendering ---------------- *)
 
@@ -212,128 +138,29 @@ let window_obj net w =
       ("episode_rate", J_float (episode_rate s));
     ]
 
-(* ---------------- exposing networks ---------------- *)
+(* ---------------- long-horizon history ---------------- *)
 
-let detach_locked name =
-  match Hashtbl.find_opt registry name with
-  | None -> false
-  | Some e ->
-    e.en_sink_off ();
-    e.en_history None;
-    Hashtbl.remove registry name;
-    true
+(* Point every served board's window sampler at the server's store
+   (series prefixed by the network name): at start, and on each tick
+   so networks served later join. *)
+let wire_history h =
+  List.iter
+    (fun (Wstore.Served s) ->
+      Obs.Board.set_history ~prefix:s.name s.board (Some h.hs_ts))
+    (Wstore.served ())
 
-let unexpose name = with_registry (fun () -> detach_locked name)
-
-(* The /events kernel sink is attached only while someone is actually
-   streaming (see the transition hook below): an exposed-but-unwatched
-   network pays nothing per event, not even sink dispatch. *)
-let expose ?name ?pp_value ~board net =
-  let name = Option.value name ~default:net.Types.net_name in
-  let sink =
-    {
-      Types.snk_name = events_sink_name;
-      Types.snk_emit =
-        (fun ep seq ev ->
-          (* the thunk runs on a reader thread, or never (dropped /
-             unmatched); events are immutable so late is fine *)
-          Stream.publish hub ~net:name (fun () ->
-              Obs.Jsonl.json_of_event ~net:name ?pp_value
-                { Types.te_episode = ep; te_seq = seq; te_event = ev }));
-    }
-  in
-  let sink_live = ref false in
-  let entry =
-    {
-      en_name = name;
-      en_metrics = Obs.Board.metrics board;
-      en_window =
-        (fun () ->
-          Option.map (window_obj name) (Obs.Board.window board));
-      en_spans =
-        (fun () -> List.map (span_obj name) (Obs.Board.spans board));
-      en_exemplars =
-        (fun () ->
-          match Obs.Board.sampler board with
-          | None -> []
-          | Some s ->
-            List.map (exemplar_obj name) (Obs.Sampler.exemplars s));
-      en_topo =
-        (fun () ->
-          Obs.Topo.to_dot
-            ~profiler:(Obs.Board.profiler board)
-            ~metrics:(Obs.Board.metrics board)
-            net);
-      en_sink_on =
-        (fun () ->
-          if not !sink_live then begin
-            sink_live := true;
-            Engine.add_sink net sink
-          end);
-      en_sink_off =
-        (fun () ->
-          if !sink_live then begin
-            sink_live := false;
-            ignore (Engine.remove_sink net events_sink_name)
-          end);
-      en_history =
-        (fun ts -> Obs.Board.set_history ~prefix:name board ts);
-    }
-  in
-  (* read the history state before taking [reg_mu]: enable/disable
-     take the locks in the other order *)
-  let hist = history_store () in
-  with_registry (fun () ->
-      ignore (detach_locked name);
-      Hashtbl.replace registry name entry;
-      (* a subscriber may already be streaming when the net appears *)
-      if Stream.active hub then entry.en_sink_on ();
-      (* likewise, history may already be on when the net appears *)
-      match hist with None -> () | Some _ -> entry.en_history hist)
-
-(* ---------------- history lifecycle ---------------- *)
-
-let enable_history ?seg_bytes ?retain_bytes dir =
-  let ts = Obs.Tsdb.open_ ?seg_bytes ?retain_bytes dir in
-  Mutex.lock history_mu;
-  let prev = !history_v in
-  history_v := Some { hs_ts = ts; hs_slos = Hashtbl.create 8 };
-  Mutex.unlock history_mu;
-  (match prev with
-  | None -> ()
-  | Some h ->
-    Hashtbl.iter (fun _ slo -> Obs.Slo.remove slo) h.hs_slos;
-    Obs.Tsdb.close h.hs_ts);
-  with_registry (fun () ->
-      Hashtbl.iter (fun _ e -> e.en_history (Some ts)) registry);
-  ts
-
-let disable_history () =
-  Mutex.lock history_mu;
-  let prev = !history_v in
-  history_v := None;
-  Mutex.unlock history_mu;
-  match prev with
-  | None -> ()
-  | Some h ->
-    with_registry (fun () ->
-        Hashtbl.iter (fun _ e -> e.en_history None) registry);
-    Hashtbl.iter (fun _ slo -> Obs.Slo.remove slo) h.hs_slos;
-    (* flush-then-close: every open block is sealed, framed and
-       fsynced, so a drain on SIGTERM loses nothing *)
-    Obs.Tsdb.close h.hs_ts
+let unwire_history h =
+  List.iter
+    (fun (Wstore.Served s) ->
+      match Obs.Board.history s.board with
+      | Some ts when ts == h.hs_ts -> Obs.Board.set_history s.board None
+      | _ -> ())
+    (Wstore.served ());
+  Hashtbl.iter (fun _ slo -> Obs.Slo.remove slo) h.hs_slos
 
 (* Per-tenant availability objective: admitted+rejected as the request
    total, rejections as the bad events.  Applied to tenants as they
    appear in the admission table. *)
-let slo_target = ref 0.99
-
-let slo_windows = ref [ (60., 2.0); (300., 1.0) ]
-
-let set_slo ?(target = 0.99) ?(windows = [ (60., 2.0); (300., 1.0) ]) () =
-  slo_target := target;
-  slo_windows := windows
-
 let tenant_slo h tenant =
   match Hashtbl.find_opt h.hs_slos tenant with
   | Some slo -> slo
@@ -341,7 +168,8 @@ let tenant_slo h tenant =
     let p = "serve.tenant." ^ tenant in
     let slo =
       Obs.Slo.create h.hs_ts
-        (Obs.Slo.availability ~target:!slo_target ~windows:!slo_windows
+        (Obs.Slo.availability ~target:0.99
+           ~windows:[ (60., 2.0); (300., 1.0) ]
            ~name:("tenant-" ^ tenant) ~total:(p ^ ".requests")
            ~errors:(p ^ ".rejected") ())
     in
@@ -350,20 +178,18 @@ let tenant_slo h tenant =
 
 (* The server's own sampling tick: board instruments ride their
    windows' rotations; this covers what no board owns (serve counters,
-   per-tenant admission totals) and then evaluates the SLOs.  Driven
-   by the CLI's serve loop (once a second) or directly by tests with
-   an injected [now]. *)
-let history_tick ?now () =
-  match history_get () with
-  | None -> ()
-  | Some h ->
+   per-tenant admission totals) and then evaluates the SLOs. *)
+let history_tick ?now sv =
+  match sv.sv_history with
+  | Some h when sv.sv_running ->
+    wire_history h;
     let now = match now with Some t -> t | None -> Unix.gettimeofday () in
-    sync_self ();
+    sync_self sv;
     let app series v = Obs.Tsdb.append h.hs_ts ~series ~t:now ~v in
-    app "serve.requests" (float_of_int (Obs.Metrics.count self_requests));
+    app "serve.requests" (float_of_int (Obs.Metrics.count sv.sv_requests));
     app "serve.events_published"
-      (float_of_int (Obs.Metrics.count self_published));
-    app "serve.events_dropped" (float_of_int (Obs.Metrics.count self_dropped));
+      (float_of_int (Obs.Metrics.count sv.sv_published));
+    app "serve.events_dropped" (float_of_int (Obs.Metrics.count sv.sv_dropped));
     List.iter
       (fun (tenant, admitted, rejected, over) ->
         let p = "serve.tenant." ^ tenant in
@@ -371,13 +197,14 @@ let history_tick ?now () =
         app (p ^ ".rejected") (float_of_int rejected);
         app (p ^ ".over_budget") (float_of_int over);
         Obs.Slo.evaluate (tenant_slo h tenant) ~now)
-      (Admission.tenants !admission)
+      (Admission.tenants sv.sv_admission)
+  | _ -> ()
 
-let slos_json ?now () =
-  match history_get () with
+let slos_json sv =
+  match sv.sv_history with
   | None -> "[]"
   | Some h ->
-    let now = match now with Some t -> t | None -> Unix.gettimeofday () in
+    let now = Unix.gettimeofday () in
     let rows =
       Hashtbl.fold (fun _ slo acc -> slo :: acc) h.hs_slos []
       |> List.sort (fun a b ->
@@ -386,30 +213,21 @@ let slos_json ?now () =
     in
     J.to_string (J_arr (List.map (fun s -> Obs.Slo.status_json s ~now) rows))
 
-(* Swing every exposed net's sink on the 0<->1 subscriber edges.  The
-   hook runs outside the hub lock precisely so taking [reg_mu] here
-   cannot deadlock against a request thread that holds [reg_mu] and
-   asks the hub for stats. *)
-let () =
-  Stream.set_on_transition hub (fun streaming ->
-      with_registry (fun () ->
-          Hashtbl.iter
-            (fun _ e -> if streaming then e.en_sink_on () else e.en_sink_off ())
-            registry))
-
 (* ---------------- endpoint renderers ---------------- *)
 
-let render_metrics () =
-  sync_self ();
+let render_metrics sv =
+  sync_self sv;
   let sources =
-    List.map (fun e -> (e.en_name, e.en_metrics)) (entries ())
-    @ [ ("", self); ("", Obs.Tracing.metrics tracer) ]
+    List.map
+      (fun (Wstore.Served s) -> (s.name, Obs.Board.metrics s.board))
+      (Wstore.served ())
+    @ [ ("", sv.sv_self); ("", Obs.Tracing.metrics sv.sv_tracer) ]
   in
   let buf = Buffer.create 512 in
   Buffer.add_string buf (Exposition.render sources);
   (* per-tenant admission counters: dynamic label values, rendered by
      the controller itself rather than a Metrics registry *)
-  Admission.render_prometheus !admission buf;
+  Admission.render_prometheus sv.sv_admission buf;
   Buffer.contents buf
 
 let healthz_status () = if Obs.Watchdog.healthy () then 200 else 503
@@ -429,13 +247,18 @@ let healthz_json () =
                firing) );
       ]
   in
-  let es = entries () in
+  let served = Wstore.served () in
   J.to_string
     (J_obj
        [
          ("healthy", J_bool (Obs.Watchdog.healthy ()));
          ("nets", J_arr (List.map net (Obs.Watchdog.health ())));
-         ("windows", J_arr (List.filter_map (fun e -> e.en_window ()) es));
+         ( "windows",
+           J_arr
+             (List.filter_map
+                (fun (Wstore.Served s) ->
+                  Option.map (window_obj s.name) (Obs.Board.window s.board))
+                served) );
          ( "stream",
            J_obj
              [
@@ -443,7 +266,8 @@ let healthz_json () =
                ("dropped", J_int st.Stream.st_dropped);
                ("subscribers", J_int st.Stream.st_subscribers);
              ] );
-         ("exposed", J_arr (List.map (fun e -> J.J_str e.en_name) es));
+         ( "exposed",
+           J_arr (List.map (fun (Wstore.Served s) -> J.J_str s.name) served) );
        ])
 
 let alerts_ndjson () =
@@ -458,32 +282,28 @@ let alerts_ndjson () =
     (Obs.Watchdog.registered ());
   Buffer.contents buf
 
-let series_json () =
-  match history_store () with
-  | None -> None
-  | Some ts ->
-    let st = Obs.Tsdb.stats ts in
-    let row (name, points, first, last) =
-      J.J_obj
-        [
-          ("series", J_str name);
-          ("points", J_int points);
-          ("first", J_float first);
-          ("last", J_float last);
-        ]
-    in
-    Some
-      (J.to_string
-         (J_obj
-            [
-              ("dir", J_str (Obs.Tsdb.dir ts));
-              ("segments", J_int st.Obs.Tsdb.st_segments);
-              ("blocks", J_int st.Obs.Tsdb.st_blocks);
-              ("points", J_int st.Obs.Tsdb.st_points);
-              ("disk_bytes", J_int st.Obs.Tsdb.st_disk_bytes);
-              ("compression", J_float st.Obs.Tsdb.st_ratio);
-              ("series", J_arr (List.map row (Obs.Tsdb.series ts)));
-            ]))
+let series_json ts =
+  let st = Obs.Tsdb.stats ts in
+  let row (name, points, first, last) =
+    J.J_obj
+      [
+        ("series", J_str name);
+        ("points", J_int points);
+        ("first", J_float first);
+        ("last", J_float last);
+      ]
+  in
+  J.to_string
+    (J_obj
+       [
+         ("dir", J_str (Obs.Tsdb.dir ts));
+         ("segments", J_int st.Obs.Tsdb.st_segments);
+         ("blocks", J_int st.Obs.Tsdb.st_blocks);
+         ("points", J_int st.Obs.Tsdb.st_points);
+         ("disk_bytes", J_int st.Obs.Tsdb.st_disk_bytes);
+         ("compression", J_float st.Obs.Tsdb.st_ratio);
+         ("series", J_arr (List.map row (Obs.Tsdb.series ts)));
+       ])
 
 let query_json ts ~series ~from_ ~to_ ~step =
   let head =
@@ -523,20 +343,37 @@ let query_json ts ~series ~from_ ~to_ ~step =
           ]))
 
 let spans_json () =
-  J.to_string (J_arr (List.concat_map (fun e -> e.en_spans ()) (entries ())))
+  J.to_string
+    (J_arr
+       (List.concat_map
+          (fun (Wstore.Served s) ->
+            List.map (span_obj s.name) (Obs.Board.spans s.board))
+          (Wstore.served ())))
 
 let exemplars_json () =
   J.to_string
-    (J_arr (List.concat_map (fun e -> e.en_exemplars ()) (entries ())))
+    (J_arr
+       (List.concat_map
+          (fun (Wstore.Served s) ->
+            match Obs.Board.sampler s.board with
+            | None -> []
+            | Some smp ->
+              List.map (exemplar_obj s.name) (Obs.Sampler.exemplars smp))
+          (Wstore.served ())))
 
-let topo_dot ?net () =
-  match (net, entries ()) with
+let topo_dot net =
+  let dot (Wstore.Served s) =
+    Obs.Topo.to_dot
+      ~profiler:(Obs.Board.profiler s.board)
+      ~metrics:(Obs.Board.metrics s.board)
+      s.net
+  in
+  match (net, Wstore.served ()) with
   | _, [] -> None
-  | None, es -> Some (String.concat "\n" (List.map (fun e -> e.en_topo ()) es))
-  | Some n, es -> (
-    match List.find_opt (fun e -> e.en_name = n) es with
-    | None -> None
-    | Some e -> Some (e.en_topo ()))
+  | None, served -> Some (String.concat "\n" (List.map dot served))
+  | Some n, served ->
+    Option.map dot
+      (List.find_opt (fun (Wstore.Served s) -> s.name = n) served)
 
 (* ---------------- the write API ---------------- *)
 
@@ -576,12 +413,12 @@ let rejection_note = function
    finish.  Under tracing, the decision is an "admit" span — a
    rejection finishes it as an annotated terminal span, so a 429/503
    still yields a complete trace. *)
-let with_admission rq f =
-  let tr = trace_of rq in
+let with_admission sv rq f =
+  let tr = trace_of sv rq in
   let t0 =
     match tr with Some (t, _) -> Obs.Tracing.now t | None -> 0.0
   in
-  let d = Admission.admit !admission ~tenant:(tenant_of rq) in
+  let d = Admission.admit sv.sv_admission ~tenant:(tenant_of rq) in
   (match tr with
   | Some (t, ctx) ->
     Obs.Tracing.span t ~parent:ctx ~name:"admit" ~start:t0
@@ -592,7 +429,7 @@ let with_admission rq f =
     let over = ref false in
     Fun.protect
       ~finally:(fun () ->
-        Admission.finish !admission ticket ~over_budget:!over)
+        Admission.finish sv.sv_admission ticket ~over_budget:!over)
       (fun () -> f ticket over)
   | d -> rejection d
 
@@ -670,13 +507,13 @@ let body_lines rq =
 
 let param_id rq = Option.value (Http.param rq "id") ~default:""
 
-let create_handler rq =
+let create_handler sv rq =
   match Http.query rq "id" with
   | None -> Router.json ~status:422 (err_json "missing ?id=")
   | Some id ->
-    with_admission rq (fun _ticket _over ->
+    with_admission sv rq (fun _ticket _over ->
         let step_budget =
-          (Admission.config !admission).Admission.ac_step_budget
+          (Admission.config sv.sv_admission).Admission.ac_step_budget
         in
         match
           Wstore.create ~tenant:(tenant_of rq) ~step_budget ~id
@@ -685,19 +522,13 @@ let create_handler rq =
         | Error msg ->
           let status = if Wstore.find ~id <> None then 409 else 422 in
           Router.json ~status (err_json msg)
-        | Ok e ->
-          (* newly hosted networks are readable too: board telemetry
-             joins /metrics, /spans, /events like any exposed net *)
-          expose ~name:id ~pp_value:Wstore.pp_value ~board:(Wstore.board e)
-            (Wstore.net e);
-          if tracing () then attach_trace_sink e;
-          Router.json ~status:201 (J.to_string (entry_obj e)))
+        | Ok e -> Router.json ~status:201 (J.to_string (entry_obj e)))
 
-let set_handler rq =
+let set_handler sv rq =
   match entry_for rq (param_id rq) with
   | Error reply -> reply
   | Ok e ->
-    with_admission rq (fun ticket over ->
+    with_admission sv rq (fun ticket over ->
         match body_lines rq with
         | [] -> Router.json ~status:422 (err_json "empty set batch")
         | lines ->
@@ -706,7 +537,7 @@ let set_handler rq =
           let emit fields = results := J.J_obj fields :: !results in
           List.iter
             (fun line ->
-              if !aborted > 0 || Admission.deadline_exceeded !admission ticket
+              if !aborted > 0 || Admission.deadline_exceeded sv.sv_admission ticket
               then begin
                 if !aborted = 0 then over := true;
                 incr aborted
@@ -718,7 +549,7 @@ let set_handler rq =
                   emit [ ("ok", J_bool false); ("error", J_str msg) ]
                 | Ok (path, value, just) -> (
                   match
-                    Wstore.apply_set ?trace:(trace_of rq) e ~path ~value ~just
+                    Wstore.apply_set ?trace:(trace_of sv rq) e ~path ~value ~just
                   with
                   | Ok () ->
                     incr applied;
@@ -801,26 +632,9 @@ let drop_handler rq =
   | Ok e ->
     let id = Wstore.id e in
     ignore (Wstore.drop ~id);
-    ignore (unexpose id);
     Router.json (J.to_string (J_obj [ ("dropped", J_str id) ]))
 
 (* ---------------- the server ---------------- *)
-
-type t = {
-  sv_fd : Unix.file_descr;
-  sv_port : int;
-  mutable sv_router : Router.t;
-  mutable sv_running : bool;
-  mutable sv_threads : Thread.t list;
-  sv_queue : Unix.file_descr Queue.t;
-  sv_mu : Mutex.t;
-  sv_cond : Condition.t;
-  mutable sv_conns : Unix.file_descr list;
-}
-
-let port t = t.sv_port
-
-let running t = t.sv_running
 
 let max_pending = 64
 
@@ -914,30 +728,30 @@ let routes sv =
          bound or mid-batch deadline; both carry retry-after seconds.\n");
   get "/metrics" (fun _ ->
       Router.text ~content_type:"text/plain; version=0.0.4; charset=utf-8"
-        (render_metrics ()));
+        (render_metrics sv));
   get "/healthz" (fun _ -> Router.json ~status:(healthz_status ()) (healthz_json ()));
   get "/alerts" (fun _ -> Router.ndjson (alerts_ndjson ()));
   get "/exemplars" (fun _ -> Router.json (exemplars_json ()));
   get "/spans" (fun _ -> Router.json (spans_json ()));
   get "/topo.dot" (fun rq ->
-      match topo_dot ?net:(Http.query rq "net") () with
+      match topo_dot (Http.query rq "net") with
       | Some dot -> Router.text ~content_type:"text/vnd.graphviz" dot
       | None -> Router.text ~status:404 "no exposed network\n");
   get "/events" (fun _ -> Router.Stream_reply (events_handler sv));
-  get "/trace" (fun _ -> Router.json (trace_json ()));
+  get "/trace" (fun _ -> Router.json (Obs.Tracing.chrome_json sv.sv_tracer));
+  let history_disabled () =
+    Router.json ~status:404
+      (err_json "history disabled (serve with --history DIR)")
+  in
   get "/series" (fun _ ->
-      match series_json () with
-      | Some body -> Router.json body
-      | None ->
-        Router.json ~status:404
-          (err_json "history disabled (serve with --history DIR)"));
+      match sv.sv_history with
+      | Some h -> Router.json (series_json h.hs_ts)
+      | None -> history_disabled ());
   get "/query" (fun rq ->
       let qfloat name = Option.bind (Http.query rq name) float_of_string_opt in
-      match history_store () with
-      | None ->
-        Router.json ~status:404
-          (err_json "history disabled (serve with --history DIR)")
-      | Some ts -> (
+      match sv.sv_history with
+      | None -> history_disabled ()
+      | Some { hs_ts = ts; _ } -> (
         match Http.query rq "metric" with
         | None -> Router.json ~status:422 (err_json "missing ?metric=")
         | Some series -> (
@@ -956,24 +770,25 @@ let routes sv =
               Router.json ~status:422
                 (err_json "step must be a positive number"))
           | None -> Router.json (query_json ts ~series ~from_ ~to_ ~step:None))));
-  get "/slo" (fun _ -> Router.json (slos_json ()));
+  get "/slo" (fun _ -> Router.json (slos_json sv));
   get "/nets" (fun _ -> Router.json (nets_json ()));
-  post "/nets" create_handler;
+  post "/nets" (create_handler sv);
   get "/nets/:id/state" (fun rq ->
       match entry_for rq (param_id rq) with
       | Error reply -> reply
       | Ok e -> Router.json (state_json e));
-  post "/nets/:id/set" set_handler;
+  post "/nets/:id/set" (set_handler sv);
   post "/nets/:id/why" why_handler;
   post "/nets/:id/blame" blame_handler;
   post "/nets/:id/snapshot" snapshot_handler;
   post "/nets/:id/drop" drop_handler;
-  get "/admission" (fun _ -> Router.json (Admission.stats_json !admission));
+  get "/admission" (fun _ -> Router.json (Admission.stats_json sv.sv_admission));
   r
 
 let rec serve_requests sv conn =
   (* one boolean load per request when tracing is off; the clock is
      only read on the traced path *)
+  let tracer = sv.sv_tracer in
   let tr = Obs.Tracing.enabled tracer in
   let t0 = if tr then Obs.Tracing.now tracer else 0.0 in
   match Http.read_request conn with
@@ -987,7 +802,7 @@ let rec serve_requests sv conn =
       ~headers:[ ("connection", "close") ]
       ~body:(msg ^ "\n")
   | Ok rq -> (
-    Obs.Metrics.tick self_requests;
+    Obs.Metrics.tick sv.sv_requests;
     match Http.read_body conn rq with
     | Error Http.Too_large ->
       Http.write_response (Http.fd conn) ~status:413
@@ -1118,7 +933,8 @@ let accept_loop sv =
   in
   loop ()
 
-let start ?(bind_addr = "127.0.0.1") ?(port = 9464) ?(workers = 4) () =
+let start ?(bind_addr = "127.0.0.1") ?(port = 9464) ?(workers = 4)
+    ?(admission = Admission.create ()) ?history () =
   Lazy.force ignore_sigpipe;
   let addr = Unix.inet_addr_of_string bind_addr in
   let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
@@ -1132,6 +948,7 @@ let start ?(bind_addr = "127.0.0.1") ?(port = 9464) ?(workers = 4) () =
   let actual_port =
     match Unix.getsockname fd with ADDR_INET (_, p) -> p | _ -> port
   in
+  let self = Obs.Metrics.create () in
   let sv =
     {
       sv_fd = fd;
@@ -1143,8 +960,21 @@ let start ?(bind_addr = "127.0.0.1") ?(port = 9464) ?(workers = 4) () =
       sv_mu = Mutex.create ();
       sv_cond = Condition.create ();
       sv_conns = [];
+      sv_admission = admission;
+      sv_tracer =
+        Obs.Tracing.create ~capacity:4096 ~stage_prefix:"serve.stage."
+          ~stages:[ "parse"; "admit"; "episode"; "append"; "fsync" ]
+          ();
+      sv_history =
+        Option.map (fun ts -> { hs_ts = ts; hs_slos = Hashtbl.create 8 }) history;
+      sv_self = self;
+      sv_requests = Obs.Metrics.counter self "serve.requests";
+      sv_published = Obs.Metrics.counter self "serve.events_published";
+      sv_dropped = Obs.Metrics.counter self "serve.events_dropped";
+      sv_subs = Obs.Metrics.gauge self "serve.events_subscribers";
     }
   in
+  Option.iter wire_history sv.sv_history;
   (* the routes close over [sv] (for the /events stop predicate) *)
   sv.sv_router <- routes sv;
   let threads =
@@ -1182,5 +1012,8 @@ let stop sv =
     Queue.iter
       (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
       sv.sv_queue;
-    Queue.clear sv.sv_queue
+    Queue.clear sv.sv_queue;
+    (* withdraw what this server attached to served networks *)
+    Wstore.untrace sv.sv_tracer;
+    Option.iter unwire_history sv.sv_history
   end

@@ -23,12 +23,15 @@
       after N lines — for scripted scrapes). A slow or stalled scraper
       loses lines, never stalls propagation.
 
-    Networks join the board via {!expose} (process-global registry, so
-    [Dual]-bridged networks appear under one server); the server itself
-    is {!start}/{!stop}. Threading: one accept thread feeds a bounded
-    queue drained by a small worker pool; every blocking syscall
-    releases the OCaml runtime lock, so an idle server costs the
-    propagation thread nothing. *)
+    Networks join the board through the one registry of served
+    networks ({!Wstore}): hosting a network there serves it, and
+    {!expose} serves a network read-only. The server itself is
+    {!start}/{!stop}; it owns its admission controller, request tracer,
+    self-metrics and history wiring, so two servers share nothing but
+    the registry and its [/events] hub. Threading: one accept thread
+    feeds a bounded queue drained by a small worker pool; every
+    blocking syscall releases the OCaml runtime lock, so an idle
+    server costs the propagation thread nothing. *)
 
 module Http : module type of Http
 
@@ -48,20 +51,16 @@ module Wstore : module type of Wstore
 
 open Constraint_kernel
 
-(** {1 Exposing networks}
+(** {1 Read-only networks}
 
-    Process-global, like the watchdog registry: exposure outlives any
-    particular server, and one server publishes every exposed net. *)
+    For networks served but not hosted (a shell session, a demo
+    workload). Hosted networks join and leave with {!Wstore.create},
+    {!Wstore.adopt}, {!Wstore.recover} and {!Wstore.drop}. *)
 
-(** [expose ~board net] registers [net]'s telemetry under [?name]
-    (default the network's name). The [/events] feed sink (named
-    {!events_sink_name}) is attached to [net] only while at least one
-    subscriber is streaming — an exposed-but-unwatched network pays
-    nothing per event, not even sink dispatch — and lines are
-    formatted lazily on the reader's thread, so a stalled scraper
-    costs the propagation thread a closure and a queue push, never a
-    JSON render. Re-exposing a name replaces the previous
-    registration. *)
+(** {!Wstore.expose}: serve [net]'s telemetry under [?name] (default
+    the network's name). The [/events] feed sink is attached only
+    while a subscriber is streaming, and lines are formatted lazily on
+    the reader's thread. *)
 val expose :
   ?name:string ->
   ?pp_value:('a -> string) ->
@@ -69,14 +68,8 @@ val expose :
   'a Types.network ->
   unit
 
-(** Detach the feed sink and forget the registration; [false] if the
-    name was not exposed. *)
+(** {!Wstore.unexpose}; [false] if the name is not exposed read-only. *)
 val unexpose : string -> bool
-
-(** Exposed names, sorted. *)
-val exposed : unit -> string list
-
-val events_sink_name : string
 
 (** The process-global [/events] hub (exposed for benchmarks/tests). *)
 val hub : Stream.t
@@ -88,13 +81,24 @@ val stream_stats : unit -> Stream.stats
 type t
 
 (** [start ()] — defaults: bind 127.0.0.1, port 9464 (0 picks an
-    ephemeral port — read it back with {!port}), 4 workers. Raises
-    [Unix.Unix_error] if the address cannot be bound. *)
-val start : ?bind_addr:string -> ?port:int -> ?workers:int -> unit -> t
+    ephemeral port — read it back with {!port}), 4 workers, a fresh
+    {!Admission} controller, no history. [?history] is a store the
+    caller opened and closes after {!stop}. Raises [Unix.Unix_error]
+    if the address cannot be bound. *)
+val start :
+  ?bind_addr:string ->
+  ?port:int ->
+  ?workers:int ->
+  ?admission:Admission.t ->
+  ?history:Obs.Tsdb.t ->
+  unit ->
+  t
 
 (** Idempotent. Wakes every blocked thread, shuts live connections
     down, joins the pool. In-flight [/events] streams end with the
-    terminating chunk. *)
+    terminating chunk. Then detaches this server's tracing sink from
+    every hosted net, unwires its history from every served board and
+    removes its tenant SLOs. *)
 val stop : t -> unit
 
 (** The actual bound port. *)
@@ -102,33 +106,12 @@ val port : t -> int
 
 val running : t -> bool
 
-(** Requests answered process-wide (all servers). *)
-val requests_served : unit -> int
-
-(** {1 Endpoint renderers}
-
-    The pure content behind the routes, exposed so unit tests (and the
-    CLI) can exercise them without a socket. *)
-
-val render_metrics : unit -> string
-
-val healthz_json : unit -> string
-
-(** 200 when {!Obs.Watchdog.healthy}, else 503. *)
-val healthz_status : unit -> int
-
-val alerts_ndjson : unit -> string
-
-val spans_json : unit -> string
-
-val exemplars_json : unit -> string
-
-(** [None] when nothing is exposed or [net] is unknown. *)
-val topo_dot : ?net:string -> unit -> string option
+(** Requests this server answered. *)
+val requests_served : t -> int
 
 (** {1 The write API}
 
-    Mounted on the same server, guarded by one process-global
+    Mounted on the same server, guarded by the server's
     {!Admission} controller (tenant from the [x-tenant] header or
     [?tenant=], default ["anon"]; only the owning tenant may touch a
     network — others get 403):
@@ -146,7 +129,7 @@ val topo_dot : ?net:string -> unit -> string option
     - [POST /nets/:id/why?var=] / [/blame?var=] — provenance chains
       over the hosted network, JSON.
     - [POST /nets/:id/snapshot] — checkpoint now (journal truncated).
-    - [POST /nets/:id/drop] — final snapshot, unhost, unexpose.
+    - [POST /nets/:id/drop] — final snapshot, unhost.
     - [GET /admission] — per-tenant admission counters.
 
     Backpressure: 429 ([Busy]/[Quarantined]) and 503 ([Overloaded])
@@ -154,83 +137,46 @@ val topo_dot : ?net:string -> unit -> string option
     stalled writer never starves other tenants (they are bounded per
     tenant, not globally punished). *)
 
-(** Swap the process-global admission controller (tests use tiny
-    budgets and an injected clock). *)
-val set_admission : Admission.t -> unit
-
 (** {1 Long-horizon history}
 
-    An embedded time-series store ({!Obs.Tsdb}), off by default. When
-    enabled, every exposed board samples its instruments into it on
-    each window rotation (series prefixed by the network name), and
-    {!history_tick} adds the server's own counters plus per-tenant
-    admission totals — then evaluates one availability SLO per tenant
-    ({!Obs.Slo}, firing through the watchdog registry onto [/alerts]
-    and [/healthz]). Read side:
+    With [?history] given to {!start}, every served board samples its
+    instruments into the store on each window rotation (series
+    prefixed by the network name), and {!history_tick} adds the
+    server's own counters plus per-tenant admission totals — then
+    evaluates one availability SLO per tenant ({!Obs.Slo}: target
+    0.99, windows 60 s at burn 2 and 300 s at burn 1, firing through
+    the watchdog registry onto [/alerts] and [/healthz]). Read side:
 
     - [GET /series] — stored series and store statistics, JSON.
     - [GET /query?metric=&from=&to=&step=] — range read; with [step],
       per-bucket min/max/avg downsampling, else raw points. Defaults:
-      the last hour. 404 while history is disabled, 422 on a missing
-      metric or bad step.
+      the last hour. 404 without a store, 422 on a missing metric or
+      bad step.
     - [GET /slo] — per-tenant burn rates and firing state, JSON. *)
 
-(** Open (or re-open, recovering any torn tail) a store under [dir]
-    and wire every exposed board into it. Returns the store so callers
-    can report {!Obs.Tsdb.recovery_warnings}. Replaces (and closes) a
-    previously enabled store. *)
-val enable_history :
-  ?seg_bytes:int -> ?retain_bytes:int -> string -> Obs.Tsdb.t
-
-(** Unwire the boards, remove the per-tenant SLOs, seal and fsync every
-    open block, close the store. Idempotent — the SIGTERM drain calls
-    this so a restart recovers the full series. *)
-val disable_history : unit -> unit
-
-(** The enabled store, if any. *)
-val history_store : unit -> Obs.Tsdb.t option
-
-(** One sampling tick: serve counters and per-tenant admission totals
-    into the store (timestamps from [now], default wall clock), then
-    per-tenant SLO evaluation. No-op while history is disabled. The
-    CLI's serve loop calls this once a second. *)
-val history_tick : ?now:float -> unit -> unit
-
-(** Override the per-tenant availability objective applied to tenants
-    as they first appear (default: target 0.99, windows 60 s at burn 2
-    and 300 s at burn 1). Affects tenants seen after the call. *)
-val set_slo : ?target:float -> ?windows:(float * float) list -> unit -> unit
-
-(** The [/slo] body. *)
-val slos_json : ?now:float -> unit -> string
-
-(** The [/series] body; [None] while history is disabled. *)
-val series_json : unit -> string option
+(** One sampling tick: re-point every served board at the store (so
+    networks served since the last tick join), then serve counters and
+    per-tenant admission totals into it (timestamps from [now], default
+    wall clock), then per-tenant SLO evaluation. No-op without a store
+    or once stopped. The CLI's serve loop calls this once a second. *)
+val history_tick : ?now:float -> t -> unit
 
 (** {1 Request tracing}
 
-    End-to-end spans across the write path, off by default. When
-    enabled, every request carries a trace context from the first
-    parsed byte to the journal fsync: a root span named by the matched
-    route, with [parse], [admit] (rejections finish it as an annotated
+    End-to-end spans across the write path, off until the server's
+    tracer is enabled ([Obs.Tracing.set_enabled (tracer t) true]).
+    Then every request carries a trace context from the first parsed
+    byte to the journal fsync: a root span named by the matched route,
+    with [parse], [admit] (rejections finish it as an annotated
     terminal span), [episode] (the engine's episode bracket, with
-    propagate/drain/check children from the phase timings), [append]
-    and [fsync] stages under one trace id. [GET /trace] serves the
-    ring as Chrome trace-event JSON (open in Perfetto or
-    chrome://tracing), and the per-stage latency histograms
-    ([serve.stage.parse|admit|episode|append|fsync], µs) join
-    [/metrics]. Disabled, the whole machinery costs each request one
-    boolean load. *)
+    propagate/drain/check children from the phase timings; the
+    tracer's kernel sink joins a hosted net on its first traced
+    write), [append] and [fsync] stages under one trace id.
+    [GET /trace] serves the ring as Chrome trace-event JSON (open in
+    Perfetto or chrome://tracing), and the per-stage latency
+    histograms ([serve.stage.parse|admit|episode|append|fsync], µs)
+    join [/metrics]. Disabled, the whole machinery costs each request
+    one boolean load. *)
 
-(** The process-global request tracer. *)
-val tracer : Obs.Tracing.t
-
-(** Enable/disable request tracing; enabling attaches the tracing
-    kernel sink to every currently hosted network (nets created later
-    attach on creation), disabling detaches it. *)
-val set_tracing : bool -> unit
-
-val tracing : unit -> bool
-
-(** The [/trace] body: the tracer's ring as Chrome trace-event JSON. *)
-val trace_json : unit -> string
+(** The server's request tracer. *)
+val tracer : t -> Obs.Tracing.t

@@ -157,6 +157,7 @@ type entry = {
   e_owned : bool;  (* created here (vs adopted): drop detaches obs *)
   mutable e_acked : int;  (* sets acknowledged over this entry's lifetime *)
   mutable e_since_snapshot : int;
+  mutable e_tracer : Obs.Tracing.t option;  (* whose kernel sink is on *)
 }
 
 let id e = e.e_id
@@ -175,19 +176,118 @@ let acked e = e.e_acked
 
 let journal e = e.e_journal
 
-let nets_mu = Mutex.create ()
+(* ---------------- the served-network registry ----------------
 
-let nets : (string, entry) Hashtbl.t = Hashtbl.create 8
+   One table lists every network the telemetry server publishes: the
+   hosted ones (writable, with an [entry]) and the read-only exposed
+   ones.  Hosting a network serves it in the same step, dropping it
+   withdraws it.  The existential hides each network's value type, so
+   heterogeneous networks share the table. *)
 
-let with_nets f =
-  Mutex.lock nets_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock nets_mu) f
+type served =
+  | Served : {
+      name : string;
+      net : 'a Types.network;
+      board : 'a Obs.Board.t;
+    }
+      -> served
 
-let find ~id = with_nets (fun () -> Hashtbl.find_opt nets id)
+type slot = {
+  served : served;
+  host : entry option;
+  stream : bool -> unit;  (* attach/detach the /events feed sink *)
+}
+
+(* One hub: every served network publishes into it, every /events
+   subscriber (of any server) drains from it. *)
+let hub = Stream.create ()
+
+let reg_mu = Mutex.create ()
+
+let registry : (string, slot) Hashtbl.t = Hashtbl.create 8
+
+let with_registry f =
+  Mutex.lock reg_mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock reg_mu) f
+
+let find ~id =
+  match with_registry (fun () -> Hashtbl.find_opt registry id) with
+  | Some { host; _ } -> host
+  | None -> None
+
+let slots () =
+  with_registry (fun () -> Hashtbl.fold (fun _ s acc -> s :: acc) registry [])
 
 let list () =
-  with_nets (fun () -> Hashtbl.fold (fun _ e acc -> e :: acc) nets [])
+  List.filter_map (fun s -> s.host) (slots ())
   |> List.sort (fun a b -> compare a.e_id b.e_id)
+
+let served () =
+  List.map (fun s -> s.served) (slots ())
+  |> List.sort (fun (Served a) (Served b) -> compare a.name b.name)
+
+(* The /events sink is attached only while someone is streaming: a
+   served-but-unwatched network pays nothing per event, not even sink
+   dispatch.  Lines are formatted lazily on the reader's thread. *)
+let slot_of ?host ?pp_value ~name ~board net =
+  let sink_name = "serve.events." ^ name in
+  let sink =
+    {
+      Types.snk_name = sink_name;
+      snk_emit =
+        (fun ep seq ev ->
+          Stream.publish hub ~net:name (fun () ->
+              Obs.Jsonl.json_of_event ~net:name ?pp_value
+                { Types.te_episode = ep; te_seq = seq; te_event = ev }));
+    }
+  in
+  let live = ref false in
+  let stream on =
+    if on && not !live then Engine.add_sink net sink
+    else if !live && not on then ignore (Engine.remove_sink net sink_name);
+    live := on
+  in
+  { served = Served { name; net; board }; host; stream }
+
+(* Withdrawal undoes what serving wired: the feed sink and a server's
+   history sampling of the board. *)
+let withdraw_locked name =
+  match Hashtbl.find_opt registry name with
+  | None -> ()
+  | Some { served = Served s; stream; _ } ->
+    stream false;
+    Obs.Board.set_history s.board None;
+    Hashtbl.remove registry name
+
+let serve_locked name slot =
+  withdraw_locked name;
+  Hashtbl.replace registry name slot;
+  (* a subscriber may already be streaming when the net appears *)
+  if Stream.active hub then slot.stream true
+
+let expose ?name ?pp_value ~board net =
+  let name = Option.value name ~default:net.Types.net_name in
+  with_registry (fun () ->
+      match Hashtbl.find_opt registry name with
+      | Some { host = Some _; _ } -> invalid_arg ("expose: hosted " ^ name)
+      | _ -> serve_locked name (slot_of ?pp_value ~name ~board net))
+
+let unexpose name =
+  with_registry (fun () ->
+      match Hashtbl.find_opt registry name with
+      | Some { host = None; _ } ->
+        withdraw_locked name;
+        true
+      | _ -> false)
+
+(* Swing every served net's sink on the 0<->1 subscriber edges.  The
+   hook runs outside the hub lock, so taking [reg_mu] here cannot
+   deadlock against a thread that holds [reg_mu] and asks the hub for
+   its state. *)
+let () =
+  Stream.set_on_transition hub (fun streaming ->
+      with_registry (fun () ->
+          Hashtbl.iter (fun _ s -> s.stream streaming) registry))
 
 (* ---------------- durability configuration ---------------- *)
 
@@ -333,11 +433,36 @@ let enter trace net ~path ~value ~just =
              over_budget = Engine.over_budget viol;
            }))
 
+(* The tracer of a traced write gets its kernel sink on the net before
+   the episode runs, whenever the net was hosted. *)
+let ensure_trace_sink e = function
+  | Some (t, _) when not (Option.fold ~none:false ~some:(( == ) t) e.e_tracer)
+    ->
+    Engine.add_sink e.e_net (Obs.Tracing.kernel_sink t ~net:e.e_id);
+    e.e_tracer <- Some t
+  | _ -> ()
+
+let detach_tracer e =
+  if Option.is_some e.e_tracer then begin
+    ignore (Engine.remove_sink e.e_net Obs.Tracing.kernel_sink_name);
+    e.e_tracer <- None
+  end
+
+let untrace t =
+  with_episode_lock (fun () ->
+      List.iter
+        (fun e ->
+          match e.e_tracer with
+          | Some t' when t' == t -> detach_tracer e
+          | _ -> ())
+        (list ()))
+
 (* One set: engine episode, then journal append, then Ok — the ack
    ordering the durability guarantee rests on.  The append happens
    under the episode lock, so journal order is episode order. *)
 let apply_set ?trace e ~path ~value ~just =
   with_episode_lock (fun () ->
+      ensure_trace_sink e trace;
       match enter trace e.e_net ~path ~value ~just with
       | Error _ as err -> err
       | Ok () ->
@@ -364,13 +489,32 @@ let state e =
 
 (* ---------------- create / adopt / drop ---------------- *)
 
+(* The one release path of an entry this module built: journal closed,
+   observability detached.  Adopted entries own none of it. *)
+let release e =
+  if e.e_owned then begin
+    Option.iter Journal.close e.e_journal;
+    Obs.Provenance.detach e.e_prov;
+    Obs.Board.detach e.e_net
+  end
+
+(* Host and serve in one step, or release the entry if the id is taken
+   (a concurrent create).  A read-only exposure of the same name gives
+   way to the hosted network. *)
 let register e =
-  with_nets (fun () ->
-      if Hashtbl.mem nets e.e_id then Error ("network exists: " ^ e.e_id)
-      else begin
-        Hashtbl.replace nets e.e_id e;
-        Ok e
-      end)
+  match
+    with_registry (fun () ->
+        match Hashtbl.find_opt registry e.e_id with
+        | Some { host = Some _; _ } -> false
+        | _ ->
+          serve_locked e.e_id
+            (slot_of ~host:e ~pp_value ~name:e.e_id ~board:e.e_board e.e_net);
+          true)
+  with
+  | true -> Ok e
+  | false ->
+    release e;
+    Error ("network exists: " ^ e.e_id)
 
 let make_entry ~id ~tenant ~spec ~net ~journal ~dir ~step_budget =
   Engine.set_step_budget net (Some step_budget);
@@ -387,6 +531,7 @@ let make_entry ~id ~tenant ~spec ~net ~journal ~dir ~step_budget =
     e_owned = true;
     e_acked = 0;
     e_since_snapshot = 0;
+    e_tracer = None;
   }
 
 let create ?(tenant = "anon")
@@ -423,21 +568,13 @@ let create ?(tenant = "anon")
       in
       match init_err with
       | Some msg ->
-        Obs.Provenance.detach e.e_prov;
-        Obs.Board.detach net;
-        Option.iter Journal.close journal;
+        release e;
         Error msg
-      | None -> (
+      | None ->
         (* a durable net is recoverable from its very first moment:
            write the spec-only snapshot before anyone can crash us *)
         (match dir with Some _ -> snapshot e | None -> ());
-        match register e with
-        | Ok e -> Ok e
-        | Error msg ->
-          Obs.Provenance.detach e.e_prov;
-          Obs.Board.detach net;
-          Option.iter Journal.close journal;
-          Error msg))
+        register e)
 
 (* Adopt an externally-owned network (the shell session's): write API
    only, no durability, observability stays owned by the caller. *)
@@ -459,26 +596,26 @@ let adopt ?(tenant = "anon") ~id ~net ~board ~prov () =
         e_owned = false;
         e_acked = 0;
         e_since_snapshot = 0;
+        e_tracer = None;
       }
 
 (* Final snapshot, flush, close; the on-disk files stay (drop+load
    round-trips).  Adopted entries are just released. *)
 let drop ~id =
-  match with_nets (fun () ->
-            match Hashtbl.find_opt nets id with
-            | None -> None
-            | Some e ->
-              Hashtbl.remove nets id;
-              Some e)
+  match
+    with_registry (fun () ->
+        match Hashtbl.find_opt registry id with
+        | Some { host = Some e; _ } ->
+          withdraw_locked id;
+          Some e
+        | _ -> None)
   with
   | None -> false
   | Some e ->
-    if e.e_owned then begin
-      with_episode_lock (fun () -> snapshot e);
-      Option.iter Journal.close e.e_journal;
-      Obs.Provenance.detach e.e_prov;
-      Obs.Board.detach e.e_net
-    end;
+    with_episode_lock (fun () ->
+        if e.e_owned then snapshot e;
+        detach_tracer e);
+    release e;
     true
 
 (* Graceful drain: flush every journal and write every final snapshot.
@@ -586,9 +723,8 @@ let recover ?(verify = false) ~dir ~id () =
           (* the journal content is live again: checkpoint it into a
              fresh snapshot so the journal restarts empty *)
           with_episode_lock (fun () -> snapshot e);
-          (match register e with
-          | Ok _ ->
-            Ok
+          Result.map
+            (fun e ->
               {
                 rc_entry = e;
                 rc_snapshot_sets =
@@ -600,13 +736,8 @@ let recover ?(verify = false) ~dir ~id () =
                 rc_warnings = List.rev !warnings;
                 rc_verified = verified;
                 rc_divergences = divergences;
-              }
-          | Error msg ->
-            (* raced with a concurrent create on the same id *)
-            Obs.Provenance.detach e.e_prov;
-            Obs.Board.detach net;
-            Journal.close journal;
-            Error msg))
+              })
+            (register e))
       | _ ->
         Error
           (Printf.sprintf "snapshot line %d: expected a wal_spec record"

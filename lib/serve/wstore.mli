@@ -1,5 +1,6 @@
 (** The write store: hosted, writable constraint networks behind the
-    HTTP write API, with optional crash-safe durability.
+    HTTP write API, with optional crash-safe durability, and the one
+    registry of every network the telemetry server publishes.
 
     The durability contract: a set is acknowledged only after its
     episode committed {e and} its [wal_set] record reached the journal
@@ -81,6 +82,45 @@ val find : id:string -> entry option
 (** Hosted entries, sorted by id. *)
 val list : unit -> entry list
 
+(** {1 The served-network registry}
+
+    One process-global table lists every network the telemetry server
+    publishes: each hosted entry (served from {!create}, {!adopt} or
+    {!recover} until {!drop}) and each network exposed read-only with
+    {!expose}. Names are unique across both. *)
+
+(** A served network with its value type hidden. Its [/events] feed
+    sink is attached only while the {!hub} has a subscriber. *)
+type served =
+  | Served : {
+      name : string;
+      net : 'a Types.network;
+      board : 'a Obs.Board.t;
+    }
+      -> served
+
+(** Every served network, sorted by name. *)
+val served : unit -> served list
+
+(** The [/events] hub every served network publishes into. *)
+val hub : Stream.t
+
+(** [expose ~board net] serves [net] read-only under [?name] (default
+    the network's name); lines on [/events] render values with
+    [?pp_value]. Re-exposing a name replaces the previous exposure.
+    Raises [Invalid_argument] if the name is hosted. *)
+val expose :
+  ?name:string ->
+  ?pp_value:('a -> string) ->
+  board:'a Obs.Board.t ->
+  'a Types.network ->
+  unit
+
+(** Withdraw a read-only exposure: feed sink detached, history
+    sampling unwired. [false] if the name is not exposed read-only
+    (unknown, or hosted — {!drop} withdraws those). *)
+val unexpose : string -> bool
+
 (** {1 Durability configuration} — process-global defaults applied to
     subsequently created networks. [dir = None] (the default) disables
     durability entirely. *)
@@ -119,8 +159,9 @@ val decode_set :
 (** [apply_set e ~path ~value ~just] — one write episode under the
     global lock, journaled after commit, acknowledged after the
     journal append. [?trace] threads a request trace context through
-    the write: the engine episode runs under it as the ambient context
-    (so the tracing kernel sink parents the episode span here) and the
+    the write: the tracer's kernel sink is attached to the net if it
+    is not yet, the engine episode runs under the context as the
+    ambient one (so the sink parents the episode span here) and the
     journal append/fsync record as child spans. *)
 val apply_set :
   ?trace:Obs.Tracing.t * Obs.Tracing.ctx ->
@@ -129,6 +170,10 @@ val apply_set :
   value:Dval.t ->
   just:Dval.t Types.justification ->
   (unit, set_error) result
+
+(** Detach the tracer's kernel sink from every hosted net {!apply_set}
+    attached it to. *)
+val untrace : Obs.Tracing.t -> unit
 
 (** Every variable as [(path, rendered value option, justification)],
     sorted by path. *)
@@ -142,7 +187,7 @@ val snapshot : entry -> unit
 (** {1 Lifecycle} *)
 
 (** [create ~id ~spec ()] — build, apply initial sets, write the
-    first snapshot (when durability is configured) and register.
+    first snapshot (when durability is configured), host and serve.
     [Error] on bad id, duplicate id, spec parse errors (line-numbered)
     or a violated initial set. *)
 val create :
@@ -166,8 +211,9 @@ val adopt :
   (entry, string) result
 
 (** Final snapshot, journal flush+close, observability detached (for
-    owned entries), registration removed. On-disk files remain, so
-    [drop] then {!recover} round-trips. [false] if the id is unknown. *)
+    owned entries), withdrawn from the registry. On-disk files remain,
+    so [drop] then {!recover} round-trips. [false] if the id is not
+    hosted. *)
 val drop : id:string -> bool
 
 (** {!drop} every hosted network (graceful drain); returns the ids. *)
@@ -191,8 +237,8 @@ type recovery = {
 (** [recover ~dir ~id ()] — snapshot + journal tail, tolerating a torn
     final record (warning, never a failure). [~verify] runs the
     [Obs.Replay.diff_live] differential check over the from-creation
-    recovery trace. The recovered network is re-registered and its
-    journal checkpointed into a fresh snapshot. *)
+    recovery trace. The recovered network is hosted and served again,
+    and its journal checkpointed into a fresh snapshot. *)
 val recover :
   ?verify:bool -> dir:string -> id:string -> unit -> (recovery, string) result
 

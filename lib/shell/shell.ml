@@ -17,20 +17,26 @@ type session = {
   ss_prov : Dval.t Obs.Provenance.t;
   mutable ss_jsonl : (string * out_channel) option;
   mutable ss_serve : Serve.t option;
+  mutable ss_history : Obs.Tsdb.t option;  (* opened by [history DIR] *)
 }
 
 let session env =
   { ss_env = env; ss_board = Obs.Board.attach ~monitor:true (Stem.Env.cnet env);
     ss_prov =
       Obs.Provenance.attach ~pp_value:Dval.to_string (Stem.Env.cnet env);
-    ss_jsonl = None; ss_serve = None }
+    ss_jsonl = None; ss_serve = None; ss_history = None }
 
 let serve_off ss =
   match ss.ss_serve with
   | None -> false
   | Some sv ->
     Serve.stop sv;
-    ignore (Serve.unexpose (Stem.Env.cnet ss.ss_env).Types.net_name);
+    let name = (Stem.Env.cnet ss.ss_env).Types.net_name in
+    ignore (Serve.unexpose name);
+    (* withdrawal unwired the board; the session's own sampling goes on *)
+    Option.iter
+      (fun ts -> Obs.Board.set_history ~prefix:name ss.ss_board (Some ts))
+      ss.ss_history;
     ss.ss_serve <- None;
     true
 
@@ -86,8 +92,8 @@ let help_text =
   \  unhost ID              withdraw it from the write API\n\
   \  history [DIR|off]      long-horizon telemetry store: status / enable / seal\n\
   \  sparkline SERIES [SEC] unicode sparkline of a stored series (default last 300 s)\n\
-  \  tracing [on|off]       end-to-end request tracing for hosted-net writes\n\
-  \  chrome FILE            write collected request spans as Chrome trace JSON\n\
+  \  tracing [on|off]       the server's request tracing for hosted-net writes\n\
+  \  chrome FILE            write the server's request spans as Chrome trace JSON\n\
   \  help                   this text\n\
   \  quit                   leave the editor"
 
@@ -421,7 +427,7 @@ let execute ss line =
       | None -> Fmt.pr "  port must be an integer@."
       | Some port -> (
         Serve.expose ~pp_value:Dval.to_string ~board:ss.ss_board cnet;
-        match Serve.start ~port () with
+        match Serve.start ~port ?history:ss.ss_history () with
         | sv ->
           ss.ss_serve <- Some sv;
           Fmt.pr "  telemetry server on http://127.0.0.1:%d (metrics, healthz, events, ...)@."
@@ -450,7 +456,7 @@ let execute ss line =
     else Fmt.pr "  no hosted network %S@." id;
     true
   | [ "history" ] ->
-    (match Serve.history_store () with
+    (match ss.ss_history with
     | None -> Fmt.pr "  history off (history DIR to enable)@."
     | Some ts ->
       let st = Obs.Tsdb.stats ts in
@@ -462,17 +468,23 @@ let execute ss line =
         st.Obs.Tsdb.st_points st.Obs.Tsdb.st_segments
         st.Obs.Tsdb.st_disk_bytes st.Obs.Tsdb.st_ratio);
     true
+  | [ "history"; _ ] when Option.is_some ss.ss_serve ->
+    Fmt.pr "  the server samples the store it started with (unserve first)@.";
+    true
   | [ "history"; "off" ] ->
-    (match Serve.history_store () with
+    (match ss.ss_history with
     | None -> Fmt.pr "  history already off@."
-    | Some _ ->
+    | Some ts ->
       Obs.Board.set_history ss.ss_board None;
-      Serve.disable_history ();
+      Obs.Tsdb.close ts;
+      ss.ss_history <- None;
       Fmt.pr "  history off, store sealed@.");
     true
   | [ "history"; dir ] ->
-    (match Serve.enable_history dir with
+    (match Obs.Tsdb.open_ dir with
     | ts ->
+      Option.iter Obs.Tsdb.close ss.ss_history;
+      ss.ss_history <- Some ts;
       List.iter
         (fun w -> Fmt.pr "  recovery: %s@." w)
         (Obs.Tsdb.recovery_warnings ts);
@@ -485,7 +497,7 @@ let execute ss line =
       Fmt.pr "  cannot open %s: %s@." dir (Unix.error_message e));
     true
   | "sparkline" :: series :: rest ->
-    (match Serve.history_store () with
+    (match ss.ss_history with
     | None -> Fmt.pr "  history off (history DIR first)@."
     | Some ts -> (
       let secs =
@@ -519,27 +531,37 @@ let execute ss line =
             (List.length pts) secs)));
     true
   | [ "tracing"; ("on" | "off") as sw ] ->
-    Serve.set_tracing (sw = "on");
-    if sw = "on" then
-      Fmt.pr
-        "  request tracing on: hosted-net writes record \
-         parse/admit/episode/append spans (GET /trace, chrome FILE)@."
-    else Fmt.pr "  request tracing off@.";
+    (match ss.ss_serve with
+    | None -> Fmt.pr "  request tracing belongs to the server (serve first)@."
+    | Some sv ->
+      Obs.Tracing.set_enabled (Serve.tracer sv) (sw = "on");
+      if sw = "on" then
+        Fmt.pr
+          "  request tracing on: hosted-net writes record \
+           parse/admit/episode/append spans (GET /trace, chrome FILE)@."
+      else Fmt.pr "  request tracing off@.");
     true
   | [ "tracing" ] ->
     Fmt.pr "  request tracing is %s@."
-      (if Serve.tracing () then "on" else "off");
+      (match ss.ss_serve with
+      | Some sv when Obs.Tracing.enabled (Serve.tracer sv) -> "on"
+      | _ -> "off");
     true
   | [ "chrome"; file ] ->
-    (match Out_channel.with_open_text file (fun oc ->
-         Out_channel.output_string oc (Serve.trace_json ()))
-     with
-    | () ->
-      Fmt.pr
-        "  chrome trace written to %s (load it in Perfetto or \
-         chrome://tracing)@."
-        file
-    | exception Sys_error msg -> Fmt.pr "  cannot write %s: %s@." file msg);
+    (match ss.ss_serve with
+    | None -> Fmt.pr "  no server, no request spans (serve first)@."
+    | Some sv -> (
+      match
+        Out_channel.with_open_text file (fun oc ->
+            Out_channel.output_string oc
+              (Obs.Tracing.chrome_json (Serve.tracer sv)))
+      with
+      | () ->
+        Fmt.pr
+          "  chrome trace written to %s (load it in Perfetto or \
+           chrome://tracing)@."
+          file
+      | exception Sys_error msg -> Fmt.pr "  cannot write %s: %s@." file msg));
     true
   | cmd :: _ ->
     Fmt.pr "unknown command %S (try: help)@." cmd;
@@ -548,8 +570,8 @@ let execute ss line =
 let close ss =
   ignore (serve_off ss);
   ignore (trace_off ss);
-  (* stop sampling into a store that may be closed after this session *)
   Obs.Board.set_history ss.ss_board None;
+  Option.iter Obs.Tsdb.close ss.ss_history;
   (* withdraw any write-API hosting of this session's network *)
   List.iter
     (fun e ->

@@ -460,19 +460,17 @@ let test_admission_deadline () =
 
 (* ---------------- the write API over real sockets ---------------- *)
 
-let with_write_server f =
+let with_write_server ?admission ?history f =
   with_dir (fun d ->
       Serve.Wstore.configure ~dir:d ~fsync:Serve.Journal.Never ();
-      Serve.set_admission (Serve.Admission.create ());
-      let sv = Serve.start ~port:0 () in
+      let sv = Serve.start ~port:0 ?admission ?history () in
       Fun.protect
         ~finally:(fun () ->
           List.iter
             (fun e -> ignore (Serve.Wstore.drop ~id:(Serve.Wstore.id e)))
             (Serve.Wstore.list ());
-          Serve.stop sv;
-          Serve.set_admission (Serve.Admission.create ()))
-        (fun () -> f (Serve.port sv)))
+          Serve.stop sv)
+        (fun () -> f sv))
 
 let post_ok ?(tenant = "alice") ~port ~body path =
   match
@@ -489,7 +487,8 @@ let get_as ?(tenant = "alice") ~port path =
   | Error e -> Alcotest.failf "GET %s: %s" path e
 
 let test_write_api_end_to_end () =
-  with_write_server (fun port ->
+  with_write_server (fun sv ->
+      let port = Serve.port sv in
       let r = post_ok ~port ~body:fixture_spec "/nets?id=web" in
       Alcotest.(check int) "create is 201" 201 r.Serve.Client.rs_status;
       Alcotest.(check bool) "create names the tenant" true
@@ -541,23 +540,106 @@ let test_write_api_end_to_end () =
       let gone = get_as ~port "/nets/web/state" in
       Alcotest.(check int) "dropped net is 404" 404 gone.Serve.Client.rs_status)
 
-let test_write_api_backpressure () =
-  with_write_server (fun port ->
-      let r = post_ok ~port ~body:fixture_spec "/nets?id=bp" in
+(* Dropping a hosted net withdraws it from every read endpoint: there
+   is one registry, so nothing else has to be told. *)
+let test_drop_withdraws_from_reads () =
+  with_write_server (fun sv ->
+      let port = Serve.port sv in
+      let r = post_ok ~port ~body:fixture_spec "/nets?id=gone" in
       Alcotest.(check int) "create ok" 201 r.Serve.Client.rs_status;
-      (* no tenant may hold a slot: every write bounces with guidance *)
-      Serve.set_admission
-        (Serve.Admission.create
-           ~config:
-             {
-               Serve.Admission.default_config with
-               Serve.Admission.ac_max_inflight = 0;
-             }
-           ());
-      let r =
+      let metrics () = (get_as ~port "/metrics").Serve.Client.rs_body in
+      let exposed () =
+        match Strict_json.parse_json (get_as ~port "/healthz").rs_body with
+        | Obj kvs -> List.assoc_opt "exposed" kvs
+        | _ -> Alcotest.fail "/healthz is not an object"
+      in
+      let has_gone = function
+        | Some (Strict_json.Arr names) -> List.mem (Strict_json.Str "gone") names
+        | _ -> Alcotest.fail "/healthz has no exposed list"
+      in
+      let topo () = (get_as ~port "/topo.dot?net=gone").Serve.Client.rs_status in
+      Alcotest.(check bool) "hosted net in /metrics" true
+        (contains ~sub:"net=\"gone\"" (metrics ()));
+      Alcotest.(check bool) "hosted net in /healthz" true (has_gone (exposed ()));
+      Alcotest.(check int) "hosted net in /topo.dot" 200 (topo ());
+      Alcotest.(check bool) "drop" true (Serve.Wstore.drop ~id:"gone");
+      Alcotest.(check bool) "gone from /metrics" false
+        (contains ~sub:"net=\"gone\"" (metrics ()));
+      Alcotest.(check bool) "gone from /healthz" false (has_gone (exposed ()));
+      Alcotest.(check int) "gone from /topo.dot" 404 (topo ()))
+
+(* Two servers one after the other share the registry and nothing else:
+   the second sees none of the first's tenants or spans, and the first
+   left no sink or history wiring on the net it traced. *)
+let test_servers_share_nothing () =
+  with_dir (fun hist ->
+      let ts = Obs.Tsdb.open_ hist in
+      Fun.protect
+        ~finally:(fun () -> Obs.Tsdb.close ts)
+        (fun () ->
+          with_write_server ~history:ts (fun first ->
+              let port = Serve.port first in
+              Obs.Tracing.set_enabled (Serve.tracer first) true;
+              let r = post_ok ~port ~body:fixture_spec "/nets?id=both" in
+              Alcotest.(check int) "create ok" 201 r.Serve.Client.rs_status;
+              let r =
+                post_ok ~port ~body:"{\"var\":\"a.x\",\"value\":\"2\"}\n"
+                  "/nets/both/set"
+              in
+              Alcotest.(check int) "traced set ok" 200 r.Serve.Client.rs_status;
+              Serve.history_tick first;
+              Serve.stop first;
+              let e =
+                match Serve.Wstore.find ~id:"both" with
+                | Some e -> e
+                | None -> Alcotest.fail "stop must not unhost"
+              in
+              Alcotest.(check bool) "no tracing sink after stop" false
+                (List.exists
+                   (fun s ->
+                     s.Constraint_kernel.Types.snk_name
+                     = Obs.Tracing.kernel_sink_name)
+                   (Constraint_kernel.Engine.sinks (Serve.Wstore.net e)));
+              Alcotest.(check bool) "no history wiring after stop" true
+                (Obs.Board.history (Serve.Wstore.board e) = None);
+              let second = Serve.start ~port:0 () in
+              Fun.protect
+                ~finally:(fun () -> Serve.stop second)
+                (fun () ->
+                  let port = Serve.port second in
+                  Obs.Tracing.set_enabled (Serve.tracer second) true;
+                  Alcotest.(check bool) "no spans of the first server" false
+                    (contains ~sub:"POST /nets"
+                       (get_as ~port "/trace").rs_body);
+                  Alcotest.(check bool) "no tenants of the first server" false
+                    (contains ~sub:"alice" (get_as ~port "/admission").rs_body);
+                  Alcotest.(check int) "the registry is shared" 200
+                    (get_as ~port "/nets/both/state").rs_status))))
+
+(* No tenant may hold a slot on the first server: every write bounces
+   with guidance.  A second server, with its own healthy controller,
+   admits writes to the same hosted net. *)
+let test_write_api_backpressure () =
+  let saturated =
+    Serve.Admission.create
+      ~config:
+        {
+          Serve.Admission.default_config with
+          Serve.Admission.ac_max_inflight = 0;
+        }
+      ()
+  in
+  with_write_server ~admission:saturated (fun sv ->
+      (match
+         Serve.Wstore.create ~tenant:"alice" ~id:"bp" ~spec:fixture_spec ()
+       with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg);
+      let set port =
         post_ok ~port ~body:"{\"var\":\"a.x\",\"value\":\"1\"}\n"
           "/nets/bp/set"
       in
+      let r = set (Serve.port sv) in
       Alcotest.(check int) "saturated tenant gets 429" 429
         r.Serve.Client.rs_status;
       Alcotest.(check bool) "retry-after present and positive" true
@@ -566,13 +648,12 @@ let test_write_api_backpressure () =
           | Some n -> n >= 1
           | None -> false)
         | None -> false);
-      Serve.set_admission (Serve.Admission.create ());
-      let r =
-        post_ok ~port ~body:"{\"var\":\"a.x\",\"value\":\"1\"}\n"
-          "/nets/bp/set"
-      in
-      Alcotest.(check int) "healthy admission admits again" 200
-        r.Serve.Client.rs_status)
+      let healthy = Serve.start ~port:0 () in
+      Fun.protect
+        ~finally:(fun () -> Serve.stop healthy)
+        (fun () ->
+          Alcotest.(check int) "healthy admission admits again" 200
+            (set (Serve.port healthy)).Serve.Client.rs_status))
 
 (* One inference run per episode, two strikes to a one-minute
    quarantine. *)
@@ -591,8 +672,8 @@ let one_step_admission () =
    [over_budget] and a strike on /admission, and once the strikes
    reach the limit the tenant sits out its cooldown with 429. *)
 let test_over_budget_strikes () =
-  with_write_server (fun port ->
-      Serve.set_admission (one_step_admission ());
+  with_write_server ~admission:(one_step_admission ()) (fun sv ->
+      let port = Serve.port sv in
       let spec = "var a.x\nvar a.y\nvar a.z\neq a.x a.y\neq a.y a.z\n" in
       let r = post_ok ~port ~body:spec "/nets?id=ob" in
       Alcotest.(check int) "create ok" 201 r.Serve.Client.rs_status;
@@ -636,15 +717,14 @@ let test_strict_json_endpoints () =
     path ^ (if String.contains path '?' then "&" else "?") ^ "tenant=t%22%5C%0A%01"
   in
   with_dir (fun hist ->
-      with_write_server (fun port ->
-          Serve.set_admission (one_step_admission ());
-          ignore (Serve.enable_history hist);
-          Serve.set_tracing true;
-          Fun.protect
-            ~finally:(fun () ->
-              Serve.set_tracing false;
-              Serve.disable_history ())
-            (fun () ->
+      let ts = Obs.Tsdb.open_ hist in
+      Fun.protect
+        ~finally:(fun () -> Obs.Tsdb.close ts)
+        (fun () ->
+          with_write_server ~admission:(one_step_admission ()) ~history:ts
+            (fun sv ->
+              let port = Serve.port sv in
+              Obs.Tracing.set_enabled (Serve.tracer sv) true;
               let call ?(meth = "GET") ?(body = "") path =
                 match Serve.Client.request ~meth ~body ~port (q path) with
                 | Ok r -> r
@@ -708,14 +788,14 @@ let test_strict_json_endpoints () =
                  unrounded tick times, so the SLO must see the sample
                  the tick appends at its own time *)
               let t = Unix.gettimeofday () in
-              Serve.history_tick ~now:(t -. 2.) ();
+              Serve.history_tick ~now:(t -. 2.) sv;
               let over = "{\"var\":\"b.x\",\"value\":\"1\"}\n" in
               List.iter
                 (fun status ->
                   ignore
                     (check_doc ~meth:"POST" ~status ~body:over "/nets/hx/set"))
                 [ 422; 422; 429; 429 ];
-              Serve.history_tick ~now:(t -. 1.) ();
+              Serve.history_tick ~now:(t -. 1.) sv;
               List.iter
                 (fun (path, status) -> ignore (check_doc ~status path))
                 [
@@ -805,6 +885,10 @@ let suite =
       Alcotest.test_case "admission deadline" `Quick test_admission_deadline;
       Alcotest.test_case "write api end-to-end" `Quick
         test_write_api_end_to_end;
+      Alcotest.test_case "drop withdraws from the read endpoints" `Quick
+        test_drop_withdraws_from_reads;
+      Alcotest.test_case "servers share no state; stop cleans up" `Quick
+        test_servers_share_nothing;
       Alcotest.test_case "write api backpressure" `Quick
         test_write_api_backpressure;
       Alcotest.test_case "over-budget sets strike and quarantine" `Quick

@@ -501,14 +501,13 @@ let test_serve_history_endpoints () =
           ~window_width:(Obs.Window.Episodes 2) net
       in
       Serve.expose ~board net;
-      let ts = Serve.enable_history d in
+      let ts = Obs.Tsdb.open_ d in
       let ad = Serve.Admission.create () in
-      Serve.set_admission ad;
-      let sv = Serve.start ~port:0 () in
+      let sv = Serve.start ~port:0 ~admission:ad ~history:ts () in
       Fun.protect
         ~finally:(fun () ->
           Serve.stop sv;
-          Serve.disable_history ();
+          Obs.Tsdb.close ts;
           ignore (Serve.unexpose "hist-live");
           Obs.Board.detach net)
         (fun () ->
@@ -522,8 +521,8 @@ let test_serve_history_endpoints () =
           | Serve.Admission.Admitted tk ->
             Serve.Admission.finish ad tk ~over_budget:false
           | _ -> Alcotest.fail "tenant not admitted");
-          Serve.history_tick ();
-          Serve.history_tick ();
+          Serve.history_tick sv;
+          Serve.history_tick sv;
           Obs.Tsdb.flush ts;
           let series = get_ok port "/series" in
           Alcotest.(check int) "series 200" 200 series.Serve.Client.rs_status;
@@ -572,8 +571,8 @@ let test_serve_history_endpoints () =
             (head "/nothing").Serve.Client.rs_status;
           Alcotest.(check int) "HEAD on a POST-only route is 405" 405
             (head "/nets/x/set").Serve.Client.rs_status);
-      (* disable_history sealed and fsynced; an offline reader (stem
-         report) sees the full series *)
+      (* closing the store sealed and fsynced it; an offline reader
+         (stem report) sees the full series *)
       let ts = Obs.Tsdb.open_ d in
       Alcotest.(check (list string)) "offline reopen is clean" []
         (Obs.Tsdb.recovery_warnings ts);

@@ -234,25 +234,17 @@ let rm_rf d =
 
 let spec = "var a.x\nvar a.y = 1\nvar a.sum\nsum a.sum a.x a.y\n"
 
-let with_traced_server f =
+let with_traced_server ?admission f =
   let dir = tmpdir () in
   Serve.Wstore.configure ~dir ~fsync:Serve.Journal.Always ();
-  Serve.set_tracing true;
-  Obs.Tracing.clear Serve.tracer;
-  let sv = Serve.start ~port:0 () in
+  let sv = Serve.start ~port:0 ?admission () in
+  Obs.Tracing.set_enabled (Serve.tracer sv) true;
   Fun.protect
     ~finally:(fun () ->
       Serve.stop sv;
       List.iter
-        (fun e ->
-          let id = Serve.Wstore.id e in
-          ignore (Serve.Wstore.drop ~id);
-          ignore (Serve.unexpose id))
+        (fun e -> ignore (Serve.Wstore.drop ~id:(Serve.Wstore.id e)))
         (Serve.Wstore.list ());
-      Serve.set_tracing false;
-      Obs.Tracing.clear Serve.tracer;
-      Serve.Wstore.configure ();
-      Serve.set_admission (Serve.Admission.create ());
       rm_rf dir)
     (fun () -> f (Serve.port sv))
 
@@ -315,17 +307,40 @@ let test_server_trace () =
           "stem_runtime_gc_minor_collections";
         ])
 
-let test_rejected_trace () =
+(* The tracer is on before the net exists, and the net is hosted
+   directly (as the shell's [host] does), not over HTTP: its first
+   traced write still records the episode under the request. *)
+let test_trace_reaches_late_net () =
   with_traced_server (fun port ->
-      (* a zero-width global bound rejects everything with 503 *)
-      Serve.set_admission
-        (Serve.Admission.create
-           ~config:
-             {
-               Serve.Admission.default_config with
-               Serve.Admission.ac_max_total = 0;
-             }
-           ());
+      (match Serve.Wstore.create ~id:"late" ~spec () with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg);
+      let r =
+        post_ok port ~body:"{\"var\":\"a.x\",\"value\":\"5\"}" "/nets/late/set"
+      in
+      Alcotest.(check int) "set 200" 200 r.Serve.Client.rs_status;
+      let evs = decode_chrome (get_ok port "/trace").Serve.Client.rs_body in
+      check_well_formed evs;
+      let root =
+        List.find (fun e -> e.ev_name = "POST /nets/:id/set") evs
+      in
+      Alcotest.(check bool) "episode span in the set trace" true
+        (List.exists
+           (fun e -> e.ev_tid = root.ev_tid && e.ev_name = "episode")
+           evs))
+
+let test_rejected_trace () =
+  (* a zero-width global bound rejects everything with 503 *)
+  let admission =
+    Serve.Admission.create
+      ~config:
+        {
+          Serve.Admission.default_config with
+          Serve.Admission.ac_max_total = 0;
+        }
+      ()
+  in
+  with_traced_server ~admission (fun port ->
       let r = post_ok port ~body:spec "/nets?id=nope" in
       Alcotest.(check int) "rejected with 503" 503 r.Serve.Client.rs_status;
       let evs = decode_chrome (get_ok port "/trace").Serve.Client.rs_body in
@@ -395,6 +410,8 @@ let suite =
         test_kernel_sink_phases;
       Alcotest.test_case "served trace: put end to end" `Quick
         test_server_trace;
+      Alcotest.test_case "traced write reaches a net hosted later" `Quick
+        test_trace_reaches_late_net;
       Alcotest.test_case "rejected request leaves a terminal trace" `Quick
         test_rejected_trace;
       Alcotest.test_case "well-formed under concurrent requests" `Quick
