@@ -58,13 +58,23 @@ let compatible ?(attach = true) ?label ?(kind = "compatible") ~compat net vars =
   let c = Cstr.make net ~kind ?label ~propagate:copy_inference ~satisfied vars in
   finish ~attach net c
 
+exception Unset_input
+
+(* The inputs' values in order, in one pass; raises [Unset_input] at the
+   first unset one. *)
+let[@tail_mod_cons] rec input_values = function
+  | [] -> []
+  | v :: rest -> (
+    match v.v_value with
+    | Some x -> x :: input_values rest
+    | None -> raise_notrace Unset_input)
+
 let functional ?(attach = true) ?label ?strength ?(two_watch = false) ~kind ~f
     ~result net inputs =
-  let input_values () = List.map (fun v -> v.v_value) inputs in
   let computed () =
-    let vals = input_values () in
-    if List.exists Option.is_none vals then None
-    else f (List.map Option.get vals)
+    match input_values inputs with
+    | xs -> f xs
+    | exception Unset_input -> None
   in
   let propagate ctx c _changed =
     match computed () with

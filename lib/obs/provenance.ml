@@ -97,20 +97,31 @@ type 'a t = {
   rg_value : 'a option array; (* raw value; None for a reset *)
   rg_flags : int array; (* just tag (bits 0-2) | dead | antmore *)
   rg_source : string array;
-  rg_ant0 : int array; (* sole antecedent span id; 0 = none *)
+  rg_ant0 : int array; (* first antecedent span id; 0 = none *)
+  rg_ant1 : int array; (* second antecedent span id; 0 = none *)
   rg_prior : int array; (* latest-span id this assignment displaced *)
   rg_cross : parent_ref option array;
-  pv_ants : (int, int list) Hashtbl.t; (* span id -> antecedents, arity >= 2 *)
+  pv_ants : (int, int list) Hashtbl.t; (* span id -> antecedents, arity >= 3 *)
   mutable pv_latest : int array; (* v_id -> latest live span id, 0 = none *)
   mutable pv_vars : 'a var array; (* v_id -> the variable, once seen *)
   mutable pv_next_id : int;
   mutable pv_frames : frame list; (* innermost first *)
-  mutable pv_episodes : episode list; (* newest first *)
-  mutable pv_episode_count : int;
+  pv_epi : episode array; (* episode ring, slot [id land (max_episodes-1)] *)
+  mutable pv_last_epi : int; (* newest episode id noted; 0 = none *)
   mutable pv_evicted : int;
 }
 
+(* The episode log is a ring like the span table, indexed by episode
+   id.  The engine numbers a network's episodes consecutively and
+   traces every one while a sink is attached, so the ids a store notes
+   are consecutive and the ring holds exactly the newest
+   [max_episodes]. *)
 let max_episodes = 1024
+
+(* fills the episode ring's empty slots; its id 0 is never an episode's *)
+let no_episode =
+  { epi_net = ""; epi_id = 0; epi_label = ""; epi_parent = None;
+    epi_outcome = None }
 
 let just_names =
   [| "default"; "user"; "application"; "update"; "tentative"; "propagated" |]
@@ -153,7 +164,10 @@ let find_span t id =
                | Some l -> l
                | None -> []
              else
-               match t.rg_ant0.(slot) with 0 -> [] | a -> [ a ]);
+               match (t.rg_ant0.(slot), t.rg_ant1.(slot)) with
+               | 0, _ -> []
+               | a, 0 -> [ a ]
+               | a, b -> [ a; b ]);
           sp_cross = t.rg_cross.(slot);
           sp_dead = flags land flag_dead <> 0;
         }
@@ -192,17 +206,24 @@ let live_spans t =
   done;
   !acc
 
-let episodes t = List.rev t.pv_episodes
+(* oldest first: walk the ring back from the newest id *)
+let episodes t =
+  let rec collect id acc =
+    if id <= 0 || id <= t.pv_last_epi - max_episodes then acc
+    else
+      let e = t.pv_epi.(id land (max_episodes - 1)) in
+      collect (id - 1) (if e.epi_id = id then e :: acc else acc)
+  in
+  collect t.pv_last_epi []
 
 let evicted t = t.pv_evicted
+
+let spilled t = Hashtbl.length t.pv_ants
 
 let net_name t = t.pv_net.net_name
 
 (* ---------------- sink behaviour ---------------- *)
 
-(* One assignment (or reset, with [value] = None).  [ant0]/[antmore]
-   carry the antecedent span ids; the overwhelmingly common arities 0
-   and 1 stay in the flat ring, higher arities spill to [pv_ants]. *)
 (* The latest live span id of [arg], if [arg] is a recorded antecedent
    of [v]'s current justification; 0 otherwise. *)
 let ant_of t v source record arg =
@@ -213,7 +234,11 @@ let ant_of t v source record arg =
   end
   else 0
 
-let record_span t ep seq v ~value ~source ~ant0 ~antmore =
+(* One assignment (or reset, with [value] = None).  [ant0]/[ant1]/[more]
+   carry the antecedent span ids in argument order; arities 0 to 2 —
+   every unary and binary [sum]/[max] step — stay in the flat ring,
+   higher arities spill whole to [pv_ants]. *)
+let record_span t ep seq v ~value ~source ~ant0 ~ant1 ~more =
   let vid = v.v_id in
   ensure_var t v;
   let id = t.pv_next_id in
@@ -239,12 +264,13 @@ let record_span t ep seq v ~value ~source ~ant0 ~antmore =
   Array.unsafe_set t.rg_value slot value;
   Array.unsafe_set t.rg_source slot source;
   Array.unsafe_set t.rg_ant0 slot ant0;
+  Array.unsafe_set t.rg_ant1 slot ant1;
   Array.unsafe_set t.rg_prior slot (Array.unsafe_get t.pv_latest vid);
-  (match antmore with
+  (match more with
   | [] -> Array.unsafe_set t.rg_flags slot (just_tag v.v_just)
   | more ->
     Array.unsafe_set t.rg_flags slot (just_tag v.v_just lor flag_antmore);
-    Hashtbl.replace t.pv_ants id (ant0 :: List.rev more));
+    Hashtbl.replace t.pv_ants id (ant0 :: ant1 :: more));
   Array.unsafe_set t.rg_cross slot cross;
   Array.unsafe_set t.pv_latest vid id
 
@@ -275,24 +301,45 @@ let end_frame t ep outcome =
       done
   | _ -> () (* unbalanced (attached mid-episode): ignore *)
 
+(* Noting overwrites the slot of the episode [max_episodes] ids back:
+   eviction is the store itself. *)
 let note_episode t id label parent =
-  t.pv_episodes <-
+  t.pv_epi.(id land (max_episodes - 1)) <-
     { epi_net = t.pv_net.net_name; epi_id = id; epi_label = label;
-      epi_parent = parent; epi_outcome = None }
-    :: t.pv_episodes;
-  t.pv_episode_count <- t.pv_episode_count + 1;
-  if t.pv_episode_count > max_episodes then begin
-    (* drop the oldest *)
-    (match List.rev t.pv_episodes with
-    | _oldest :: rest -> t.pv_episodes <- List.rev rest
-    | [] -> ());
-    t.pv_episode_count <- t.pv_episode_count - 1
-  end
+      epi_parent = parent; epi_outcome = None };
+  t.pv_last_epi <- id
 
 let finish_episode t id outcome =
-  match List.find_opt (fun e -> e.epi_id = id) t.pv_episodes with
-  | Some e -> e.epi_outcome <- Some outcome
-  | None -> ()
+  let e = t.pv_epi.(id land (max_episodes - 1)) in
+  if e.epi_id = id then e.epi_outcome <- Some outcome
+
+(* The antecedents of an assignment propagated by [source], gathered in
+   argument order by a plain walk over its arguments: the first two
+   nonzero span ids ride in [a0]/[a1], a third starts the spilled tail,
+   which [ants_tail] completes. *)
+let rec ants_tail t v source record = function
+  | [] -> []
+  | arg :: rest -> (
+    match ant_of t v source record arg with
+    | 0 -> ants_tail t v source record rest
+    | id -> id :: ants_tail t v source record rest)
+
+let rec record_assign t ep seq v src source record a0 a1 = function
+  | [] ->
+    (* the engine assigns before tracing, so [v.v_value] here is the
+       very [Some x] box it just stored — share it rather than boxing
+       the event payload again (options are immutable; the span records
+       the assigned value either way) *)
+    record_span t ep seq v ~value:v.v_value ~source:src ~ant0:a0 ~ant1:a1
+      ~more:[]
+  | arg :: rest -> (
+    match ant_of t v source record arg with
+    | 0 -> record_assign t ep seq v src source record a0 a1 rest
+    | id when a0 = 0 -> record_assign t ep seq v src source record id 0 rest
+    | id when a1 = 0 -> record_assign t ep seq v src source record a0 id rest
+    | id ->
+      record_span t ep seq v ~value:v.v_value ~source:src ~ant0:a0 ~ant1:a1
+        ~more:(id :: ants_tail t v source record rest))
 
 let emit t ep seq ev =
   match ev with
@@ -302,38 +349,17 @@ let emit t ep seq ev =
   | T_episode_end sp ->
     end_frame t sp.es_id sp.es_outcome;
     finish_episode t sp.es_id sp.es_outcome
-  | T_assign (v, _, src) ->
+  | T_assign (v, _, src) -> (
     (* [Dependency.direct_antecedents] fused with the latest-span
-       lookup; the binary-constraint case runs without closures or
-       intermediate lists *)
-    let ant0, antmore =
-      match v.v_just with
-      | Propagated { source; record } -> (
-        match source.c_args with
-        | [ a ] -> (ant_of t v source record a, [])
-        | [ a; b ] ->
-          let x = ant_of t v source record a in
-          let y = ant_of t v source record b in
-          if x = 0 then (y, []) else if y = 0 then (x, []) else (x, [ y ])
-        | args ->
-          let ant0 = ref 0 and antmore = ref [] in
-          List.iter
-            (fun arg ->
-              match ant_of t v source record arg with
-              | 0 -> ()
-              | id ->
-                if !ant0 = 0 then ant0 := id else antmore := id :: !antmore)
-            args;
-          (!ant0, !antmore))
-      | Default | User | Application | Update | Tentative -> (0, [])
-    in
-    (* the engine assigns before tracing, so [v.v_value] here is the
-       very [Some x] box it just stored — share it rather than boxing
-       the event payload again (options are immutable; the span records
-       the assigned value either way) *)
-    record_span t ep seq v ~value:v.v_value ~source:src ~ant0 ~antmore
+       lookup *)
+    match v.v_just with
+    | Propagated { source; record } ->
+      record_assign t ep seq v src source record 0 0 source.c_args
+    | Default | User | Application | Update | Tentative ->
+      record_span t ep seq v ~value:v.v_value ~source:src ~ant0:0 ~ant1:0
+        ~more:[])
   | T_reset (v, src) ->
-    record_span t ep seq v ~value:None ~source:src ~ant0:0 ~antmore:[]
+    record_span t ep seq v ~value:None ~source:src ~ant0:0 ~ant1:0 ~more:[]
   | T_activate _ | T_schedule _ | T_check _ | T_violation _ | T_restore _
   | T_quarantine _ ->
     ()
@@ -361,6 +387,7 @@ let attach ?(name = default_sink_name) ?(capacity = 8192)
       rg_flags = Array.make capacity 0;
       rg_source = Array.make capacity "";
       rg_ant0 = Array.make capacity 0;
+      rg_ant1 = Array.make capacity 0;
       rg_prior = Array.make capacity 0;
       rg_cross = Array.make capacity None;
       pv_ants = Hashtbl.create 16;
@@ -368,8 +395,8 @@ let attach ?(name = default_sink_name) ?(capacity = 8192)
       pv_vars = [||];
       pv_next_id = 1;
       pv_frames = [];
-      pv_episodes = [];
-      pv_episode_count = 0;
+      pv_epi = Array.make max_episodes no_episode;
+      pv_last_epi = 0;
       pv_evicted = 0;
     }
   in

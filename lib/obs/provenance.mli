@@ -71,6 +71,10 @@ val net_name : 'a t -> string
     truncate). *)
 val evicted : 'a t -> int
 
+(** Retained spans whose antecedents (three or more) are held outside
+    the flat span ring; evicting such a span drops its entry. *)
+val spilled : 'a t -> int
+
 (** {1 Inspection} *)
 
 val find_span : 'a t -> int -> span option

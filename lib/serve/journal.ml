@@ -53,6 +53,12 @@ let read path =
 
 (* ---------------- the appender ---------------- *)
 
+exception Failed of string
+
+(* A failed fsync poisons the journal: after it the kernel may have
+   dropped the dirty pages, so no later sync can vouch for what was
+   written before it.  [j_failure] holds the first failure's message,
+   and every later append, flush and reset raises it again. *)
 type t = {
   j_path : string;
   j_fsync : fsync_policy;
@@ -61,6 +67,7 @@ type t = {
   mutable j_last_sync : float;
   mutable j_appended : int;
   mutable j_size : int;
+  mutable j_failure : string option;
 }
 
 let with_lock j f =
@@ -72,6 +79,8 @@ let path j = j.j_path
 let fsync_policy j = j.j_fsync
 
 let appended j = j.j_appended
+
+let failure j = j.j_failure
 
 let size j = with_lock j (fun () -> j.j_size)
 
@@ -94,6 +103,7 @@ let open_append ?(fsync = Always) path =
       j_last_sync = Unix.gettimeofday ();
       j_appended = 0;
       j_size = valid_end;
+      j_failure = None;
     },
     warnings )
 
@@ -105,8 +115,18 @@ let write_all fd s =
   in
   go 0
 
+let check_locked j = Option.iter (fun msg -> raise (Failed msg)) j.j_failure
+
+(* Run one durability call; a Unix error poisons the journal. *)
+let durably j what f =
+  try f ()
+  with Unix.Unix_error (err, _, _) ->
+    let msg = Printf.sprintf "%s %s: %s" what j.j_path (Unix.error_message err) in
+    j.j_failure <- Some msg;
+    raise (Failed msg)
+
 let sync_locked j fd =
-  (try Unix.fsync fd with Unix.Unix_error _ -> ());
+  durably j "fsync" (fun () -> Unix.fsync fd);
   j.j_last_sync <- Unix.gettimeofday ()
 
 let append ?trace j payload =
@@ -120,6 +140,7 @@ let append ?trace j payload =
       match j.j_fd with
       | None -> invalid_arg "Journal.append: closed journal"
       | Some fd ->
+        check_locked j;
         let f = frame payload in
         (match trace with
         | None ->
@@ -150,7 +171,11 @@ let append ?trace j payload =
 
 let flush j =
   with_lock j (fun () ->
-      match j.j_fd with None -> () | Some fd -> sync_locked j fd)
+      match j.j_fd with
+      | None -> ()
+      | Some fd ->
+        check_locked j;
+        sync_locked j fd)
 
 (* Empty the journal after its content is folded into a snapshot.  The
    snapshot rename happens first (caller's job): a crash between the
@@ -161,17 +186,24 @@ let reset j =
       match j.j_fd with
       | None -> ()
       | Some fd ->
-        ignore (Unix.ftruncate fd 0);
-        ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+        check_locked j;
+        durably j "truncate" (fun () ->
+            Unix.ftruncate fd 0;
+            ignore (Unix.lseek fd 0 Unix.SEEK_SET));
         j.j_size <- 0;
         sync_locked j fd)
 
+(* The release path: a final sync that fails is recorded in [failure]
+   but not raised, so the handle is always given back. *)
 let close j =
   with_lock j (fun () ->
       match j.j_fd with
       | None -> ()
       | Some fd ->
-        (match j.j_fsync with Never -> () | _ -> sync_locked j fd);
+        (match (j.j_fsync, j.j_failure) with
+        | Never, _ | _, Some _ -> ()
+        | (Always | Interval _), None -> (
+          try sync_locked j fd with Failed _ -> ()));
         (try Unix.close fd with Unix.Unix_error _ -> ());
         j.j_fd <- None)
 

@@ -47,27 +47,38 @@ val read : string -> string list * (int * string) list
 
 type t
 
+(** Raised by {!append}, {!flush} and {!reset} when an fsync (or the
+    reset's truncate) fails, with a message naming the file and the
+    error.  The failure
+    poisons the journal: every later {!append}, {!flush} and {!reset}
+    raises it again without writing, since nothing written before a
+    failed sync can be vouched for afterwards. *)
+exception Failed of string
+
 (** [open_append ?fsync path] — open (creating if needed) for append,
     truncating any torn tail first; returns the warnings met while
     scanning the existing content. Default policy: [Always]. *)
 val open_append : ?fsync:fsync_policy -> string -> t * (int * string) list
 
 (** Append one framed record, applying the fsync policy. The appender
-    is thread-safe. Raises [Invalid_argument] on a closed journal.
+    is thread-safe. Raises [Invalid_argument] on a closed journal and
+    {!Failed} on a failed (or earlier failed) fsync.
     [?trace] brackets the disk write as an ["append"] span and any
     policy-triggered fsync as an ["fsync"] span under the given
     context (an [Interval] append that skips the sync records no fsync
     span — the trace shows the durability actually bought). *)
 val append : ?trace:Obs.Tracing.t * Obs.Tracing.ctx -> t -> string -> unit
 
-(** Force an fsync now (graceful-drain path). *)
+(** Force an fsync now (graceful-drain path). Raises {!Failed}. *)
 val flush : t -> unit
 
 (** Truncate to empty — called after the journal's content has been
-    folded into a renamed-into-place snapshot. *)
+    folded into a renamed-into-place snapshot. Raises {!Failed}. *)
 val reset : t -> unit
 
-(** Flush (per policy) and close. Idempotent. *)
+(** Flush (per policy) and close. Idempotent. Never raises {!Failed}:
+    a failed final sync is recorded in {!failure} and the handle is
+    closed regardless. *)
 val close : t -> unit
 
 (** Drop the handle {e without} flushing — the test hook simulating
@@ -80,6 +91,10 @@ val fsync_policy : t -> fsync_policy
 
 (** Records appended through this handle. *)
 val appended : t -> int
+
+(** The message of the fsync failure that poisoned the journal, if
+    one has. *)
+val failure : t -> string option
 
 (** Current journal size in bytes. *)
 val size : t -> int

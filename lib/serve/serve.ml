@@ -534,6 +534,7 @@ let set_handler sv rq =
         | lines ->
           let results = ref [] in
           let applied = ref 0 and failed = ref 0 and aborted = ref 0 in
+          let not_durable = ref false in
           let emit fields = results := J.J_obj fields :: !results in
           List.iter
             (fun line ->
@@ -558,6 +559,7 @@ let set_handler sv rq =
                     (match err with
                     | Wstore.Violation { over_budget = true; _ } ->
                       over := true
+                    | Wstore.Not_durable _ -> not_durable := true
                     | _ -> ());
                     incr failed;
                     emit
@@ -568,7 +570,10 @@ let set_handler sv rq =
                       ]))
             lines;
           let status =
-            if !aborted > 0 then 503 else if !failed > 0 then 422 else 200
+            if !aborted > 0 then 503
+            else if !not_durable then 500
+            else if !failed > 0 then 422
+            else 200
           in
           let headers = if !aborted > 0 then retry_after 1.0 else [] in
           Router.json ~status ~headers
@@ -622,17 +627,19 @@ let blame_handler rq =
 let snapshot_handler rq =
   match entry_for rq (param_id rq) with
   | Error reply -> reply
-  | Ok e ->
-    Wstore.with_episode_lock (fun () -> Wstore.snapshot e);
-    Router.json (J.to_string (entry_obj e))
+  | Ok e -> (
+    match Wstore.with_episode_lock (fun () -> Wstore.snapshot e) with
+    | () -> Router.json (J.to_string (entry_obj e))
+    | exception Journal.Failed msg -> Router.json ~status:500 (err_json msg))
 
 let drop_handler rq =
   match entry_for rq (param_id rq) with
   | Error reply -> reply
   | Ok e ->
     let id = Wstore.id e in
-    ignore (Wstore.drop ~id);
-    Router.json (J.to_string (J_obj [ ("dropped", J_str id) ]))
+    match Wstore.drop ~id with
+    | _ -> Router.json (J.to_string (J_obj [ ("dropped", J_str id) ]))
+    | exception Journal.Failed msg -> Router.json ~status:500 (err_json msg)
 
 (* ---------------- the server ---------------- *)
 

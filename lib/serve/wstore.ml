@@ -387,10 +387,12 @@ let snapshot e =
 type set_error =
   | Unknown_var of string
   | Violation of { message : string; over_budget : bool }
+  | Not_durable of string
 
 let set_error_message = function
   | Unknown_var p -> "unknown variable " ^ p
   | Violation { message; _ } -> message
+  | Not_durable msg -> "not durable: " ^ msg
 
 (* The one decoder of a set line — an HTTP batch item, a journal record
    or a snapshot record — from its parsed fields.  A missing "just"
@@ -459,24 +461,34 @@ let untrace t =
 
 (* One set: engine episode, then journal append, then Ok — the ack
    ordering the durability guarantee rests on.  The append happens
-   under the episode lock, so journal order is episode order. *)
+   under the episode lock, so journal order is episode order.  A failed
+   fsync (here or in the snapshot's journal reset) answers
+   [Not_durable] instead of an ack; once the journal is poisoned, sets
+   are refused before their episode runs. *)
 let apply_set ?trace e ~path ~value ~just =
   with_episode_lock (fun () ->
-      ensure_trace_sink e trace;
-      match enter trace e.e_net ~path ~value ~just with
-      | Error _ as err -> err
-      | Ok () ->
-        (match e.e_journal with
-        | Some j -> Journal.append ?trace j (set_record ~path ~value ~just)
-        | None -> ());
-        e.e_acked <- e.e_acked + 1;
-        e.e_since_snapshot <- e.e_since_snapshot + 1;
-        if
-          e.e_dir <> None
-          && e.e_snapshot_every > 0
-          && e.e_since_snapshot >= e.e_snapshot_every
-        then snapshot e;
-        Ok ())
+      match Option.bind e.e_journal Journal.failure with
+      | Some msg -> Error (Not_durable msg)
+      | None -> (
+        ensure_trace_sink e trace;
+        match enter trace e.e_net ~path ~value ~just with
+        | Error _ as err -> err
+        | Ok () -> (
+          match
+            (match e.e_journal with
+            | Some j -> Journal.append ?trace j (set_record ~path ~value ~just)
+            | None -> ());
+            e.e_since_snapshot <- e.e_since_snapshot + 1;
+            if
+              e.e_dir <> None
+              && e.e_snapshot_every > 0
+              && e.e_since_snapshot >= e.e_snapshot_every
+            then snapshot e
+          with
+          | () ->
+            e.e_acked <- e.e_acked + 1;
+            Ok ()
+          | exception Journal.Failed msg -> Error (Not_durable msg))))
 
 let state e =
   List.rev_map
@@ -570,11 +582,14 @@ let create ?(tenant = "anon")
       | Some msg ->
         release e;
         Error msg
-      | None ->
+      | None -> (
         (* a durable net is recoverable from its very first moment:
            write the spec-only snapshot before anyone can crash us *)
-        (match dir with Some _ -> snapshot e | None -> ());
-        register e)
+        match (match dir with Some _ -> snapshot e | None -> ()) with
+        | () -> register e
+        | exception Journal.Failed msg ->
+          release e;
+          Error ("not durable: " ^ msg)))
 
 (* Adopt an externally-owned network (the shell session's): write API
    only, no durability, observability stays owned by the caller. *)
@@ -612,18 +627,29 @@ let drop ~id =
   with
   | None -> false
   | Some e ->
-    with_episode_lock (fun () ->
-        if e.e_owned then snapshot e;
-        detach_tracer e);
-    release e;
+    (* released even when the final snapshot's journal reset raises
+       [Journal.Failed], which then reaches the caller *)
+    Fun.protect
+      ~finally:(fun () -> release e)
+      (fun () ->
+        with_episode_lock (fun () ->
+            detach_tracer e;
+            if e.e_owned then snapshot e));
     true
 
 (* Graceful drain: flush every journal and write every final snapshot.
-   Returns the ids drained, for the shutdown banner. *)
+   Returns the ids drained, for the shutdown banner; a net whose journal
+   fails its final sync is still released, but warned about on stderr
+   and left out. *)
 let close_all () =
-  let ids = List.map (fun e -> e.e_id) (list ()) in
-  List.iter (fun id -> ignore (drop ~id)) ids;
-  ids
+  List.filter
+    (fun id ->
+      match drop ~id with
+      | _ -> true
+      | exception Journal.Failed msg ->
+        Printf.eprintf "stem: network %s not drained: %s\n%!" id msg;
+        false)
+    (List.map (fun e -> e.e_id) (list ()))
 
 (* ---------------- recovery ---------------- *)
 

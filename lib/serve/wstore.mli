@@ -144,6 +144,9 @@ type set_error =
   | Violation of { message : string; over_budget : bool }
       (** [over_budget]: the episode blew its step budget — admission
           counts it as a strike *)
+  | Not_durable of string
+      (** the journal failed an fsync ({!Journal.Failed}), now or
+          earlier: the set is not acknowledged *)
 
 val set_error_message : set_error -> string
 
@@ -213,10 +216,13 @@ val adopt :
 (** Final snapshot, journal flush+close, observability detached (for
     owned entries), withdrawn from the registry. On-disk files remain,
     so [drop] then {!recover} round-trips. [false] if the id is not
-    hosted. *)
+    hosted. Raises {!Journal.Failed} if the final snapshot's journal
+    reset fails its fsync; the entry is withdrawn and released anyway. *)
 val drop : id:string -> bool
 
-(** {!drop} every hosted network (graceful drain); returns the ids. *)
+(** {!drop} every hosted network (graceful drain); returns the ids
+    drained. A network whose journal fails is released, warned about on
+    stderr and left out of the list. *)
 val close_all : unit -> string list
 
 (** {1 Recovery} *)

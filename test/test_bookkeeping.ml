@@ -208,8 +208,10 @@ let test_disabled_kind_flag () =
    split into a fixed part and a per-step part from a 1-link and a
    1,000-link chain.  A count, so deterministic for a given compiler
    (OCaml 5.1.1 here); the bounds leave headroom over what the kernel
-   does today (105 fixed, 49 per step) and sit well under what it did
-   with per-episode hash tables (313 fixed, 140 per step). *)
+   does today (105 fixed, 43 per step; the per-step bound is 1.5x that)
+   and sit well under what it did with per-episode hash tables (313
+   fixed, 140 per step) or with a two-pass functional input list (49
+   per step). *)
 let test_episode_allocation () =
   let chain n =
     let net = Engine.create_network ~name:"chain" () in
@@ -243,8 +245,8 @@ let test_episode_allocation () =
   Alcotest.(check int) "one step per link" 1000 sn;
   let per_step = (wn -. w1) /. float_of_int (sn - s1) in
   let fixed = w1 -. (per_step *. float_of_int s1) in
-  if per_step > 100. then
-    Alcotest.failf "%.1f words per step (max 100)" per_step;
+  if per_step > 64. then
+    Alcotest.failf "%.1f words per step (max 64)" per_step;
   if fixed > 150. then
     Alcotest.failf "%.1f fixed words per episode (max 150)" fixed
 

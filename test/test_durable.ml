@@ -133,6 +133,60 @@ let test_journal_bad_framing_stops () =
         "prefix kept, reading stops" [ "{\"a\":1}" ] records;
       Alcotest.(check int) "one warning" 1 (List.length warns))
 
+(* A failed fsync is never swallowed.  On Linux, fsync on a character
+   device fails with EINVAL, so a journal on /dev/null fails its first
+   sync; after that it refuses every append, flush and reset. *)
+let test_journal_sync_failure () =
+  let module J = Serve.Journal in
+  let j, _ = J.open_append ~fsync:J.Always "/dev/null" in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Journal.Failed" what
+    | exception J.Failed msg ->
+      Alcotest.(check bool) (what ^ " names the file") true
+        (contains ~sub:"/dev/null" msg)
+  in
+  Alcotest.(check (option string)) "healthy before" None (J.failure j);
+  raises "append" (fun () -> J.append j "{\"a\":1}");
+  Alcotest.(check bool) "poisoned" true (J.failure j <> None);
+  raises "later append" (fun () -> J.append j "{\"b\":2}");
+  raises "flush" (fun () -> J.flush j);
+  raises "reset" (fun () -> J.reset j);
+  Alcotest.(check int) "the refused append wrote nothing" 1 (J.appended j);
+  J.close j;
+  (* under [Never] appends never sync, so they succeed; a forced flush
+     still syncs and fails *)
+  let j, _ = J.open_append ~fsync:J.Never "/dev/null" in
+  J.append j "{\"a\":1}";
+  raises "flush under never" (fun () -> J.flush j);
+  J.close j
+
+(* A durable net whose journal cannot sync is never acknowledged: its
+   initial sets answer [Not_durable] and the net is not hosted.  The
+   journal file is a symlink to /dev/null. *)
+let test_unsynced_set_not_acked () =
+  with_dir (fun d ->
+      Serve.Wstore.configure ~dir:d ~fsync:Serve.Journal.Always ();
+      let create id spec =
+        Unix.symlink "/dev/null" (Filename.concat d (id ^ ".jnl"));
+        Serve.Wstore.create ~id ~spec ()
+      in
+      (match create "nosync" "var a.x = 4\nvar a.y\neq a.x a.y\n" with
+      | Ok _ -> Alcotest.fail "an unsynced initial set was acknowledged"
+      | Error msg ->
+        Alcotest.(check bool) "initial set not durable" true
+          (contains ~sub:"not durable: fsync" msg));
+      (* no initial sets: the first snapshot's journal reset fails (on
+         /dev/null its truncate fails before its fsync) *)
+      (match create "nosync2" "var a.x\n" with
+      | Ok _ -> Alcotest.fail "created over an unsynced journal"
+      | Error msg ->
+        Alcotest.(check bool) "first snapshot not durable" true
+          (contains ~sub:"not durable: truncate" msg));
+      Alcotest.(check bool) "neither is hosted" true
+        (Serve.Wstore.find ~id:"nosync" = None
+        && Serve.Wstore.find ~id:"nosync2" = None))
+
 (* ---------------- wstore recovery ---------------- *)
 
 let fixture_spec =
@@ -868,6 +922,10 @@ let suite =
         test_journal_crc_corruption;
       Alcotest.test_case "journal bad framing stops" `Quick
         test_journal_bad_framing_stops;
+      Alcotest.test_case "journal fsync failure raises and poisons" `Quick
+        test_journal_sync_failure;
+      Alcotest.test_case "unsynced set is not acknowledged" `Quick
+        test_unsynced_set_not_acked;
       Alcotest.test_case "recover bit-identical" `Quick
         test_recover_bit_identical;
       Alcotest.test_case "recover torn journal tail" `Quick

@@ -630,6 +630,139 @@ let test_provenance_eviction () =
   Alcotest.(check bool) "why still answers" true (why p "o.c" <> []);
   detach p
 
+(* An integer sum over [inputs] into [result]: a functional constraint
+   of arity [1 + List.length inputs]. *)
+let isum net ~result inputs =
+  fst
+    (Clib.functional net ~kind:"sum" ~result inputs ~f:(fun xs ->
+         Some (List.fold_left ( + ) 0 xs)))
+
+(* The store's bookkeeping is O(1) per episode: a monitored, provenance-
+   tracked net allocates as much per episode long after its episode log
+   filled (1,024 episodes) as before. *)
+let test_provenance_steady_allocation () =
+  let net = pnet "prov-steady" in
+  let x = ivar net "x" and y = ivar net "y" in
+  ignore (isum net ~result:y [ x ]);
+  ignore (Obs.Board.attach ~monitor:true net);
+  let p = Obs.Provenance.attach ~pp_value:string_of_int net in
+  let words = Array.make 2817 0. in
+  for i = 1 to 2816 do
+    let w0 = Gc.minor_words () in
+    if not (ok (Engine.set net x i)) then Alcotest.fail "set failed";
+    words.(i) <- Gc.minor_words () -. w0
+  done;
+  let per_episode lo hi =
+    let sum = ref 0. in
+    for i = lo to hi do
+      sum := !sum +. words.(i)
+    done;
+    !sum /. float_of_int (hi - lo + 1)
+  in
+  let early = per_episode 257 768 and late = per_episode 2305 2816 in
+  if Float.abs (late -. early) > 0.1 *. early then
+    Alcotest.failf "%.0f words per episode late against %.0f early" late early;
+  Obs.Provenance.detach p;
+  Obs.Board.detach net
+
+(* The episode log keeps exactly the newest 1,024 episodes, oldest
+   first, each with the outcome its end event carried. *)
+let test_provenance_episode_log () =
+  let net = pnet "prov-log" in
+  let x = ivar net "x" and y = ivar net "y" in
+  ignore (isum net ~result:y [ x ]);
+  ignore
+    (Clib.predicate net ~kind:"cap" [ y ] ~pred:(function
+      | [ Some v ] -> v < 10_000
+      | _ -> true));
+  let ends = ref [] in
+  Engine.add_sink net
+    (Types.sink ~name:"ends" (fun te ->
+         match te.Types.te_event with
+         | Types.T_episode_end sp -> ends := (sp.es_id, sp.es_outcome) :: !ends
+         | _ -> ()));
+  let p = Obs.Provenance.attach net in
+  for i = 1 to 3000 do
+    ignore (Engine.set net x (if i mod 7 = 0 then 20_000 + i else i))
+  done;
+  let expected = List.filteri (fun i _ -> i < 1024) !ends |> List.rev in
+  let got =
+    List.map
+      (fun e -> (e.Obs.Provenance.epi_id, Option.get e.Obs.Provenance.epi_outcome))
+      (Obs.Provenance.episodes p)
+  in
+  Alcotest.(check int) "3,000 episodes ran" 3000 (List.length !ends);
+  Alcotest.(check bool) "some rolled back" true
+    (List.exists (fun (_, o) -> o = Types.E_rolled_back) expected);
+  Alcotest.(check (list int)) "the newest 1,024 ids, oldest first"
+    (List.map fst expected) (List.map fst got);
+  Alcotest.(check bool) "each with its outcome" true (expected = got);
+  Obs.Provenance.detach p
+
+(* [why] through a sum names every input's span: two antecedents ride in
+   the span ring, three or more spill out of it. *)
+let test_provenance_sum_antecedents () =
+  let net = pnet "prov-sum" in
+  let a = ivar net "a" and b = ivar net "b" and c = ivar net "c" in
+  let s2 = ivar net "s2" and s3 = ivar net "s3" in
+  ignore (isum net ~result:s2 [ a; b ]);
+  ignore (isum net ~result:s3 [ a; b; c ]);
+  let p = Obs.Provenance.attach ~pp_value:string_of_int net in
+  List.iter
+    (fun (v, n) -> Alcotest.(check bool) "set" true (ok (Engine.set net v n)))
+    [ (a, 1); (b, 2); (c, 3) ];
+  let open Obs.Provenance in
+  let id path = (Option.get (latest_span p path)).sp_id in
+  Alcotest.(check (list int)) "s2 antecedents, in argument order"
+    [ id "o.a"; id "o.b" ]
+    (Option.get (latest_span p "o.s2")).sp_antecedents;
+  Alcotest.(check (list int)) "s3 antecedents, in argument order"
+    [ id "o.a"; id "o.b"; id "o.c" ]
+    (Option.get (latest_span p "o.s3")).sp_antecedents;
+  Alcotest.(check int) "only the three-input span spills" 1 (spilled p);
+  let named path =
+    List.filter_map
+      (fun st -> if st.ws_depth = 1 then Some st.ws_span.sp_var else None)
+      (why p path)
+  in
+  Alcotest.(check (list string)) "why s2 names both inputs" [ "o.a"; "o.b" ]
+    (named "o.s2");
+  Alcotest.(check (list string)) "why s3 names all three inputs"
+    [ "o.a"; "o.b"; "o.c" ] (named "o.s3");
+  detach p
+
+(* Evicting a span whose antecedents spilled drops the spilled entry
+   too: the side table never outgrows the ring. *)
+let test_provenance_spill_eviction () =
+  let net = pnet "prov-spill" in
+  let a = ivar net "a" and b = ivar net "b" and c = ivar net "c" in
+  let s = ivar net "s" in
+  ignore (isum net ~result:s [ a; b; c ]);
+  let p = Obs.Provenance.attach ~capacity:16 ~pp_value:string_of_int net in
+  ignore (Engine.set net b 0);
+  ignore (Engine.set net c 0);
+  let retained_spilled () =
+    let n = ref 0 in
+    for id = 1 to 200 do
+      match Obs.Provenance.find_span p id with
+      | Some sp when List.length sp.sp_antecedents >= 3 -> incr n
+      | _ -> ()
+    done;
+    !n
+  in
+  for i = 1 to 40 do
+    ignore (Engine.set net a i)
+  done;
+  Alcotest.(check bool) "spans were evicted" true (Obs.Provenance.evicted p > 0);
+  Alcotest.(check bool) "the newest sum spilled" true
+    (List.length (Option.get (Obs.Provenance.latest_span p "o.s")).sp_antecedents
+    = 3);
+  Alcotest.(check int) "one entry per retained spilled span"
+    (retained_spilled ()) (Obs.Provenance.spilled p);
+  Alcotest.(check bool) "bounded by the ring" true
+    (Obs.Provenance.spilled p <= 8);
+  Obs.Provenance.detach p
+
 (* The acceptance property: a [why] on a variable whose value arrived
    over a dual bridge walks the derivation across both networks back to
    the original designer entry, and the episode forest nests the remote
@@ -802,6 +935,14 @@ let suite =
       Alcotest.test_case "provenance queries" `Quick test_provenance_queries;
       Alcotest.test_case "provenance rollback" `Quick test_provenance_rollback;
       Alcotest.test_case "provenance eviction" `Quick test_provenance_eviction;
+      Alcotest.test_case "provenance steady allocation" `Quick
+        test_provenance_steady_allocation;
+      Alcotest.test_case "provenance episode log" `Quick
+        test_provenance_episode_log;
+      Alcotest.test_case "provenance sum antecedents" `Quick
+        test_provenance_sum_antecedents;
+      Alcotest.test_case "provenance spill eviction" `Quick
+        test_provenance_spill_eviction;
       Alcotest.test_case "provenance why across networks" `Quick
         test_provenance_why_cross_network;
       Alcotest.test_case "replay round-trip" `Quick test_replay_roundtrip;
