@@ -5,9 +5,8 @@
    the disk is not the story) driven
 
      off      tracing disabled — the production default.  The only
-              residue is one enabled-flag load per request; the core
-              bench guard (bench/guard.exe vs bench/baseline.json)
-              holds this path to the PR 8 baseline within noise.
+              residue is one enabled-flag load per request.  This
+              path is perfbench's untraced edit_small write path.
 
      on       tracing enabled with the kernel sink attached and the
               full per-request span load synthesized around each set:
@@ -171,8 +170,6 @@ let () =
   let ok = overhead_pct <= !tolerance in
   Fmt.pr "@.claim (enabled within +%.0f%% of disabled): %s@." !tolerance
     (if ok then "HOLDS" else "FAILS");
-  Fmt.pr "(disabled-path regression vs the committed baseline is guarded \
-          separately by bench/guard.exe)@.";
   if !out <> "" then begin
     let buf = Buffer.create 256 in
     Buffer.add_string buf

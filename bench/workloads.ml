@@ -1,429 +1,25 @@
-(* Workload builders for the experiment harness.  Each function builds a
-   fresh network/design and returns closures the tables and the Bechamel
-   benches share, so printed operation counts and timed runs exercise
-   exactly the same code. *)
+(* The workload the observability benchmarks (e16-e19) share. *)
 
 open Constraint_kernel
 
-let ivar net name = Var.create net ~owner:"w" ~name ~equal:Int.equal ~pp:Fmt.int ()
-
-let sum = function [] -> None | xs -> Some (List.fold_left ( + ) 0 xs)
-
-let spin cost x =
-  (* burn deterministic work proportional to [cost] *)
-  let acc = ref x in
-  for i = 1 to cost do
-    acc := (!acc * 7) + i
-  done;
-  !acc
-
-(* ------------------------------------------------------------------ *)
-(* E11: propagation cost scales with Σ_v |constraints(v)| (§9.2.3)     *)
-(* ------------------------------------------------------------------ *)
-
-(* A chain of [n] equality constraints.  One user assignment at the head
-   visits every constraint exactly once. *)
-let equality_chain n =
+(* A chain of [n] equality constraints with a chosen set of trace sinks
+   subscribed: one user assignment at the head visits every constraint
+   exactly once.  [attach] receives the fresh network and hooks up
+   whatever sinks the configuration under measurement wants. *)
+let chain_observed n ~attach =
   let net = Engine.create_network ~name:"chain" () in
-  let vars = Array.init (n + 1) (fun i -> ivar net (Printf.sprintf "v%d" i)) in
+  let vars =
+    Array.init (n + 1) (fun i ->
+        Var.create net ~owner:"w" ~name:(Printf.sprintf "v%d" i)
+          ~equal:Int.equal ~pp:Fmt.int ())
+  in
   for i = 0 to n - 1 do
     ignore (Clib.equality net [ vars.(i); vars.(i + 1) ])
   done;
+  attach net;
   let tick = ref 0 in
   let run () =
     incr tick;
     ignore (Engine.set net vars.(0) !tick)
   in
   (net, run)
-
-(* A star: one hub variable shared by [n] binary equalities. *)
-let equality_star n =
-  let net = Engine.create_network ~name:"star" () in
-  let hub = ivar net "hub" in
-  for i = 0 to n - 1 do
-    ignore (Clib.equality net [ hub; ivar net (Printf.sprintf "s%d" i) ])
-  done;
-  let tick = ref 0 in
-  let run () =
-    incr tick;
-    ignore (Engine.set net hub !tick)
-  in
-  (net, run)
-
-(* ------------------------------------------------------------------ *)
-(* E15: overhead of the fault-tolerance layer                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The exception traps around every user closure are always on; these
-   variants measure the two optional parts on the same E11 chain: the
-   per-inference step-budget accounting, and a fault-injection wrapper
-   that never fires (the pure indirection cost of instrumenting every
-   constraint). *)
-let chain_budgeted n ~budget =
-  let net, run = equality_chain n in
-  Engine.set_step_budget net (Some budget);
-  (net, run)
-
-let chain_wrapped n =
-  let net, run = equality_chain n in
-  let injections =
-    List.map
-      (fun c -> Fault.wrap ~mode:(Fault.Throw_on []) c)
-      (List.rev net.Types.net_cstrs)
-  in
-  (net, run, injections)
-
-(* ------------------------------------------------------------------ *)
-(* E4: agenda scheduling vs eager functional propagation (§4.2.1)      *)
-(* ------------------------------------------------------------------ *)
-
-(* [m] inputs all driven from one source through equalities, summed by a
-   single functional constraint.  With the agenda the sum recomputes
-   once per episode; the eager variant recomputes after every input
-   change. *)
-let fan_in_sum ?(cost = 0) ~eager m =
-  (* [cost] adds artificial work to the functional computation, modelling
-     an expensive derived characteristic (e.g. a bounding-box union or a
-     delay-path recomputation) *)
-  let net = Engine.create_network ~name:"fanin" () in
-  let src = ivar net "src" in
-  let inputs = List.init m (fun i -> ivar net (Printf.sprintf "a%d" i)) in
-  let s = ivar net "sum" in
-  List.iter (fun a -> ignore (Clib.equality net [ src; a ])) inputs;
-  if eager then begin
-    (* an immediate (unscheduled) version of uni-addition *)
-    let propagate ctx c changed =
-      match changed with
-      | Some v when Var.equal v s -> Ok ()
-      | _ -> (
-        let vals = List.map Var.value inputs in
-        if List.exists Option.is_none vals then Ok ()
-        else
-          match sum (List.map Option.get vals) with
-          | None -> Ok ()
-          | Some r ->
-            let r = if cost = 0 then r else spin cost r - spin cost r + r in
-            Engine.set_by_constraint ctx s r ~source:c ~record:Types.All_arguments)
-    in
-    let satisfied _ =
-      let vals = List.map Var.value inputs in
-      match (Var.value s, sum (List.filter_map Fun.id vals)) with
-      | Some actual, Some expected when List.for_all Option.is_some vals ->
-        actual = expected
-      | _ -> true
-    in
-    let c =
-      Cstr.make net ~kind:"imm-addition" ~propagate ~satisfied (s :: inputs)
-    in
-    ignore (Network.add_constraint net c);
-    (* eager recomputation legitimately revises the sum once per input:
-       lift the cyclic-propagation bound so the baseline can run *)
-    net.Types.net_max_changes <- m + 2
-  end
-  else begin
-    let f xs =
-      match sum xs with
-      | None -> None
-      | Some r -> Some (if cost = 0 then r else spin cost r - spin cost r + r)
-    in
-    ignore (Clib.functional ~kind:"uni-addition" ~f ~result:s net inputs)
-  end;
-  let tick = ref 0 in
-  let run () =
-    incr tick;
-    ignore (Engine.set net src !tick)
-  in
-  (net, run)
-
-(* ------------------------------------------------------------------ *)
-(* E3: hierarchical vs flattened constraint networks (§5.1, Fig. 5.1)  *)
-(* ------------------------------------------------------------------ *)
-
-(* Hierarchical: one internal chain of length [k] ends in a "class"
-   variable; [n] "instance" variables hang off it through implicit
-   links, each watched by one predicate.  Changing the chain head costs
-   ~k + n inferences.
-
-   Flat: the internal chain is replicated once per instance (what a
-   non-hierarchical system would do, Fig. 5.1): ~n·k inferences. *)
-let hierarchical_design ~k ~n =
-  let net = Engine.create_network ~name:"hier" () in
-  let chain = Array.init (k + 1) (fun i -> ivar net (Printf.sprintf "c%d" i)) in
-  for i = 0 to k - 1 do
-    ignore (Clib.equality net [ chain.(i); chain.(i + 1) ])
-  done;
-  let class_var = chain.(k) in
-  for j = 0 to n - 1 do
-    let inst = ivar net (Printf.sprintf "inst%d" j) in
-    (* implicit link: class value flows to the instance (adjusted by +j
-       to stand for per-instance loading) *)
-    let _ =
-      Clib.one_way net ~kind:"implicit"
-        ~f:(fun x -> Some (x + j))
-        ~from_:class_var ~to_:inst
-    in
-    let _ =
-      Clib.predicate net ~kind:"spec"
-        ~pred:(function [ Some x ] -> x < max_int | _ -> true)
-        [ inst ]
-    in
-    ()
-  done;
-  let tick = ref 0 in
-  let run () =
-    incr tick;
-    ignore (Engine.set net chain.(0) !tick)
-  in
-  (net, run)
-
-let flat_design ~k ~n =
-  let net = Engine.create_network ~name:"flat" () in
-  let heads = ref [] in
-  for j = 0 to n - 1 do
-    let chain =
-      Array.init (k + 1) (fun i -> ivar net (Printf.sprintf "c%d_%d" j i))
-    in
-    for i = 0 to k - 1 do
-      ignore (Clib.equality net [ chain.(i); chain.(i + 1) ])
-    done;
-    let inst = ivar net (Printf.sprintf "inst%d" j) in
-    let _ =
-      Clib.one_way net ~kind:"implicit"
-        ~f:(fun x -> Some (x + j))
-        ~from_:chain.(k) ~to_:inst
-    in
-    let _ =
-      Clib.predicate net ~kind:"spec"
-        ~pred:(function [ Some x ] -> x < max_int | _ -> true)
-        [ inst ]
-    in
-    heads := chain.(0) :: !heads
-  done;
-  let heads = !heads in
-  let tick = ref 0 in
-  let run () =
-    incr tick;
-    (* the flattened system must update every replica *)
-    List.iter (fun h -> ignore (Engine.set net h !tick)) heads
-  in
-  (net, run)
-
-(* ------------------------------------------------------------------ *)
-(* E12: update-constraints + lazy recomputation vs eager (Ch. 6)       *)
-(* ------------------------------------------------------------------ *)
-
-(* [m] edits to a source variable invalidate a derived property; lazily
-   it recomputes once at the final read, eagerly after every edit. *)
-let lazy_vs_eager ~eager m =
-  let env = Stem.Env.create () in
-  let net = Stem.Env.cnet env in
-  let src = Dclib.variable net ~owner:"w" ~name:"src" () in
-  let recomputes = ref 0 in
-  let prop = ref None in
-  let p =
-    Stem.Property.make env ~owner:"w" ~name:"derived"
-      ~recalc:(fun () ->
-        incr recomputes;
-        match Var.value src with
-        | Some (Dval.Int x) -> Some (Dval.Int (x * 2))
-        | _ -> None)
-      ()
-  in
-  prop := Some p;
-  let _ = Clib.update net ~sources:[ src ] ~targets:[ Stem.Property.var p ] in
-  let tick = ref 0 in
-  let run () =
-    for _ = 1 to m do
-      incr tick;
-      ignore (Engine.set net src (Dval.Int !tick));
-      if eager then ignore (Stem.Property.read env p)
-    done;
-    ignore (Stem.Property.read env p)
-  in
-  (env, run, recomputes)
-
-(* ------------------------------------------------------------------ *)
-(* E13: incremental vs batch design checking (Ch. 7)                   *)
-(* ------------------------------------------------------------------ *)
-
-(* A population of [cells] independent constrained variables; [edits]
-   value changes.  Incrementally each edit checks only its own
-   constraints; the batch discipline re-sweeps everything after every
-   edit. *)
-let checking_workload ~cells =
-  let env = Stem.Env.create () in
-  let net = Stem.Env.cnet env in
-  let vars =
-    Array.init cells (fun i ->
-        let v = Dclib.variable net ~owner:"w" ~name:(Printf.sprintf "d%d" i) () in
-        let _ =
-          Dclib.less_equal_const net v (Dval.Float 1e9)
-            ~label:(Printf.sprintf "spec%d" i)
-        in
-        v)
-  in
-  (env, vars)
-
-let edit_tick = ref 0
-
-let incremental_edits env vars ~edits =
-  let net = Stem.Env.cnet env in
-  let n = Array.length vars in
-  for e = 1 to edits do
-    incr edit_tick;
-    ignore
-      (Engine.set net vars.(e mod n) (Dval.Float (float_of_int !edit_tick)))
-  done
-
-let batch_edits env vars ~edits =
-  let net = Stem.Env.cnet env in
-  let n = Array.length vars in
-  Engine.disable net;
-  for e = 1 to edits do
-    incr edit_tick;
-    ignore
-      (Engine.set net vars.(e mod n) (Dval.Float (float_of_int !edit_tick)));
-    (* the traditional flow: no background checking, full sweep instead *)
-    ignore (Checking.Check.batch_check env)
-  done;
-  Engine.enable net
-
-(* ------------------------------------------------------------------ *)
-(* E14: dependency-directed erasure on constraint removal (§4.2.5)     *)
-(* ------------------------------------------------------------------ *)
-
-(* A long derivation chain v0 -eq- v1 -eq- ... -eq- vn plus [w] isolated
-   user-set bystander variables.  Removing the constraint near the head
-   must erase (and later recompute) only the chain's dependents; a
-   system without dependency records can only reset everything and
-   re-assert every user value. *)
-let erasure_workload ~n ~bystanders =
-  let net = Engine.create_network ~name:"erase" () in
-  let vars = Array.init (n + 1) (fun i -> ivar net (Printf.sprintf "v%d" i)) in
-  let cstrs =
-    Array.init n (fun i ->
-        let c, _ = Clib.equality net [ vars.(i); vars.(i + 1) ] in
-        c)
-  in
-  let bystander_vars =
-    Array.init bystanders (fun i ->
-        let v = ivar net (Printf.sprintf "b%d" i) in
-        ignore (Engine.set net v i);
-        v)
-  in
-  ignore (Engine.set net vars.(0) 42);
-  (net, vars, cstrs, bystander_vars)
-
-(* Dependency-directed removal: erase the dependents, reattach an
-   equivalent constraint; re-initialisation restores consistency by
-   propagating only through the affected chain (§4.2.5). *)
-let erasure_directed ~n ~bystanders =
-  let net, vars, cstrs, _ = erasure_workload ~n ~bystanders in
-  let head = ref cstrs.(0) in
-  let run () =
-    Network.remove_constraint net !head;
-    let c, _ = Clib.equality net [ vars.(0); vars.(1) ] in
-    head := c
-  in
-  (net, run)
-
-(* The no-dependency-records alternative: reset every variable in the
-   network and re-assert every user value. *)
-let erasure_naive ~n ~bystanders =
-  let net, vars, _, bystander_vars = erasure_workload ~n ~bystanders in
-  let run () =
-    List.iter Var.clear net.Types.net_vars;
-    Array.iteri (fun i v -> ignore (Engine.set net v i)) bystander_vars;
-    ignore (Engine.set net vars.(0) 42)
-  in
-  (net, run)
-
-(* ------------------------------------------------------------------ *)
-(* E16: overhead of the observability layer                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The E11 chain again, with a chosen set of trace sinks subscribed.
-   [attach] receives the fresh network and hooks up whatever sinks the
-   config under measurement wants. *)
-let chain_observed n ~attach =
-  let net, run = equality_chain n in
-  attach net;
-  (net, run)
-
-(* ------------------------------------------------------------------ *)
-(* E21: wakeup discipline — watched activation vs wake-all             *)
-(* ------------------------------------------------------------------ *)
-
-(* [k] wide n-ary sums sharing two hot inputs plus [n] cold inputs each
-   that never receive a value, so no sum can ever compute.  Under the
-   eager watch-the-inputs discipline every hot assignment wakes all [k]
-   sums just so each can notice it still cannot fire; under
-   [~two_watch:true] the first rotation parks each sum's watches on
-   cold inputs and the hot path stops delivering wakeups entirely (the
-   satisfaction sweep still marks and checks every constraint). *)
-let wakeup_fanout ?(two_watch = false) ~k ~n () =
-  let net = Engine.create_network ~name:"wakeup-fanout" () in
-  let hot1 = ivar net "hot1" and hot2 = ivar net "hot2" in
-  for j = 0 to k - 1 do
-    let colds =
-      List.init n (fun i -> ivar net (Printf.sprintf "cold%d_%d" j i))
-    in
-    let r = ivar net (Printf.sprintf "sum%d" j) in
-    let _ =
-      Clib.functional ~two_watch ~kind:"wide-sum" ~f:sum ~result:r net
-        (hot1 :: hot2 :: colds)
-    in
-    ()
-  done;
-  let tick = ref 0 in
-  let run () =
-    incr tick;
-    ignore (Engine.set net hot1 !tick);
-    ignore (Engine.set net hot2 (- !tick))
-  in
-  (net, run)
-
-(* A [bits]-wide ripple adder out of functional constraints (bit sum and
-   carry per stage), fully driven, re-toggling the low input bit each
-   run so the carry chain re-propagates.  The dense counterpart of the
-   fanout workload: every argument ends up set, two-watch grounds out to
-   watch-everything, and the discipline must not cost anything. *)
-let wakeup_ripple ?(two_watch = false) ~bits () =
-  let net = Engine.create_network ~name:"wakeup-ripple" () in
-  let mk fmt = Array.init bits (fun i -> ivar net (Printf.sprintf fmt i)) in
-  let a = mk "a%d" and b = mk "b%d" and s = mk "s%d" in
-  let c = Array.init (bits + 1) (fun i -> ivar net (Printf.sprintf "c%d" i)) in
-  let bit_sum = function
-    | [ x; y; z ] -> Some ((x + y + z) land 1)
-    | _ -> None
-  in
-  let carry = function
-    | [ x; y; z ] -> Some (if x + y + z >= 2 then 1 else 0)
-    | _ -> None
-  in
-  for i = 0 to bits - 1 do
-    let args = [ a.(i); b.(i); c.(i) ] in
-    let _ =
-      Clib.functional ~two_watch ~kind:"bit-sum" ~f:bit_sum ~result:s.(i) net
-        args
-    in
-    let _ =
-      Clib.functional ~two_watch ~kind:"bit-carry" ~f:carry ~result:c.(i + 1)
-        net args
-    in
-    ()
-  done;
-  (* drive a = 0101…, b = 0011…, cin = 0 *)
-  Array.iteri (fun i v -> ignore (Engine.set net v (i land 1))) a;
-  Array.iteri (fun i v -> ignore (Engine.set net v ((i lsr 1) land 1))) b;
-  ignore (Engine.set net c.(0) 0);
-  let tick = ref 0 in
-  let run () =
-    incr tick;
-    ignore (Engine.set net a.(0) (!tick land 1))
-  in
-  let state () =
-    Array.to_list (Array.map Var.value s)
-    @ Array.to_list (Array.map Var.value c)
-  in
-  (net, run, state)

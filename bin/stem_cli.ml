@@ -579,6 +579,16 @@ let top_cmd =
 
 (* ---------------- serve / scrape ---------------- *)
 
+(* Run a history flush or close; a failed sync is reported on stderr,
+   never swallowed, and the server carries on. *)
+let sync_history op ts =
+  match op ts with
+  | () -> true
+  | exception Unix.Unix_error (e, _, _) ->
+    Fmt.epr "history fsync failed in %s: %s@." (Obs.Tsdb.dir ts)
+      (Unix.error_message e);
+    false
+
 (* The telemetry daemon: the same monitored accumulator workload as
    `stem health`, kept propagating at a configurable rate while the
    HTTP server exposes /metrics, /healthz, /events &c.  SIGINT/SIGTERM
@@ -687,7 +697,7 @@ let run_serve bind port rate duration window_eps data fsync verify_replay
            compression for durability, exactly like --fsync interval) *)
         if history_flush > 0.0 && now -. !last_flush >= history_flush then begin
           last_flush := now;
-          Option.iter Obs.Tsdb.flush history
+          Option.iter (fun ts -> ignore (sync_history Obs.Tsdb.flush ts)) history
         end
       end;
       try Unix.sleepf period with Unix.Unix_error (EINTR, _, _) -> ()
@@ -705,8 +715,7 @@ let run_serve bind port rate duration window_eps data fsync verify_replay
     (* seal + fsync every open block so a restart recovers the series *)
     Option.iter
       (fun ts ->
-        Obs.Tsdb.close ts;
-        Fmt.pr "history sealed@.")
+        if sync_history Obs.Tsdb.close ts then Fmt.pr "history sealed@.")
       history;
     let st = Serve.stream_stats () in
     Fmt.pr

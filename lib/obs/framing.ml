@@ -97,6 +97,19 @@ let scan data =
   go 0 1;
   (List.rev !records, List.rev !warnings, !valid_end)
 
+(* At most the size [stat] reports: a device that reads without end
+   (/dev/zero, /dev/full) reports 0 and reads as empty. *)
 let read_file path =
   if not (Sys.file_exists path) then ""
-  else In_channel.with_open_bin path In_channel.input_all
+  else
+    let size = (Unix.stat path).Unix.st_size in
+    In_channel.with_open_bin path (fun ic ->
+        let buf = Bytes.create size in
+        let rec fill off =
+          if off = size then off
+          else
+            match In_channel.input ic buf off (size - off) with
+            | 0 -> off
+            | n -> fill (off + n)
+        in
+        Bytes.sub_string buf 0 (fill 0))

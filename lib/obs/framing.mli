@@ -33,5 +33,6 @@ val frame : string -> string
     (where appends may safely resume). *)
 val scan : string -> (int * string) list * (int * string) list * int
 
-(** Whole-file read; [""] when the file does not exist. *)
+(** Whole-file read of at most the size [Unix.stat] reports; [""] when
+    the file does not exist or reports size 0 (a character device). *)
 val read_file : string -> string

@@ -566,19 +566,18 @@ let append t ~series ~t:time ~v =
 
 let flush_locked t =
   Hashtbl.iter (fun name bu -> seal_locked t name bu) t.ts_open;
-  match t.ts_fd with
-  | Some fd -> ( try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | None -> ()
+  Option.iter Unix.fsync t.ts_fd
 
 let flush t = with_lock t (fun () -> if not t.ts_closed then flush_locked t)
 
 let close t =
   with_lock t (fun () ->
-      if not t.ts_closed then begin
-        flush_locked t;
-        close_fd_locked t;
-        t.ts_closed <- true
-      end)
+      if not t.ts_closed then
+        Fun.protect
+          ~finally:(fun () ->
+            close_fd_locked t;
+            t.ts_closed <- true)
+          (fun () -> flush_locked t))
 
 (* ---------------- queries ---------------- *)
 

@@ -44,10 +44,13 @@ val append : t -> series:string -> t:float -> v:float -> unit
 
 (** Seal every open block to disk and fsync the active segment — the
     graceful-shutdown (SIGTERM) path. Idempotent; appends may
-    continue afterwards (they start fresh blocks). *)
+    continue afterwards (they start fresh blocks). A failed write or
+    fsync raises its [Unix.Unix_error]. *)
 val flush : t -> unit
 
-(** {!flush}, then close the segment file. Further appends raise. *)
+(** {!flush}, then close the segment file. Further appends raise. The
+    file is closed and the store marked closed even when the flush
+    raises; the error is then re-raised. *)
 val close : t -> unit
 
 (** {1 Queries} *)

@@ -40,6 +40,16 @@ let serve_off ss =
     ss.ss_serve <- None;
     true
 
+(* Seal and close a history store; a failed sync is reported, not
+   swallowed.  [true] when it sealed. *)
+let close_history ts =
+  match Obs.Tsdb.close ts with
+  | () -> true
+  | exception Unix.Unix_error (e, _, _) ->
+    Fmt.pr "  history fsync failed in %s: %s@." (Obs.Tsdb.dir ts)
+      (Unix.error_message e);
+    false
+
 let trace_off ss =
   match ss.ss_jsonl with
   | None -> false
@@ -476,14 +486,14 @@ let execute ss line =
     | None -> Fmt.pr "  history already off@."
     | Some ts ->
       Obs.Board.set_history ss.ss_board None;
-      Obs.Tsdb.close ts;
       ss.ss_history <- None;
-      Fmt.pr "  history off, store sealed@.");
+      if close_history ts then Fmt.pr "  history off, store sealed@."
+      else Fmt.pr "  history off@.");
     true
   | [ "history"; dir ] ->
     (match Obs.Tsdb.open_ dir with
     | ts ->
-      Option.iter Obs.Tsdb.close ss.ss_history;
+      Option.iter (fun old -> ignore (close_history old)) ss.ss_history;
       ss.ss_history <- Some ts;
       List.iter
         (fun w -> Fmt.pr "  recovery: %s@." w)
@@ -571,7 +581,7 @@ let close ss =
   ignore (serve_off ss);
   ignore (trace_off ss);
   Obs.Board.set_history ss.ss_board None;
-  Option.iter Obs.Tsdb.close ss.ss_history;
+  Option.iter (fun ts -> ignore (close_history ts)) ss.ss_history;
   (* withdraw any write-API hosting of this session's network *)
   List.iter
     (fun e ->

@@ -51,12 +51,15 @@ let test_journal_roundtrip () =
       Serve.Journal.append j "{\"a\":1}";
       Serve.Journal.append j "{\"b\":2}";
       Serve.Journal.append j "{\"c\":3}";
-      Alcotest.(check int) "appended counted" 3 (Serve.Journal.appended j);
+      (* larger than one channel buffer: the read takes several chunks *)
+      let big = Printf.sprintf "{\"d\":\"%s\"}" (String.make 200_000 'x') in
+      Serve.Journal.append j big;
+      Alcotest.(check int) "appended counted" 4 (Serve.Journal.appended j);
       Serve.Journal.close j;
       let records, warns = Serve.Journal.read p in
       Alcotest.(check (list string))
         "payloads back in order"
-        [ "{\"a\":1}"; "{\"b\":2}"; "{\"c\":3}" ]
+        [ "{\"a\":1}"; "{\"b\":2}"; "{\"c\":3}"; big ]
         records;
       Alcotest.(check int) "no warnings" 0 (List.length warns))
 
@@ -70,7 +73,14 @@ let test_journal_missing_and_empty () =
       write_file p "";
       let records, warns = Serve.Journal.read p in
       Alcotest.(check int) "empty file = empty journal" 0 (List.length records);
-      Alcotest.(check int) "no warnings on empty" 0 (List.length warns))
+      Alcotest.(check int) "no warnings on empty" 0 (List.length warns);
+      (* a read takes at most the size stat reports: a device that never
+         ends reads as empty at once instead of filling memory *)
+      Alcotest.(check string) "/dev/zero reads empty" ""
+        (Obs.Framing.read_file "/dev/zero");
+      let records, warns = Serve.Journal.read "/dev/zero" in
+      Alcotest.(check int) "/dev/zero = empty journal" 0 (List.length records);
+      Alcotest.(check int) "no warnings on /dev/zero" 0 (List.length warns))
 
 let test_journal_torn_tail () =
   with_dir (fun d ->

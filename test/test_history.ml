@@ -203,7 +203,8 @@ let test_store_compression_ratio () =
         let t = t_of_ms (250 * i) in
         Obs.Tsdb.append ts ~series:"requests" ~t ~v:(float_of_int (17 * i));
         Obs.Tsdb.append ts ~series:"heap" ~t ~v:(float_of_int (100000 + (i mod 7)));
-        Obs.Tsdb.append ts ~series:"p99" ~t ~v:125.
+        Obs.Tsdb.append ts ~series:"p99" ~t ~v:125.;
+        Obs.Tsdb.append ts ~series:"episode_rate" ~t ~v:50.
       done;
       Obs.Tsdb.flush ts;
       let st = Obs.Tsdb.stats ts in
@@ -253,6 +254,31 @@ let test_torn_tail_recovery () =
       let pts = Obs.Tsdb.query ts ~series:"x" ~from_:0. ~to_:100. in
       Alcotest.(check int) "old + post-recovery points" 50 (List.length pts);
       Obs.Tsdb.close ts)
+
+(* A failed segment fsync is raised, never swallowed.  On Linux fsync
+   on a character device fails with EINVAL; here the active segment is
+   a symlink to /dev/null.  A failed close still releases the segment
+   and closes the store. *)
+let test_sync_failure_raises () =
+  with_dir (fun d ->
+      Unix.symlink "/dev/null" (Filename.concat d "seg-00000000.tsdb");
+      let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+      let before = fds () in
+      let ts = Obs.Tsdb.open_ d in
+      Obs.Tsdb.append ts ~series:"s" ~t:1. ~v:1.;
+      let raises what f =
+        match f () with
+        | () -> Alcotest.failf "%s: the failed fsync was swallowed" what
+        | exception Unix.Unix_error (Unix.EINVAL, "fsync", _) -> ()
+      in
+      raises "flush" (fun () -> Obs.Tsdb.flush ts);
+      Alcotest.(check int) "segment open after the flush" (before + 1) (fds ());
+      raises "close" (fun () -> Obs.Tsdb.close ts);
+      Alcotest.(check int) "segment released" before (fds ());
+      Obs.Tsdb.close ts;
+      Alcotest.check_raises "store closed"
+        (Invalid_argument "Tsdb.append: closed store") (fun () ->
+          Obs.Tsdb.append ts ~series:"s" ~t:2. ~v:2.))
 
 let test_corrupt_block_skipped () =
   with_dir (fun d ->
@@ -609,6 +635,8 @@ let suite =
       Alcotest.test_case "recovery: torn tail" `Quick test_torn_tail_recovery;
       Alcotest.test_case "recovery: corrupt block skipped" `Quick
         test_corrupt_block_skipped;
+      Alcotest.test_case "durability: fsync failure raises" `Quick
+        test_sync_failure_raises;
       Alcotest.test_case "slo: burn rate fires and clears" `Quick
         test_slo_burn_rate_fires_and_clears;
       Alcotest.test_case "slo: latency objective" `Quick test_slo_latency_kind;

@@ -60,9 +60,28 @@ let test_fig_4_5 () =
   check_ok "set v1" (Engine.set net v1 7);
   check_val "v2 = 7" (Some 7) v2;
   check_val "v4 = max(7,5) = 7" (Some 7) v4;
+  let events = ref [] in
+  Engine.add_sink net
+    (Types.sink ~name:"transcript" (fun te ->
+         match te.Types.te_event with
+         | (Types.T_assign _ | Types.T_activate _ | Types.T_schedule _) as ev ->
+           events := Fmt.str "%a" Editor.pp_trace_event ev :: !events
+         | _ -> ()));
   check_ok "set v1 = 9" (Engine.set net v1 9);
   check_val "v2 = 9" (Some 9) v2;
-  check_val "v4 = 9" (Some 9) v4
+  check_val "v4 = 9" (Some 9) v4;
+  (* the equality fires at once; the maximum waits on the agenda *)
+  Alcotest.(check (list string))
+    "propagation transcript"
+    [
+      "t.v1 <- 9 (external)";
+      "activate equality#0 by t.v1";
+      "t.v2 <- 9 (equality#0)";
+      "schedule uni-maximum#1 on agenda 10";
+      "activate uni-maximum#1";
+      "t.v4 <- 9 (uni-maximum#1)";
+    ]
+    (List.rev !events)
 
 let test_chain_propagation () =
   let net = mknet () in
@@ -131,6 +150,15 @@ let test_fig_4_9_cyclic_violation () =
   imm_add "v1=v3+k2" v1 v3 k2;
   let r = Engine.set net v1 10 in
   check_violation "cycle detected" r;
+  (* the wavefront reaches the user-pinned head first, so the overwrite
+     rule, not the change-count bound, reports the cycle *)
+  (match r with
+  | Error v ->
+    Alcotest.(check bool) "overwrite rule cited" true
+      (Astring_contains.contains
+         (Fmt.str "%a" Types.pp_violation v)
+         "user-specified value cannot be overwritten")
+  | Ok () -> ());
   (* one-value-change rule: everything restored *)
   check_val "v1 restored" None v1;
   check_val "v2 restored" None v2;

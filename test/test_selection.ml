@@ -97,6 +97,7 @@ let test_fig_8_4_pruning () =
   Alcotest.(check (list string)) "carry-select family valid" [ "CSAdd8S"; "CSAdd8F" ]
     (names picks);
   Alcotest.(check int) "ripple subtree pruned" 1 stats.Sel.subtrees_pruned;
+  Alcotest.(check int) "both generics tested" 2 stats.Sel.generics_tested;
   (* RCAdd8S and RCAdd8F were never tested *)
   Alcotest.(check int) "only CS leaves tested" 2 stats.Sel.candidates_tested
 
@@ -114,7 +115,8 @@ let test_pruning_ablation_tests_everything () =
   Alcotest.(check (list string)) "same result without pruning"
     [ "CSAdd8S"; "CSAdd8F" ] (names picks);
   Alcotest.(check int) "all four leaves tested" 4 stats.Sel.candidates_tested;
-  Alcotest.(check int) "no generic tests" 0 stats.Sel.generics_tested
+  Alcotest.(check int) "no generic tests" 0 stats.Sel.generics_tested;
+  Alcotest.(check int) "nothing pruned" 0 stats.Sel.subtrees_pruned
 
 let test_selective_testing_costs () =
   (* restricting the priorities skips entire test categories *)

@@ -88,7 +88,17 @@ let test_type_refinement_rule () =
   let ig = Cell.instantiate env ~parent:top ~of_:gen ~name:"g" () in
   let ib = Cell.instantiate env ~parent:top ~of_:bcd ~name:"b" () in
   let net = Cell.add_net env top ~name:"n" in
+  let net_type () = Option.map Dval.to_string (Var.value net.en_data) in
+  (* an untyped signal gives the net no type *)
+  let anon = Cell.create env ~name:"ANON" () in
+  ignore (Cell.add_signal env anon ~name:"p" ~dir:Inout ());
+  let ia = Cell.instantiate env ~parent:top ~of_:anon ~name:"anon" () in
+  Alcotest.(check bool) "untyped connects" true
+    (ok (Enet.connect env net (Sub_pin (ia, "p"))));
+  Alcotest.(check (option string)) "untyped net" None (net_type ());
   Alcotest.(check bool) "integer source" true (ok (Enet.connect env net (Sub_pin (ig, "out"))));
+  Alcotest.(check (option string)) "net takes the integer type"
+    (Some "data:IntegerSignal") (net_type ());
   Alcotest.(check bool) "bcd sink compatible" true (ok (Enet.connect env net (Sub_pin (ib, "in"))));
   (* the net type refined to the least abstract: BCD *)
   Alcotest.(check (option string)) "net refined to BCD" (Some "data:BCDSignal")
@@ -98,7 +108,9 @@ let test_type_refinement_rule () =
   ignore (Cell.add_signal env a2c ~name:"in" ~dir:Input ~data:St.a2c_int ());
   let i2 = Cell.instantiate env ~parent:top ~of_:a2c ~name:"a2c" () in
   Alcotest.(check bool) "incompatible sibling rejected" false
-    (ok (Enet.connect env net (Sub_pin (i2, "in"))))
+    (ok (Enet.connect env net (Sub_pin (i2, "in"))));
+  Alcotest.(check (option string)) "net stays BCD" (Some "data:BCDSignal")
+    (net_type ())
 
 let test_disconnect_erases () =
   let env = mkenv () in
@@ -159,11 +171,22 @@ let test_bbox_rotation () =
       ~transform:(Transform.make ~orient:Transform.R90 Point.origin)
       ()
   in
-  match Cell.instance_bbox env i1 with
+  (match Cell.instance_bbox env i1 with
   | Some r ->
     Alcotest.(check int) "rotated width" 20 (Rect.width r);
     Alcotest.(check int) "rotated height" 10 (Rect.height r)
-  | None -> Alcotest.fail "no instance bbox"
+  | None -> Alcotest.fail "no instance bbox");
+  Alcotest.(check (option string)) "rotated default" (Some "[(-20, 0) 20x10]")
+    (Option.map Dval.to_string (Var.value i1.inst_bbox));
+  Alcotest.(check bool) "stretch to 24x12" true
+    (ok (Cell.set_instance_bbox env i1 (rect (-20) 0 24 12)));
+  Alcotest.(check bool) "18x6 is too small" false
+    (ok (Cell.set_instance_bbox env i1 (rect (-20) 0 18 6)));
+  (* an io-pin stretches with the instance box *)
+  ignore (Cell.add_signal env leaf ~name:"x" ~dir:Input ~pins:[ Point.make 0 10 ] ());
+  Alcotest.(check (option string)) "stretched pin" (Some "(-8, 0)")
+    (Option.map Point.to_string
+       (List.assoc_opt "x" (Stem.Stretch.pin_positions env i1)))
 
 let test_parent_bbox_recalculation () =
   let env = mkenv () in
@@ -195,7 +218,11 @@ let test_aspect_ratio_predicate () =
   Alcotest.(check bool) "ratio 2 accepted" true
     (ok (Cell.set_class_bbox env leaf (rect 0 0 20 10)));
   Alcotest.(check bool) "ratio 3 rejected" false
-    (ok (Cell.set_class_bbox env leaf (rect 0 0 30 10)))
+    (ok (Cell.set_class_bbox env leaf (rect 0 0 30 10)));
+  Alcotest.(check bool) "40x20 accepted" true
+    (ok (Cell.set_class_bbox env leaf (rect 0 0 40 20)));
+  Alcotest.(check bool) "50x20 rejected" false
+    (ok (Cell.set_class_bbox env leaf (rect 0 0 50 20)))
 
 (* ------------------------------------------------------------------ *)
 (* Parameters                                                          *)

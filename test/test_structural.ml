@@ -63,6 +63,11 @@ let test_structural_selection () =
     Option.get (Dn.delay env c ~from_:"a" ~to_:"s")
   in
   Alcotest.(check bool) "rc wrapper slower" true (a_s rc_w > a_s cs_w);
+  (* the characteristics are derived bottom-up from the gates *)
+  Alcotest.(check (float 0.005)) "rc a->s" 23.73 (a_s rc_w);
+  Alcotest.(check (float 0.005)) "cs a->s" 14.95 (a_s cs_w);
+  Alcotest.(check (option int)) "rc area" (Some 4992) (Cell.area env rc_w);
+  Alcotest.(check (option int)) "cs area" (Some 10416) (Cell.area env cs_w);
   (* ALU with a tight delay spec: only the carry-select realisation fits *)
   let sc =
     Cell_library.Datapath.alu env ~adder:generic
