@@ -449,6 +449,11 @@ let health_setup ~window_width =
   in
   (env, net, board, round)
 
+let verdict board =
+  match Obs.Board.watchdog board with
+  | Some wd when not (Obs.Watchdog.ok wd) -> 1
+  | Some _ | None -> 0
+
 let run_health edits window_eps dot_file json =
   setup_logs ();
   let open Constraint_kernel in
@@ -469,7 +474,7 @@ let run_health edits window_eps dot_file json =
       List.iter
         (fun a -> print_endline (Obs.Watchdog.alert_json a))
         (Obs.Watchdog.alerts wd));
-    if Obs.Watchdog.healthy () then 0 else 1
+    verdict board
   end
   else begin
   Fmt.pr "== health: net '%s' ==@.%a@." net.Types.net_name Obs.Board.pp_health
@@ -483,7 +488,6 @@ let run_health edits window_eps dot_file json =
         Obs.Sampler.pp_exemplar_events ex
     | None -> ())
   | None -> ());
-  Fmt.pr "@.== process roll-up ==@.%a@." Obs.Watchdog.pp_health ();
   (match dot_file with
   | None -> ()
   | Some file ->
@@ -499,7 +503,7 @@ let run_health edits window_eps dot_file json =
     let s = Obs.Topo.stats net in
     Fmt.pr "@.topology written to %s (%d vars, %d constraints, %d edges)@."
       file s.Obs.Topo.tp_vars s.Obs.Topo.tp_cstrs s.Obs.Topo.tp_edges);
-  if Obs.Watchdog.healthy () then 0 else 1
+  verdict board
   end
 
 let health_cmd =
@@ -561,7 +565,7 @@ let run_top seconds interval =
   done;
   Obs.Board.checkpoint board;
   Fmt.pr "@.final %a@." Obs.Board.pp_health board;
-  if Obs.Watchdog.healthy () then 0 else 1
+  verdict board
 
 let top_cmd =
   let seconds =
@@ -961,9 +965,12 @@ let run_why width =
   let open Constraint_kernel in
   let design = Stem.Env.create ~name:"design" () in
   let floorplan = Stem.Env.create ~name:"floorplan" () in
-  let dprov = Obs.Provenance.attach ~pp_value:Dval.to_string design.env_cnet in
+  let scope = Obs.Provenance.scope () in
+  let dprov =
+    Obs.Provenance.attach ~pp_value:Dval.to_string ~scope design.env_cnet
+  in
   let fprov =
-    Obs.Provenance.attach ~pp_value:Dval.to_string floorplan.env_cnet
+    Obs.Provenance.attach ~pp_value:Dval.to_string ~scope floorplan.env_cnet
   in
   (* design side: two connected pin widths held equal *)
   let a = Dclib.variable design.env_cnet ~owner:"alu/a" ~name:"bitWidth" () in
@@ -988,7 +995,7 @@ let run_why width =
   Fmt.pr "== why chan0.tracks ==@.%a@.@." Obs.Provenance.pp_why
     (Obs.Provenance.why fprov "chan0.tracks");
   Fmt.pr "== episode tree ==@.%a@.@." Obs.Provenance.pp_forest
-    (Obs.Provenance.episode_forest ());
+    (Obs.Provenance.episode_forest fprov);
   Fmt.pr "== blame alu/a.bitWidth (forward fan-out) ==@.";
   List.iter
     (fun sp -> Fmt.pr "  %a@." Obs.Provenance.pp_span sp)

@@ -115,8 +115,10 @@ let sample_history metrics ts prefix (snap : Window.snapshot) =
     put "window.p99_us" (Window.p99 snap)
   end
 
-let create ?(ring_capacity = 256) ?(monitor = false) ?window_width ?rules
-    ?slow_k ?head_every () =
+(* [watchdog_name] names the monitor's alerts: the network's name when
+   built by [attach]. *)
+let build ~watchdog_name ?(ring_capacity = 256) ?(monitor = false)
+    ?window_width ?rules ?slow_k ?head_every () =
   let ring = Ring.create ~name:"ring" ~capacity:ring_capacity () in
   let metrics = Metrics.create () in
   let history = ref None in
@@ -129,7 +131,7 @@ let create ?(ring_capacity = 256) ?(monitor = false) ?window_width ?rules
       let w = Window.create ~width () in
       let sampler = Sampler.create ?slow_k ?head_every ~ring () in
       let wd =
-        Watchdog.create
+        Watchdog.create ~name:watchdog_name
           (match rules with Some rs -> rs | None -> Watchdog.default_rules ())
       in
       (* every window boundary: fresh slow top-K, then rule evaluation *)
@@ -153,6 +155,11 @@ let create ?(ring_capacity = 256) ?(monitor = false) ?window_width ?rules
     b_sink_errs_seen = 0;
     b_history = history;
   }
+
+let create ?ring_capacity ?monitor ?window_width ?rules ?slow_k ?head_every ()
+    =
+  build ~watchdog_name:"watchdog" ?ring_capacity ?monitor ?window_width ?rules
+    ?slow_k ?head_every ()
 
 (* The consumers are fused into one subscription: a single closure
    call, exception trap and event match per trace event instead of one
@@ -263,17 +270,13 @@ let sink ?net b =
 let attach ?ring_capacity ?monitor ?window_width ?rules ?slow_k ?head_every net
     =
   let b =
-    create ?ring_capacity ?monitor ?window_width ?rules ?slow_k ?head_every ()
+    build ~watchdog_name:net.Types.net_name ?ring_capacity ?monitor
+      ?window_width ?rules ?slow_k ?head_every ()
   in
   Engine.add_sink net (sink ~net b);
-  (match b.b_monitor with
-  | Some m -> Watchdog.register net.Types.net_name m.mon_watchdog
-  | None -> ());
   b
 
-let detach net =
-  ignore (Engine.remove_sink net sink_name);
-  Watchdog.unregister net.Types.net_name
+let detach net = ignore (Engine.remove_sink net sink_name)
 
 let ring b = b.b_ring
 

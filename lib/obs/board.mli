@@ -11,10 +11,10 @@
     latency quantiles per window), a tail {!Sampler} (exemplar traces of
     the slowest / violating / quarantining episodes, buffered by the
     board's own ring so the per-event cost is zero), and a {!Watchdog}
-    evaluated at window boundaries and registered process-globally under
-    the network's name. The shell session and [stem health]/[stem top]
-    run monitored boards; [stem trace] and the benchmarks default to the
-    bare board. *)
+    evaluated at window boundaries and named after the network. The
+    board holds its watchdog; nothing registers it. The shell session
+    and [stem health]/[stem top] run monitored boards; [stem trace] and
+    the benchmarks default to the bare board. *)
 
 open Constraint_kernel
 
@@ -47,8 +47,8 @@ val create :
 val sink : ?net:'a Types.network -> 'a t -> 'a Types.sink
 
 (** Build and attach. A same-named sink already on the network is
-    replaced in place. With a monitor, the watchdog is registered under
-    the network's name. *)
+    replaced in place. With a monitor, the watchdog is named after the
+    network. *)
 val attach :
   ?ring_capacity:int ->
   ?monitor:bool ->
@@ -59,8 +59,7 @@ val attach :
   'a Types.network ->
   'a t
 
-(** Remove the board's sink from the network and unregister its
-    watchdog (if any). *)
+(** Remove the board's sink from the network. *)
 val detach : 'a Types.network -> unit
 
 val sink_name : string

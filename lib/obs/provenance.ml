@@ -11,10 +11,12 @@
    overwritten later.
 
    Cross-network stitching: spans only hold strings and ints (no 'a),
-   so every attached store registers a monomorphic reader under its
-   network's name in a process-global registry.  A span whose episode
-   was caused by another network's episode (the parent_ref carried by
-   T_episode_start) chains through that registry: [why] follows the
+   so every attached store enters a monomorphic reader under its
+   network's name in a scope — an explicit value the caller passes to
+   every store it wants stitched together (a store attached without
+   one gets a scope of its own).  A span whose episode was caused by
+   another network's episode (the parent_ref carried by
+   T_episode_start) chains through the scope: [why] follows the
    parent's cause variable into the parent network's store, all the way
    back to the originating User/Application set. *)
 
@@ -45,7 +47,7 @@ type episode = {
   mutable epi_outcome : episode_outcome option; (* None while open *)
 }
 
-(* ---------------- the cross-network registry ---------------- *)
+(* ---------------- the stitching scope ---------------- *)
 
 type reader = {
   rd_net : string;
@@ -55,9 +57,14 @@ type reader = {
   rd_episodes : unit -> episode list; (* oldest first *)
 }
 
-let registry : (string, reader) Hashtbl.t = Hashtbl.create 8
+(* At most one reader per network name: stitching resolves a parent
+   episode by the name its parent_ref carries. *)
+type scope = { mutable sc_readers : reader list }
 
-let reader_for net_name = Hashtbl.find_opt registry net_name
+let scope () = { sc_readers = [] }
+
+let reader_for sc net_name =
+  List.find_opt (fun rd -> rd.rd_net = net_name) sc.sc_readers
 
 (* ---------------- the store ---------------- *)
 
@@ -90,6 +97,8 @@ type 'a t = {
   pv_pp : 'a -> string;
   pv_capacity : int; (* a power of two *)
   pv_sink_name : string;
+  pv_scope : scope;
+  mutable pv_reader : reader option; (* this store's entry in [pv_scope] *)
   rg_id : int array; (* span id held in the slot; 0 = empty *)
   rg_episode : int array;
   rg_seq : int array;
@@ -371,7 +380,7 @@ let default_sink_name = "provenance"
 let rec pow2_above n k = if k >= n then k else pow2_above n (k * 2)
 
 let attach ?(name = default_sink_name) ?(capacity = 8192)
-    ?(pp_value = fun _ -> "<opaque>") net =
+    ?(pp_value = fun _ -> "<opaque>") ?(scope = scope ()) net =
   let capacity = pow2_above (max 16 capacity) 16 in
   let t =
     {
@@ -379,6 +388,8 @@ let attach ?(name = default_sink_name) ?(capacity = 8192)
       pv_pp = pp_value;
       pv_capacity = capacity;
       pv_sink_name = name;
+      pv_scope = scope;
+      pv_reader = None;
       rg_id = Array.make capacity 0;
       rg_episode = Array.make capacity 0;
       rg_seq = Array.make capacity 0;
@@ -401,19 +412,30 @@ let attach ?(name = default_sink_name) ?(capacity = 8192)
     }
   in
   Engine.add_sink net { snk_name = name; snk_emit = (fun ep seq ev -> emit t ep seq ev) };
-  Hashtbl.replace registry net.net_name
+  let rd =
     {
       rd_net = net.net_name;
       rd_latest = latest_span t;
       rd_span = find_span t;
       rd_spans = (fun () -> live_spans t);
       rd_episodes = (fun () -> episodes t);
-    };
+    }
+  in
+  scope.sc_readers <-
+    rd :: List.filter (fun r -> r.rd_net <> net.net_name) scope.sc_readers;
+  t.pv_reader <- Some rd;
   t
 
+(* Only this store's own entry leaves the scope: a same-named store
+   that replaced it stays. *)
 let detach t =
   ignore (Engine.remove_sink t.pv_net t.pv_sink_name);
-  Hashtbl.remove registry t.pv_net.net_name
+  match t.pv_reader with
+  | Some rd ->
+    let sc = t.pv_scope in
+    sc.sc_readers <- List.filter (fun r -> r != rd) sc.sc_readers;
+    t.pv_reader <- None
+  | None -> ()
 
 (* ---------------- queries ---------------- *)
 
@@ -422,7 +444,7 @@ type why_step = { ws_depth : int; ws_span : span }
 (* Backward chain.  Local edges are the captured antecedent span ids;
    when a span has no local antecedents but its episode was caused by
    another network's episode, the chain crosses into that network's
-   store through the registry, continuing at the parent-side cause
+   store through the scope, continuing at the parent-side cause
    variable.  Cycle-safe via a (net, span id) seen set. *)
 let why t path =
   let seen = Hashtbl.create 32 in
@@ -436,7 +458,7 @@ let why t path =
         let resolve =
           if net_name = t.pv_net.net_name then find_span t
           else
-            match reader_for net_name with
+            match reader_for t.pv_scope net_name with
             | Some rd -> rd.rd_span
             | None -> fun _ -> None
         in
@@ -451,7 +473,7 @@ let why t path =
            entry) or the landing half of a cross-network push *)
         match sp.sp_cross with
         | Some p when p.pr_cause <> None -> (
-          match reader_for p.pr_net with
+          match reader_for t.pv_scope p.pr_net with
           | Some rd -> (
             match rd.rd_latest (Option.get p.pr_cause) with
             | Some parent_sp -> visit (depth + 1) p.pr_net parent_sp
@@ -465,7 +487,7 @@ let why t path =
   | _ -> ());
   List.rev !out
 
-(* Forward fan-out: every live span (across all registered stores) that
+(* Forward fan-out: every live span (across the stores of the scope) that
    is causally downstream of [path]'s latest span — through local
    antecedent edges and through cross-network causes. *)
 let blame t path =
@@ -480,8 +502,7 @@ let blame t path =
     let tainted_causes = Hashtbl.create 8 in
     Hashtbl.add tainted_causes (root.sp_net, root.sp_var) ();
     let all_stores () =
-      Hashtbl.fold (fun _ rd acc -> rd :: acc) registry []
-      |> List.sort (fun a b -> compare a.rd_net b.rd_net)
+      List.sort (fun a b -> compare a.rd_net b.rd_net) t.pv_scope.sc_readers
     in
     let pass () =
       let changed = ref false in
@@ -574,12 +595,12 @@ let critical_path t ?episode () =
 
 type tree_node = { tn_episode : episode; tn_children : tree_node list }
 
-(* Forest over every registered store: an episode is a child of the one
-   its parent_ref names; parents from unregistered networks leave the
-   child a root (annotated by the printer). *)
-let episode_forest () =
+(* Forest over every store of [t]'s scope: an episode is a child of the
+   one its parent_ref names; parents from networks outside the scope
+   leave the child a root (annotated by the printer). *)
+let episode_forest t =
   let all =
-    Hashtbl.fold (fun _ rd acc -> rd.rd_episodes () @ acc) registry []
+    List.concat_map (fun rd -> rd.rd_episodes ()) t.pv_scope.sc_readers
     |> List.sort (fun a b ->
            compare (a.epi_net, a.epi_id) (b.epi_net, b.epi_id))
   in

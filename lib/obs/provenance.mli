@@ -12,15 +12,16 @@
     kept but marked dead, and the per-variable latest index is reverted,
     so queries always agree with the live network.
 
-    Cross-network stitching: each attached store registers a
-    monomorphic reader in a process-global registry keyed by network
-    name.  A span whose episode was caused by another network's episode
-    (the {!Constraint_kernel.Types.parent_ref} on [T_episode_start],
+    Cross-network stitching: each attached store enters a monomorphic
+    reader, keyed by network name, in a {!scope} — an explicit value
+    shared by the stores its creator wants stitched together.  A span
+    whose episode was caused by another network's episode (the
+    {!Constraint_kernel.Types.parent_ref} on [T_episode_start],
     recorded by {!Constraint_kernel.Engine} and the dual bridges of
-    [Stem.Dual]) chains through the registry into the parent network's
+    [Stem.Dual]) chains through the scope into the parent network's
     store, so {!why} follows hierarchy-wide propagation back to the
     originating [User]/[Application] entry across every traversed
-    network. *)
+    network of the scope. *)
 
 (** {1 Spans} *)
 
@@ -53,16 +54,27 @@ type episode = {
 
 type 'a t
 
-(** [attach ?name ?capacity ?pp_value net] — create a store, subscribe
-    it as a sink named [name] (default ["provenance"]) and register its
-    reader under [net]'s name for cross-network queries.  At most
-    [capacity] (default 8192, min 16, rounded up to a power of two)
-    spans are retained, oldest evicted first.  [pp_value] renders
-    assigned values (default ["<opaque>"]). *)
-val attach :
-  ?name:string -> ?capacity:int -> ?pp_value:('a -> string) -> 'a Constraint_kernel.Types.network -> 'a t
+(** The stores that stitch with one another. Within a scope a network
+    name names one store: attaching a same-named network replaces the
+    earlier store's entry. *)
+type scope
 
-(** Unsubscribe the sink and unregister the reader. *)
+val scope : unit -> scope
+
+(** [attach ?name ?capacity ?pp_value ?scope net] — create a store,
+    subscribe it as a sink named [name] (default ["provenance"]) and
+    enter its reader under [net]'s name in [scope] for cross-network
+    queries. Without [scope] the store gets a scope of its own and
+    stitches only within itself. At most [capacity] (default 8192, min
+    16, rounded up to a power of two) spans are retained, oldest
+    evicted first. [pp_value] renders assigned values (default
+    ["<opaque>"]). *)
+val attach :
+  ?name:string -> ?capacity:int -> ?pp_value:('a -> string) -> ?scope:scope ->
+  'a Constraint_kernel.Types.network -> 'a t
+
+(** Unsubscribe the sink and take this store's own entry out of its
+    scope (an entry a same-named store put there stays). *)
 val detach : 'a t -> unit
 
 val net_name : 'a t -> string
@@ -96,13 +108,13 @@ type why_step = { ws_depth : int; ws_span : span }
     the latest live span, its antecedents, their antecedents, … ending
     at the originating [User]/[Application] entry.  When a span has no
     local antecedents but its episode was caused by another network's
-    episode, the chain continues in that network's registered store at
-    the recorded cause variable.  Pre-order; [ws_depth] is the causal
+    episode, the chain continues in that network's store in [t]'s scope
+    at the recorded cause variable.  Pre-order; [ws_depth] is the causal
     distance.  Empty if the variable has no live span. *)
 val why : 'a t -> string -> why_step list
 
 (** [blame t path] — the forward fan-out: every live span (in this
-    store and every other registered one) causally downstream of
+    store and every other one of its scope) causally downstream of
     [path]'s latest span, through antecedent edges and cross-network
     causes.  The root itself is excluded; local spans first. *)
 val blame : 'a t -> string -> span list
@@ -117,9 +129,9 @@ val critical_path : 'a t -> ?episode:int -> unit -> span list
 
 type tree_node = { tn_episode : episode; tn_children : tree_node list }
 
-(** The forest of episodes across {e all} registered stores, children
+(** The forest of episodes across every store of [t]'s scope, children
     nested under the episode their [parent_ref] names. *)
-val episode_forest : unit -> tree_node list
+val episode_forest : 'a t -> tree_node list
 
 (** {1 Printing} *)
 

@@ -1,21 +1,8 @@
 open Constraint_kernel
 open Types
 
-(* [Types.sink] boxes the tag arguments into a [tagged_event]; this
-   [make] is that same constructor re-exported under the Obs roof. *)
-let make ~name emit = Types.sink ~name emit
-
-let make_raw ~name emit = { snk_name = name; snk_emit = emit }
-
-let attach = Engine.add_sink
-
-let detach = Engine.remove_sink
-
 let null ?(name = "null") () =
   { snk_name = name; snk_emit = (fun _ _ _ -> ()) }
-
-let on_event ~name f =
-  { snk_name = name; snk_emit = (fun _ _ ev -> f ev) }
 
 let logger ?(name = "logger") ppf =
   {

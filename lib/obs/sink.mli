@@ -1,34 +1,14 @@
-(** Trace-sink construction and attachment helpers.
+(** Two stock trace sinks.
 
     A sink is one subscriber of a network's event stream
-    ({!Constraint_kernel.Types.sink}); the kernel fans every trace event
+    ({!Constraint_kernel.Types.sink}, built with [Types.sink] and
+    attached with [Engine.add_sink]); the kernel fans every trace event
     out to all attached sinks in registration order, each call wrapped
     in an exception trap so a broken sink degrades observability, never
-    propagation. This module only builds and attaches sinks; the
-    ready-made consumers live in {!Ring}, {!Metrics}, {!Jsonl} and
-    {!Profiler}, bundled by {!Board}. *)
+    propagation. The ready-made consumers live in {!Ring}, {!Metrics},
+    {!Jsonl} and {!Profiler}, bundled by {!Board}. *)
 
 open Constraint_kernel.Types
-
-(** [make ~name emit] — a sink from a tagged-event consumer (one
-    [tagged_event] box per event; same as [Types.sink]). *)
-val make : name:string -> ('a tagged_event -> unit) -> 'a sink
-
-(** [make_raw ~name emit] — a sink from the raw 3-ary emit procedure
-    (episode id, sequence number, event); allocation-free. *)
-val make_raw :
-  name:string -> (int -> int -> 'a trace_event -> unit) -> 'a sink
-
-(** [on_event ~name f] — a sink that drops the episode/sequence tags and
-    sees plain trace events. *)
-val on_event : name:string -> ('a trace_event -> unit) -> 'a sink
-
-(** Alias of [Engine.add_sink]: subscribe (same name replaces in
-    place). *)
-val attach : 'a network -> 'a sink -> unit
-
-(** Alias of [Engine.remove_sink]. *)
-val detach : 'a network -> string -> bool
 
 (** A sink that discards everything (for overhead measurements). *)
 val null : ?name:string -> unit -> 'a sink

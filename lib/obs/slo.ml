@@ -2,8 +2,7 @@
    machinery wants rules over window snapshots; an SLO's verdict is
    computed from the time-series store instead, so the rule closure
    just reads the verdict cell [evaluate] fills in — the transition
-   logging, registry roll-up and /alerts rendering all come along for
-   free. *)
+   logging and /alerts rendering come along for free. *)
 
 type kind =
   | Error_ratio of { total : string; errors : string }
@@ -42,27 +41,23 @@ type t = {
   sl_verdict : string option ref;
   sl_wd : Watchdog.t;
   sl_win : Window.t; (* private: only advances the evaluation index *)
-  sl_key : string;
 }
 
 let create ts ob =
   let verdict = ref None in
-  let key = "slo:" ^ ob.ob_name in
-  let wd =
-    Watchdog.create ~name:key
-      [ Watchdog.rule ~name:"burn_rate" (fun _ -> !verdict) ]
-  in
-  Watchdog.register key wd;
   {
     sl_ob = ob;
     sl_ts = ts;
     sl_verdict = verdict;
-    sl_wd = wd;
+    sl_wd =
+      Watchdog.create ~name:("slo:" ^ ob.ob_name)
+        [ Watchdog.rule ~name:"burn_rate" (fun _ -> !verdict) ];
     sl_win = Window.create ~slots:1 ~width:(Window.Episodes 1) ();
-    sl_key = key;
   }
 
 let objective t = t.sl_ob
+
+let watchdog t = t.sl_wd
 
 (* Counters only move forward, so the window delta is last - first of
    the samples inside it; a window with fewer than two samples has no
@@ -154,5 +149,3 @@ let status_json t ~now =
                  ])
              (burn_rates t ~now)) );
     ]
-
-let remove t = Watchdog.unregister t.sl_key

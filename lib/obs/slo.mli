@@ -1,5 +1,5 @@
 (** Service-level objectives evaluated as multi-window burn rates over
-    {!Tsdb} data, firing through the {!Watchdog} registry.
+    {!Tsdb} data, firing through a {!Watchdog}.
 
     An objective states a target fraction of good outcomes (e.g.
     99% of writes accepted, or 99% of windows with p99 under a bound).
@@ -11,9 +11,9 @@
     threshold (the classic fast-burn/slow-burn pairing: a short window
     for responsiveness, a long one so a transient spike cannot page).
 
-    Each {!t} owns a watchdog registered as ["slo:<name>"], so firing
-    objectives surface on [/alerts] and flip [/healthz] to 503 with no
-    extra plumbing. *)
+    Each {!t} owns a watchdog named ["slo:<name>"]; the telemetry
+    server that created the objective lists it on its own [/alerts] and
+    lets it flip its own [/healthz] to 503. *)
 
 type kind =
   | Error_ratio of { total : string; errors : string }
@@ -25,7 +25,7 @@ type kind =
           samples above [limit] *)
 
 type objective = {
-  ob_name : string;  (** registry key suffix: ["slo:<ob_name>"] *)
+  ob_name : string;  (** the watchdog is named ["slo:<ob_name>"] *)
   ob_kind : kind;
   ob_target : float;  (** good-fraction target, e.g. [0.99] *)
   ob_windows : (float * float) list;
@@ -55,10 +55,14 @@ val latency :
 
 type t
 
-(** Create and register the backing watchdog as ["slo:<ob_name>"]. *)
+(** Create the objective and its backing watchdog, named
+    ["slo:<ob_name>"]. *)
 val create : Tsdb.t -> objective -> t
 
 val objective : t -> objective
+
+(** The backing watchdog: its firing state and alert transitions. *)
+val watchdog : t -> Watchdog.t
 
 (** [(lookback, threshold, burn)] per configured window ending at [now]
     (quantized to the millisecond, as {!Tsdb.append} stores
@@ -68,7 +72,7 @@ val objective : t -> objective
 val burn_rates : t -> now:float -> (float * float * float option) list
 
 (** Evaluate at [now] and push the firing/cleared transition through
-    the watchdog (visible in [Watchdog.health ()] and the alert log). *)
+    the {!watchdog} (visible in its {!Watchdog.firing} and alert log). *)
 val evaluate : t -> now:float -> unit
 
 val firing : t -> bool
@@ -76,6 +80,3 @@ val firing : t -> bool
 (** JSON status object (burns, thresholds, firing); a window without
     data reports ["burn": null], distinct from [0] for no bad events. *)
 val status_json : t -> now:float -> Jsonl.json
-
-(** Unregister the backing watchdog. *)
-val remove : t -> unit

@@ -482,12 +482,17 @@ let active_for_locked t frlen =
       Unix.openfile seg.sg_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ]
         0o644
     in
-    (* truncate the torn tail (scan stopped at sg_bytes) before the
-       first append lands after it *)
+    (* cut a torn tail (the scan stopped at sg_bytes) and position the
+       first append after the sealed blocks; a failure raises, as
+       [flush]'s does, rather than let new frames overwrite sealed ones
+       from offset 0 *)
     (try
-       ignore (Unix.ftruncate fd seg.sg_bytes);
+       if (Unix.fstat fd).Unix.st_size > seg.sg_bytes then
+         Unix.ftruncate fd seg.sg_bytes;
        ignore (Unix.lseek fd seg.sg_bytes Unix.SEEK_SET)
-     with Unix.Unix_error _ -> ());
+     with e ->
+       (try Unix.close fd with Unix.Unix_error _ -> ());
+       raise e);
     t.ts_fd <- Some fd;
     (seg, fd)
 

@@ -39,7 +39,10 @@ val recovery_warnings : t -> string list
     {!append} applies to timestamps. *)
 val quantize : float -> float
 
-(** Record one point. Timestamps are quantized to milliseconds. *)
+(** Record one point. Timestamps are quantized to milliseconds. A
+    point that fills its block seals it to the active segment; when
+    that segment cannot be opened, cut to its scanned length or
+    positioned there, the [Unix.Unix_error] is raised. *)
 val append : t -> series:string -> t:float -> v:float -> unit
 
 (** Seal every open block to disk and fsync the active segment — the

@@ -1,5 +1,5 @@
 (* Declarative health rules over window snapshots, with firing/cleared
-   transitions and a process-global registry.
+   transitions.
 
    A rule examines one completed window snapshot and answers [Some
    detail] (unhealthy) or [None] (healthy).  The watchdog evaluates its
@@ -8,11 +8,10 @@
    and when it clears, not on every window while the condition
    persists — so the alert log stays readable and bounded.
 
-   The registry follows the pattern of {!Provenance}: networks bridged
-   with [Dual] each carry their own board/window/watchdog, and
-   registering them under their network names lets [health ()] roll the
-   whole process up into one view (the shell's `alerts` and `stem top`
-   read that). *)
+   A watchdog is an ordinary value held by whoever created it (a
+   monitored board, an SLO); there is no registry.  A health roll-up is
+   computed by its reader over the watchdogs it already holds — the
+   telemetry server over the boards it serves and its own SLOs. *)
 
 type rule = {
   rl_name : string;
@@ -73,7 +72,7 @@ type alert = {
 type rule_state = { rs_rule : rule; mutable rs_firing : string option }
 
 type t = {
-  mutable wd_name : string; (* the registry key; set by register *)
+  wd_name : string; (* names the alerts: the net, or "slo:<name>" *)
   wd_rules : rule_state list;
   wd_log_cap : int;
   mutable wd_log : alert list; (* newest first, length <= cap *)
@@ -160,26 +159,6 @@ let alerts t = List.rev t.wd_log
 
 let evaluations t = t.wd_evals
 
-(* ---------------- process-global registry ---------------- *)
-
-let registry : (string, t) Hashtbl.t = Hashtbl.create 8
-
-let register name t =
-  t.wd_name <- name;
-  Hashtbl.replace registry name t
-
-let unregister name = Hashtbl.remove registry name
-
-let registered () =
-  Hashtbl.fold (fun _ t acc -> t :: acc) registry []
-  |> List.sort (fun a b -> compare a.wd_name b.wd_name)
-
-(* The roll-up: one (net, healthy?, firing rules) row per registered
-   watchdog. *)
-let health () = List.map (fun t -> (t.wd_name, ok t, firing t)) (registered ())
-
-let healthy () = List.for_all (fun (_, ok, _) -> ok) (health ())
-
 (* ---------------- rendering ---------------- *)
 
 (* Schema-v2 "alert" record: same flat shape as the trace lines, so a
@@ -219,17 +198,3 @@ let pp_status ppf t =
     Fmt.pf ppf "@[<v>%a@]"
       (Fmt.list ~sep:Fmt.cut (fun ppf (r, d) -> Fmt.pf ppf "FIRING %s: %s" r d))
       fs
-
-let pp_health ppf () =
-  match health () with
-  | [] -> Fmt.pf ppf "no watchdogs registered"
-  | rows ->
-    Fmt.pf ppf "@[<v>%a@]"
-      (Fmt.list ~sep:Fmt.cut (fun ppf (net, ok, fs) ->
-           if ok then Fmt.pf ppf "%-16s OK" net
-           else
-             Fmt.pf ppf "%-16s %a" net
-               (Fmt.list ~sep:(Fmt.any "; ") (fun ppf (r, d) ->
-                    Fmt.pf ppf "FIRING %s: %s" r d))
-               fs))
-      rows

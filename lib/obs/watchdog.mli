@@ -1,5 +1,5 @@
 (** Declarative health rules over rolling windows, with firing/cleared
-    alert transitions and a process-global roll-up.
+    alert transitions.
 
     A {!rule} inspects one completed {!Window.snapshot} and returns
     [Some detail] when unhealthy. Rules are evaluated at window
@@ -7,9 +7,10 @@
     alert when a rule starts firing, another when it clears — so the
     log stays readable and bounded.
 
-    Like [Provenance], watchdogs register under their network's name in
-    a process-global registry, so [Dual]-bridged networks roll up into
-    one {!health} view. *)
+    There is no registry: a watchdog belongs to its monitored board or
+    SLO, and a health roll-up is computed over the watchdogs its reader
+    holds (the telemetry server's [/healthz] over the boards it serves
+    and its own SLOs). *)
 
 type rule
 
@@ -43,7 +44,9 @@ type alert = {
 type t
 
 (** [create rules] — alert log bounded at [log_capacity] (default 64)
-    transitions. *)
+    transitions. [name] (default ["watchdog"]) is fixed here and names
+    the alerts: a monitored board's is its network's name, an SLO's is
+    ["slo:<name>"]. *)
 val create : ?name:string -> ?log_capacity:int -> rule list -> t
 
 val name : t -> string
@@ -68,23 +71,6 @@ val alerts : t -> alert list
 (** Windows evaluated so far. *)
 val evaluations : t -> int
 
-(** {1 Process-global registry} *)
-
-(** [register name t] keys [t] under [name] (usually the network name),
-    replacing any previous entry; also renames [t]. *)
-val register : string -> t -> unit
-
-val unregister : string -> unit
-
-val registered : unit -> t list
-
-(** One [(net, healthy?, firing)] row per registered watchdog, sorted
-    by name. *)
-val health : unit -> (string * bool * (string * string) list) list
-
-(** Are all registered watchdogs quiet? *)
-val healthy : unit -> bool
-
 (** One alert transition as a schema-v2 JSONL record ([{"v":2,
     "t":"alert","net":…,"rule":…,"window":…,"state":"firing"|"cleared",
     "detail":…}]) — parseable by [Jsonl.parse_line] and ignored as
@@ -95,6 +81,3 @@ val pp_alert : Format.formatter -> alert -> unit
 
 (** One watchdog's current status ("OK (...)" or the firing rules). *)
 val pp_status : Format.formatter -> t -> unit
-
-(** The whole process's roll-up. *)
-val pp_health : Format.formatter -> unit -> unit

@@ -180,13 +180,22 @@ let flush j =
 (* Empty the journal after its content is folded into a snapshot.  The
    snapshot rename happens first (caller's job): a crash between the
    two only re-replays sets the snapshot already holds, which the
-   commutative fixpoint makes idempotent. *)
+   commutative fixpoint makes idempotent.  POSIX does not order that
+   rename before this truncation on disk, so a syncing policy first
+   syncs the directory holding both: power loss cannot then keep the
+   empty journal and lose the snapshot. *)
 let reset j =
   with_lock j (fun () ->
       match j.j_fd with
       | None -> ()
       | Some fd ->
         check_locked j;
+        if j.j_fsync <> Never then
+          durably j "fsync directory of" (fun () ->
+              let dir = Filename.dirname j.j_path in
+              let d = Unix.openfile dir [ O_RDONLY ] 0 in
+              Fun.protect ~finally:(fun () -> Unix.close d) (fun () ->
+                  Unix.fsync d));
         durably j "truncate" (fun () ->
             Unix.ftruncate fd 0;
             ignore (Unix.lseek fd 0 Unix.SEEK_SET));

@@ -48,8 +48,8 @@ val read : string -> string list * (int * string) list
 type t
 
 (** Raised by {!append}, {!flush} and {!reset} when an fsync (or the
-    reset's truncate) fails, with a message naming the file and the
-    error.  The failure
+    reset's directory sync or truncate) fails, with a message naming
+    the file and the error.  The failure
     poisons the journal: every later {!append}, {!flush} and {!reset}
     raises it again without writing, since nothing written before a
     failed sync can be vouched for afterwards. *)
@@ -73,7 +73,11 @@ val append : ?trace:Obs.Tracing.t * Obs.Tracing.ctx -> t -> string -> unit
 val flush : t -> unit
 
 (** Truncate to empty — called after the journal's content has been
-    folded into a renamed-into-place snapshot. Raises {!Failed}. *)
+    folded into a snapshot renamed into place in the journal's own
+    directory. Under [Always] and [Interval] that directory is fsynced
+    first, so the rename reaches the disk before the truncation; under
+    [Never] it is not. Raises {!Failed} when the directory sync, the
+    truncate or the fsync fails. *)
 val reset : t -> unit
 
 (** Flush (per policy) and close. Idempotent. Never raises {!Failed}:

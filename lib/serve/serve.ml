@@ -155,8 +155,7 @@ let unwire_history h =
       match Obs.Board.history s.board with
       | Some ts when ts == h.hs_ts -> Obs.Board.set_history s.board None
       | _ -> ())
-    (Wstore.served ());
-  Hashtbl.iter (fun _ slo -> Obs.Slo.remove slo) h.hs_slos
+    (Wstore.served ())
 
 (* Per-tenant availability objective: admitted+rejected as the request
    total, rejections as the bad events.  Applied to tenants as they
@@ -200,18 +199,19 @@ let history_tick ?now sv =
       (Admission.tenants sv.sv_admission)
   | _ -> ()
 
-let slos_json sv =
+let slos sv =
   match sv.sv_history with
-  | None -> "[]"
+  | None -> []
   | Some h ->
-    let now = Unix.gettimeofday () in
-    let rows =
-      Hashtbl.fold (fun _ slo acc -> slo :: acc) h.hs_slos []
-      |> List.sort (fun a b ->
-             compare (Obs.Slo.objective a).Obs.Slo.ob_name
-               (Obs.Slo.objective b).Obs.Slo.ob_name)
-    in
-    J.to_string (J_arr (List.map (fun s -> Obs.Slo.status_json s ~now) rows))
+    Hashtbl.fold (fun _ slo acc -> slo :: acc) h.hs_slos []
+    |> List.sort (fun a b ->
+           compare (Obs.Slo.objective a).Obs.Slo.ob_name
+             (Obs.Slo.objective b).Obs.Slo.ob_name)
+
+let slos_json sv =
+  let now = Unix.gettimeofday () in
+  J.to_string
+    (J_arr (List.map (fun s -> Obs.Slo.status_json s ~now) (slos sv)))
 
 (* ---------------- endpoint renderers ---------------- *)
 
@@ -230,56 +230,71 @@ let render_metrics sv =
   Admission.render_prometheus sv.sv_admission buf;
   Buffer.contents buf
 
-let healthz_status () = if Obs.Watchdog.healthy () then 200 else 503
+(* What this server answers health for: the watchdog of each served
+   monitored board, under its served name, then those of its own SLOs. *)
+let watchdogs sv served =
+  List.filter_map
+    (fun (Wstore.Served s) ->
+      Option.map (fun wd -> (s.name, wd)) (Obs.Board.watchdog s.board))
+    served
+  @ List.map
+      (fun wd -> (Obs.Watchdog.name wd, wd))
+      (List.map Obs.Slo.watchdog (slos sv))
 
-let healthz_json () =
+let healthz sv =
+  let served = Wstore.served () in
+  let wds = watchdogs sv served in
+  let healthy = List.for_all (fun (_, wd) -> Obs.Watchdog.ok wd) wds in
   let st = Stream.stats hub in
-  let net (net, ok, firing) =
+  let net (net, wd) =
     J.J_obj
       [
         ("net", J_str net);
-        ("ok", J_bool ok);
+        ("ok", J_bool (Obs.Watchdog.ok wd));
         ( "firing",
           J_arr
             (List.map
                (fun (r, d) ->
                  J.J_obj [ ("rule", J_str r); ("detail", J_str d) ])
-               firing) );
+               (Obs.Watchdog.firing wd)) );
       ]
   in
-  let served = Wstore.served () in
-  J.to_string
-    (J_obj
-       [
-         ("healthy", J_bool (Obs.Watchdog.healthy ()));
-         ("nets", J_arr (List.map net (Obs.Watchdog.health ())));
-         ( "windows",
-           J_arr
-             (List.filter_map
-                (fun (Wstore.Served s) ->
-                  Option.map (window_obj s.name) (Obs.Board.window s.board))
-                served) );
-         ( "stream",
-           J_obj
-             [
-               ("published", J_int st.Stream.st_published);
-               ("dropped", J_int st.Stream.st_dropped);
-               ("subscribers", J_int st.Stream.st_subscribers);
-             ] );
-         ( "exposed",
-           J_arr (List.map (fun (Wstore.Served s) -> J.J_str s.name) served) );
-       ])
+  Router.json
+    ~status:(if healthy then 200 else 503)
+    (J.to_string
+       (J_obj
+          [
+            ("healthy", J_bool healthy);
+            ("nets", J_arr (List.map net wds));
+            ( "windows",
+              J_arr
+                (List.filter_map
+                   (fun (Wstore.Served s) ->
+                     Option.map (window_obj s.name) (Obs.Board.window s.board))
+                   served) );
+            ( "stream",
+              J_obj
+                [
+                  ("published", J_int st.Stream.st_published);
+                  ("dropped", J_int st.Stream.st_dropped);
+                  ("subscribers", J_int st.Stream.st_subscribers);
+                ] );
+            ( "exposed",
+              J_arr
+                (List.map (fun (Wstore.Served s) -> J.J_str s.name) served) );
+          ]))
 
-let alerts_ndjson () =
+let alerts_ndjson sv =
   let buf = Buffer.create 512 in
   List.iter
-    (fun wd ->
+    (fun (name, wd) ->
       List.iter
         (fun a ->
-          Buffer.add_string buf (Obs.Watchdog.alert_json a);
+          Buffer.add_string buf
+            (Obs.Watchdog.alert_json { a with Obs.Watchdog.al_net = name });
           Buffer.add_char buf '\n')
         (Obs.Watchdog.alerts wd))
-    (Obs.Watchdog.registered ());
+    (watchdogs sv (Wstore.served ()));
   Buffer.contents buf
 
 let series_json ts =
@@ -705,8 +720,8 @@ let routes sv =
       Router.text
         "STEM telemetry server\n\n\
          GET /metrics    Prometheus text exposition\n\
-         GET /healthz    watchdog roll-up (200 healthy / 503 firing)\n\
-         GET /alerts     watchdog transitions, NDJSON\n\
+         GET /healthz    served boards' and SLOs' watchdogs (200 / 503 firing)\n\
+         GET /alerts     their transitions, NDJSON\n\
          GET /exemplars  tail-sampled episodes, JSON\n\
          GET /spans      completed episode spans, JSON\n\
          GET /topo.dot   constraint graph, DOT (?net= selects)\n\
@@ -736,8 +751,8 @@ let routes sv =
   get "/metrics" (fun _ ->
       Router.text ~content_type:"text/plain; version=0.0.4; charset=utf-8"
         (render_metrics sv));
-  get "/healthz" (fun _ -> Router.json ~status:(healthz_status ()) (healthz_json ()));
-  get "/alerts" (fun _ -> Router.ndjson (alerts_ndjson ()));
+  get "/healthz" (fun _ -> healthz sv);
+  get "/alerts" (fun _ -> Router.ndjson (alerts_ndjson sv));
   get "/exemplars" (fun _ -> Router.json (exemplars_json ()));
   get "/spans" (fun _ -> Router.json (spans_json ()));
   get "/topo.dot" (fun rq ->

@@ -7,12 +7,14 @@
     - [GET /metrics] — Prometheus text exposition (0.0.4) merging every
       exposed network's registry (series labelled [net="<name>"]) plus
       the server's own counters.
-    - [GET /healthz] — watchdog roll-up; status 200 when every
-      registered watchdog is quiet, 503 otherwise; JSON body with
-      per-network firing rules, current window snapshots and stream
-      statistics.
-    - [GET /alerts] — logged watchdog transitions as NDJSON (the
-      schema-v2 ["alert"] records of [Obs.Watchdog.alert_json]).
+    - [GET /healthz] — this server's health: the watchdogs of the
+      served monitored boards (each under its served name) and of the
+      server's own SLOs; status 200 when all are quiet, 503 otherwise;
+      JSON body with per-row firing rules, current window snapshots,
+      stream statistics and the served names.
+    - [GET /alerts] — the same watchdogs' logged transitions as NDJSON
+      (the schema-v2 ["alert"] records of [Obs.Watchdog.alert_json],
+      ["net"] set to the row's name).
     - [GET /exemplars] — the tail sampler's kept episodes, JSON.
     - [GET /spans] — completed episode spans in the boards' rings, JSON.
     - [GET /topo.dot] — the constraint graph(s) as DOT ([?net=] selects
@@ -144,8 +146,8 @@ val requests_served : t -> int
     prefixed by the network name), and {!history_tick} adds the
     server's own counters plus per-tenant admission totals — then
     evaluates one availability SLO per tenant ({!Obs.Slo}: target
-    0.99, windows 60 s at burn 2 and 300 s at burn 1, firing through
-    the watchdog registry onto [/alerts] and [/healthz]). Read side:
+    0.99, windows 60 s at burn 2 and 300 s at burn 1, firing onto
+    this server's [/alerts] and [/healthz] only). Read side:
 
     - [GET /series] — stored series and store statistics, JSON.
     - [GET /query?metric=&from=&to=&step=] — range read; with [step],

@@ -372,7 +372,8 @@ let snapshot_text e =
 
 (* Snapshot then truncate the journal.  Crash between the two is safe:
    the journal's sets are already in the snapshot, and re-entering an
-   identical set is idempotent at the fixpoint. *)
+   identical set is idempotent at the fixpoint.  [Journal.reset] syncs
+   the directory both share before it truncates. *)
 let snapshot e =
   match e.e_dir with
   | None -> ()

@@ -88,13 +88,13 @@ let help_text =
   \  health                 one-shot health report (window, alerts, exemplars)\n\
   \  window [N]             last N completed telemetry windows + the current one\n\
   \  exemplars [N]          captured episode exemplars; N = full trace of the N-th newest\n\
-  \  alerts                 watchdog status, alert transitions, process roll-up\n\
+  \  alerts                 watchdog status and alert transitions\n\
   \  dot FILE               write the constraint graph (heat-annotated DOT) to FILE\n\
   \  topo                   structural statistics (fan-out, depth, cycles)\n\
   \  why PATH               causal chain: why does PATH hold its value?\n\
   \  blame PATH             forward fan-out: everything derived from PATH\n\
   \  critical [EP]          longest causal chain of an episode (default last)\n\
-  \  tracetree              episode tree across all traced networks\n\
+  \  tracetree              episode tree of the session's network\n\
   \  replay FILE [SEQ]      replay a JSONL trace (to SEQ) and diff vs live\n\
   \  serve [PORT]           start the HTTP telemetry server (default port 9464)\n\
   \  unserve                stop the telemetry server\n\
@@ -352,8 +352,7 @@ let execute ss line =
       (match Obs.Watchdog.alerts wd with
       | [] -> Fmt.pr "  no alert transitions recorded@."
       | alerts ->
-        List.iter (fun a -> Fmt.pr "  %a@." Obs.Watchdog.pp_alert a) alerts);
-      Fmt.pr "  -- process roll-up --@.%a@." Obs.Watchdog.pp_health ());
+        List.iter (fun a -> Fmt.pr "  %a@." Obs.Watchdog.pp_alert a) alerts));
     true
   | [ "dot"; file ] ->
     let dot =
@@ -401,7 +400,8 @@ let execute ss line =
         (Obs.Provenance.critical_path ss.ss_prov ?episode ()));
     true
   | [ "tracetree" ] ->
-    Fmt.pr "%a@." Obs.Provenance.pp_forest (Obs.Provenance.episode_forest ());
+    Fmt.pr "%a@." Obs.Provenance.pp_forest
+      (Obs.Provenance.episode_forest ss.ss_prov);
     true
   | "replay" :: file :: rest ->
     (match Obs.Replay.of_file file with

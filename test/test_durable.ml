@@ -770,6 +770,181 @@ let test_over_budget_strikes () =
       Alcotest.(check bool) "as a quarantine" true
         (contains ~sub:"quarantined" r.Serve.Client.rs_body))
 
+(* /healthz as (status, rows as (name, ok), exposed names), and the
+   names on /alerts lines. *)
+let healthz ~port =
+  let r = get_as ~port "/healthz" in
+  let str = function Strict_json.Str n -> n | _ -> Alcotest.fail "not a string" in
+  let row = function
+    | Strict_json.Obj row -> (
+      match (List.assoc_opt "net" row, List.assoc_opt "ok" row) with
+      | Some (Str n), Some (Bool ok) -> (n, ok)
+      | _ -> Alcotest.fail "/healthz row lacks net/ok")
+    | _ -> Alcotest.fail "/healthz row is not an object"
+  in
+  match Strict_json.parse_json r.Serve.Client.rs_body with
+  | Obj kvs -> (
+    match (List.assoc_opt "nets" kvs, List.assoc_opt "exposed" kvs) with
+    | Some (Arr rows), Some (Arr exposed) ->
+      (r.Serve.Client.rs_status, List.map row rows, List.map str exposed)
+    | _ -> Alcotest.fail "/healthz lacks nets/exposed")
+  | _ -> Alcotest.fail "/healthz is not an object"
+
+let alert_nets ~port =
+  String.split_on_char '\n' (get_as ~port "/alerts").Serve.Client.rs_body
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun l ->
+         match Strict_json.parse_json l with
+         | Obj kvs -> (
+           match List.assoc_opt "net" kvs with
+           | Some (Str n) -> n
+           | _ -> Alcotest.fail "alert without a net")
+         | _ -> Alcotest.fail "alert is not an object")
+
+(* Two servers at once: the first has history and a tenant whose SLO
+   burns.  Each answers health from what it serves — the shared served
+   nets and its own SLOs — so only the first reports the SLO. *)
+let test_health_is_per_server () =
+  with_dir (fun hist ->
+      let ts = Obs.Tsdb.open_ hist in
+      Fun.protect
+        ~finally:(fun () -> Obs.Tsdb.close ts)
+        (fun () ->
+          with_write_server ~admission:(one_step_admission ()) ~history:ts
+            (fun first ->
+              let second = Serve.start ~port:0 () in
+              Fun.protect
+                ~finally:(fun () -> Serve.stop second)
+                (fun () ->
+                  let port = Serve.port first in
+                  let spec = "var a.x\nvar a.y\nvar a.z\neq a.x a.y\neq a.y a.z\n" in
+                  Alcotest.(check int) "create ok" 201
+                    (post_ok ~port ~body:spec "/nets?id=burn").rs_status;
+                  let t = Unix.gettimeofday () in
+                  Serve.history_tick ~now:(t -. 2.) first;
+                  List.iter
+                    (fun status ->
+                      Alcotest.(check int) "over-budget set" status
+                        (post_ok ~port ~body:"{\"var\":\"a.x\",\"value\":\"1\"}\n"
+                           "/nets/burn/set")
+                          .rs_status)
+                    [ 422; 422; 429; 429 ];
+                  Serve.history_tick ~now:(t -. 1.) first;
+                  let slo = "slo:tenant-alice" in
+                  let is_slo (n, _) = String.starts_with ~prefix:"slo:" n in
+                  let status, rows, _ = healthz ~port in
+                  Alcotest.(check int) "first: 503" 503 status;
+                  Alcotest.(check bool) "first: its SLO row fires" true
+                    (List.mem (slo, false) rows);
+                  Alcotest.(check bool) "first: the served net is a row" true
+                    (List.mem_assoc "burn" rows);
+                  Alcotest.(check bool) "first: the SLO transition on /alerts"
+                    true
+                    (List.mem slo (alert_nets ~port));
+                  let port = Serve.port second in
+                  let status, rows, _ = healthz ~port in
+                  Alcotest.(check int) "second: 200" 200 status;
+                  Alcotest.(check bool) "second: no slo: row" false
+                    (List.exists is_slo rows);
+                  Alcotest.(check bool) "second: the served net is a row" true
+                    (List.mem ("burn", true) rows);
+                  Alcotest.(check bool) "second: no SLO transition on /alerts"
+                    false
+                    (List.exists
+                       (String.starts_with ~prefix:"slo:")
+                       (alert_nets ~port))))))
+
+let ivar net name =
+  Constraint_kernel.Var.create net ~owner:"m" ~name ~equal:Int.equal
+    ~pp:Fmt.int ()
+
+(* A net exposed under a name other than its own is one row, under the
+   served name, on /healthz ("nets" and "exposed") and /alerts. *)
+let test_health_names_the_served_name () =
+  let net = Constraint_kernel.Engine.create_network ~name:"inner" () in
+  let x = ivar net "x" in
+  let board =
+    Obs.Board.attach ~monitor:true ~window_width:(Obs.Window.Episodes 1)
+      ~rules:[ Obs.Watchdog.rule ~name:"always" (fun _ -> Some "always") ]
+      net
+  in
+  Serve.expose ~name:"outer" ~board net;
+  let sv = Serve.start ~port:0 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.stop sv;
+      ignore (Serve.unexpose "outer");
+      Obs.Board.detach net)
+    (fun () ->
+      ignore (Constraint_kernel.Engine.set net x 1);
+      let port = Serve.port sv in
+      let status, rows, exposed = healthz ~port in
+      Alcotest.(check int) "its firing rule answers 503" 503 status;
+      Alcotest.(check bool) "one firing row, under the served name" true
+        (List.mem ("outer", false) rows && not (List.mem_assoc "inner" rows));
+      Alcotest.(check bool) "exposed under the served name" true
+        (List.mem "outer" exposed && not (List.mem "inner" exposed));
+      let alerts = alert_nets ~port in
+      Alcotest.(check bool) "its transition names the served name" true
+        (List.mem "outer" alerts && not (List.mem "inner" alerts)))
+
+(* Two same-named design nets, each dual-bridged to a same-named
+   floorplan, each pair with its own provenance scope and monitored
+   boards.  Detaching the first pair leaves the second's /healthz row
+   and its cross-network [why] intact. *)
+let test_same_named_nets_detach_alone () =
+  let pair () =
+    let design = Stem.Env.create ~name:"twin-design" () in
+    let floorplan = Stem.Env.create ~name:"twin-floorplan" () in
+    let dnet = design.Stem.Design.env_cnet in
+    let fnet = floorplan.Stem.Design.env_cnet in
+    let board = Obs.Board.attach ~monitor:true dnet in
+    ignore (Obs.Board.attach ~monitor:true fnet);
+    let scope = Obs.Provenance.scope () in
+    let dprov = Obs.Provenance.attach ~pp_value:Dval.to_string ~scope dnet in
+    let fprov = Obs.Provenance.attach ~pp_value:Dval.to_string ~scope fnet in
+    let a = Dclib.variable dnet ~owner:"alu/a" ~name:"bitWidth" () in
+    let b = Dclib.variable dnet ~owner:"alu/sum" ~name:"bitWidth" () in
+    ignore (Dclib.equality dnet [ a; b ]);
+    let bus = Dclib.variable fnet ~owner:"chan0" ~name:"busWidth" () in
+    let tracks = Dclib.variable fnet ~owner:"chan0" ~name:"tracks" () in
+    ignore (Dclib.equality fnet [ bus; tracks ]);
+    ignore
+      (Stem.Dual.bridge design ~kind:"width-export" ~from_:b ~to_env:floorplan
+         ~to_:bus ());
+    (match Constraint_kernel.Engine.set dnet a (Dval.Int 8) with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "designer entry rejected");
+    (dnet, fnet, board, dprov, fprov)
+  in
+  let dnet1, fnet1, _, dprov1, fprov1 = pair () in
+  let dnet2, fnet2, board2, dprov2, fprov2 = pair () in
+  Serve.expose ~board:board2 dnet2;
+  let sv = Serve.start ~port:0 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.stop sv;
+      ignore (Serve.unexpose "twin-design");
+      List.iter Obs.Provenance.detach [ dprov2; fprov2 ];
+      List.iter Obs.Board.detach [ dnet2; fnet2 ])
+    (fun () ->
+      List.iter Obs.Provenance.detach [ dprov1; fprov1 ];
+      List.iter Obs.Board.detach [ dnet1; fnet1 ];
+      let _, rows, _ = healthz ~port:(Serve.port sv) in
+      Alcotest.(check bool) "the second's row is intact" true
+        (List.mem ("twin-design", true) rows);
+      let chain = Obs.Provenance.why fprov2 "chan0.tracks" in
+      Alcotest.(check (list string)) "the second's why still crosses"
+        [ "twin-design"; "twin-floorplan" ]
+        (List.sort_uniq compare
+           (List.map
+              (fun st -> st.Obs.Provenance.ws_span.Obs.Provenance.sp_net)
+              chain));
+      Alcotest.(check bool) "and ends at the designer entry" true
+        (List.exists
+           (fun st -> st.Obs.Provenance.ws_span.Obs.Provenance.sp_just = "user")
+           chain))
+
 (* Every JSON and NDJSON response, parsed by the strict parser, for a
    tenant whose name percent-encodes a quote, a backslash, a newline
    and a 0x01 byte — the bytes a hand-rolled writer forgets to escape.
@@ -955,6 +1130,12 @@ let suite =
         test_write_api_end_to_end;
       Alcotest.test_case "drop withdraws from the read endpoints" `Quick
         test_drop_withdraws_from_reads;
+      Alcotest.test_case "health is per server" `Quick
+        test_health_is_per_server;
+      Alcotest.test_case "health uses the served name" `Quick
+        test_health_names_the_served_name;
+      Alcotest.test_case "same-named nets detach alone" `Quick
+        test_same_named_nets_detach_alone;
       Alcotest.test_case "servers share no state; stop cleans up" `Quick
         test_servers_share_nothing;
       Alcotest.test_case "write api backpressure" `Quick

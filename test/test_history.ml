@@ -327,9 +327,7 @@ let test_slo_burn_rate_fires_and_clears () =
       in
       let slo = Obs.Slo.create ts ob in
       Fun.protect
-        ~finally:(fun () ->
-          Obs.Slo.remove slo;
-          Obs.Tsdb.close ts)
+        ~finally:(fun () -> Obs.Tsdb.close ts)
         (fun () ->
           let now = 299. in
           (match Obs.Slo.burn_rates slo ~now with
@@ -339,13 +337,10 @@ let test_slo_burn_rate_fires_and_clears () =
           | _ -> Alcotest.fail "unexpected burn_rates shape");
           Obs.Slo.evaluate slo ~now;
           Alcotest.(check bool) "objective firing" true (Obs.Slo.firing slo);
-          Alcotest.(check bool) "process health reflects the SLO" false
-            (Obs.Watchdog.healthy ());
-          (* the registry rolls it up under slo:acme *)
-          Alcotest.(check bool) "registered under slo:acme" true
-            (List.exists
-               (fun (net, _, _) -> net = "slo:acme")
-               (Obs.Watchdog.health ()));
+          let wd = Obs.Slo.watchdog slo in
+          Alcotest.(check bool) "its watchdog fires" false (Obs.Watchdog.ok wd);
+          Alcotest.(check string) "named slo:acme" "slo:acme"
+            (Obs.Watchdog.name wd);
           (* errors stop; both windows drain once `now` moves past them *)
           for i = 300 to 999 do
             let t = float_of_int i in
@@ -356,13 +351,8 @@ let test_slo_burn_rate_fires_and_clears () =
           Obs.Slo.evaluate slo ~now:999.;
           Alcotest.(check bool) "objective cleared" false (Obs.Slo.firing slo);
           (* firing + cleared = two logged transitions, JSON-renderable *)
-          let alerts =
-            List.concat_map Obs.Watchdog.alerts
-              (List.filter
-                 (fun wd -> Obs.Watchdog.name wd = "slo:acme")
-                 (Obs.Watchdog.registered ()))
-          in
-          Alcotest.(check int) "two transitions logged" 2 (List.length alerts)))
+          Alcotest.(check int) "two transitions logged" 2
+            (List.length (Obs.Watchdog.alerts wd))))
 
 let test_slo_latency_kind () =
   with_dir (fun d ->
@@ -377,9 +367,7 @@ let test_slo_latency_kind () =
       in
       let slo = Obs.Slo.create ts ob in
       Fun.protect
-        ~finally:(fun () ->
-          Obs.Slo.remove slo;
-          Obs.Tsdb.close ts)
+        ~finally:(fun () -> Obs.Tsdb.close ts)
         (fun () ->
           (* 20 of the last 50 samples above the limit: bad fraction
              0.4, budget 0.1 -> burn 4x *)
@@ -402,9 +390,7 @@ let test_slo_fires_on_first_burning_tick () =
       in
       let slo = Obs.Slo.create ts ob in
       Fun.protect
-        ~finally:(fun () ->
-          Obs.Slo.remove slo;
-          Obs.Tsdb.close ts)
+        ~finally:(fun () -> Obs.Tsdb.close ts)
         (fun () ->
           let last = 20 in
           for i = 0 to last do
@@ -430,9 +416,7 @@ let test_slo_no_data_is_null () =
       in
       let slo = Obs.Slo.create ts ob in
       Fun.protect
-        ~finally:(fun () ->
-          Obs.Slo.remove slo;
-          Obs.Tsdb.close ts)
+        ~finally:(fun () -> Obs.Tsdb.close ts)
         (fun () ->
           let burn_json now =
             Obs.Jsonl.to_string (Obs.Slo.status_json slo ~now)

@@ -1,7 +1,7 @@
 (* The continuous-monitoring layer: rolling windows (rotation,
    bounded history, rates and quantiles), the tail sampler (slow top-K,
    violating/head promotion, truncation, bounded store), watchdog rule
-   transitions and the process-global health roll-up, and the topology
+   transitions and watchdog naming on monitored boards, and the topology
    export (structural stats, 2-core cycle detection, DOT structure). *)
 
 open Constraint_kernel
@@ -373,32 +373,6 @@ let test_watchdog_stock_rules () =
     [ ("sink_errors>0", "2 sink error(s)") ]
     (Obs.Watchdog.firing wd)
 
-let test_watchdog_registry () =
-  let quiet = Obs.Watchdog.create (Obs.Watchdog.default_rules ()) in
-  let noisy = Obs.Watchdog.create [ Obs.Watchdog.latency_p99_above 1.0 ] in
-  ignore (Obs.Watchdog.evaluate noisy (snap_of ~us:500.0 2));
-  Obs.Watchdog.register "zeta" quiet;
-  Obs.Watchdog.register "alpha" noisy;
-  let rows = Obs.Watchdog.health () in
-  Alcotest.(check (list string)) "rows sorted by net name" [ "alpha"; "zeta" ]
-    (List.map (fun (n, _, _) -> n) rows);
-  (match rows with
-  | [ (_, a_ok, a_firing); (_, z_ok, z_firing) ] ->
-    Alcotest.(check bool) "alpha unhealthy" false a_ok;
-    Alcotest.(check int) "alpha's firing rule listed" 1
-      (List.length a_firing);
-    Alcotest.(check bool) "zeta healthy" true z_ok;
-    Alcotest.(check int) "zeta has no firing rules" 0 (List.length z_firing)
-  | _ -> Alcotest.fail "expected two rows");
-  Alcotest.(check bool) "roll-up reflects the noisy one" false
-    (Obs.Watchdog.healthy ());
-  Obs.Watchdog.unregister "alpha";
-  Alcotest.(check bool) "healthy after unregistering" true
-    (Obs.Watchdog.healthy ());
-  Obs.Watchdog.unregister "zeta";
-  Alcotest.(check int) "registry empty" 0
-    (List.length (Obs.Watchdog.registered ()))
-
 (* ---------------- the monitored board, end to end ---------------- *)
 
 let test_board_monitor_end_to_end () =
@@ -413,10 +387,13 @@ let test_board_monitor_end_to_end () =
   in
   Alcotest.(check bool) "board reports monitoring" true
     (Obs.Board.monitored b);
-  Alcotest.(check bool) "watchdog registered under the net name" true
-    (List.exists
-       (fun (n, _, _) -> n = "mon-e2e")
-       (Obs.Watchdog.health ()));
+  let wd =
+    match Obs.Board.watchdog b with
+    | Some wd -> wd
+    | None -> Alcotest.fail "no watchdog on a monitored board"
+  in
+  Alcotest.(check string) "watchdog named after the net" "mon-e2e"
+    (Obs.Watchdog.name wd);
   ignore (Engine.set net a 1);
   ignore (Engine.set net a 2);
   ignore (Engine.set net a 300) (* violates the predicate, rolls back *);
@@ -489,10 +466,6 @@ let test_board_monitor_end_to_end () =
         (Astring_contains.contains health needle))
     [ "episodes"; "p50"; "p99"; "alerts:"; "exemplars:" ];
   Obs.Board.detach net;
-  Alcotest.(check bool) "detach unregisters the watchdog" false
-    (List.exists
-       (fun (n, _, _) -> n = "mon-e2e")
-       (Obs.Watchdog.health ()));
   Alcotest.(check int) "detach removes the sink" 0
     (List.length (Engine.sinks net))
 
@@ -611,8 +584,6 @@ let suite =
         test_watchdog_transitions;
       Alcotest.test_case "watchdog stock rules" `Quick
         test_watchdog_stock_rules;
-      Alcotest.test_case "watchdog registry roll-up" `Quick
-        test_watchdog_registry;
       Alcotest.test_case "board monitor end to end" `Quick
         test_board_monitor_end_to_end;
       Alcotest.test_case "topo stats" `Quick test_topo_stats;

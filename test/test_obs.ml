@@ -764,16 +764,22 @@ let test_provenance_spill_eviction () =
   Obs.Provenance.detach p
 
 (* The acceptance property: a [why] on a variable whose value arrived
-   over a dual bridge walks the derivation across both networks back to
-   the original designer entry, and the episode forest nests the remote
-   episode under its cross-network parent. *)
+   over a dual bridge walks the derivation across both networks of one
+   provenance scope back to the original designer entry, and the
+   episode forest nests the remote episode under its cross-network
+   parent.  A store outside the scope stitches only within itself. *)
 let test_provenance_why_cross_network () =
-  let design = Stem.Env.create ~name:"prov-design" () in
-  let floorplan = Stem.Env.create ~name:"prov-floorplan" () in
+  let design = Stem.Env.create ~name:"design" () in
+  let floorplan = Stem.Env.create ~name:"floorplan" () in
   let dnet = design.Stem.Design.env_cnet in
   let fnet = floorplan.Stem.Design.env_cnet in
-  let dprov = Obs.Provenance.attach ~pp_value:Dval.to_string dnet in
-  let fprov = Obs.Provenance.attach ~pp_value:Dval.to_string fnet in
+  let scope = Obs.Provenance.scope () in
+  let dprov = Obs.Provenance.attach ~pp_value:Dval.to_string ~scope dnet in
+  let fprov = Obs.Provenance.attach ~pp_value:Dval.to_string ~scope fnet in
+  let alone =
+    Obs.Provenance.attach ~name:"provenance-alone" ~pp_value:Dval.to_string
+      fnet
+  in
   let a = Dclib.variable dnet ~owner:"alu/a" ~name:"bitWidth" () in
   let b = Dclib.variable dnet ~owner:"alu/sum" ~name:"bitWidth" () in
   ignore (Dclib.equality dnet [ a; b ]);
@@ -793,7 +799,11 @@ let test_provenance_why_cross_network () =
     List.sort_uniq compare (List.map (fun s -> s.ws_span.sp_net) chain)
   in
   Alcotest.(check (list string)) "chain spans both networks"
-    [ "prov-design"; "prov-floorplan" ] nets;
+    [ "design"; "floorplan" ] nets;
+  Alcotest.(check (list string)) "an unscoped store stays in its network"
+    [ "floorplan" ]
+    (List.sort_uniq compare
+       (List.map (fun s -> s.ws_span.sp_net) (why alone "chan0.tracks")));
   Alcotest.(check bool) "chain ends at the designer entry" true
     (List.exists
        (fun s ->
@@ -801,12 +811,12 @@ let test_provenance_why_cross_network () =
        chain);
   Alcotest.(check bool) "cross-network edge recorded on a span" true
     (List.exists
-       (fun s -> s.ws_span.sp_net = "prov-floorplan" && s.ws_span.sp_cross <> None)
+       (fun s -> s.ws_span.sp_net = "floorplan" && s.ws_span.sp_cross <> None)
        chain);
   (* forward: blaming the designer entry reaches the other network *)
   Alcotest.(check bool) "blame crosses forward" true
     (List.exists
-       (fun sp -> sp.sp_net = "prov-floorplan")
+       (fun sp -> sp.sp_net = "floorplan")
        (blame dprov "alu/a.bitWidth"));
   (* the remote episode nests under its cross-network parent *)
   let rec crosses node =
@@ -816,9 +826,12 @@ let test_provenance_why_cross_network () =
     || List.exists crosses node.tn_children
   in
   Alcotest.(check bool) "episode forest nests across networks" true
-    (List.exists crosses (episode_forest ()));
+    (List.exists crosses (episode_forest dprov));
+  Alcotest.(check bool) "an unscoped forest does not" false
+    (List.exists crosses (episode_forest alone));
   detach dprov;
-  detach fprov
+  detach fprov;
+  detach alone
 
 (* ---------------- replay ---------------- *)
 
