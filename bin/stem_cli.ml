@@ -289,61 +289,81 @@ let faults_cmd =
        ~doc:"Deterministic fault injection, quarantine and recovery demo")
     Term.(const run_faults $ seed $ threshold $ prob $ edits $ budget)
 
+(* ---------------- the demo workload ---------------- *)
+
+(* The Fig. 5.2 accumulator and its edit mix, shared by the
+   observability demos: each round is one healthy edit, one tentative
+   probe and one assignment the adder's 120 ns internal spec rejects,
+   so every window holds committed, probe and rolled-back episodes.
+   [attach] runs on the empty network first, so its sinks see the
+   network from creation. *)
+let demo_workload attach =
+  let env = Stem.Env.create () in
+  let net = env.env_cnet in
+  let attached = attach net in
+  let acc = Cell_library.Datapath.accumulator ~spec:180.0 env in
+  ignore
+    (Delay.Delay_network.delay env acc.Cell_library.Datapath.acc ~from_:"in"
+       ~to_:"out");
+  let reg_delay = List.hd acc.Cell_library.Datapath.acc_reg.cc_delays in
+  let add_delay = List.hd acc.Cell_library.Datapath.acc_adder.cc_delays in
+  let round i =
+    let open Constraint_kernel in
+    ignore
+      (Engine.set net reg_delay.cd_var
+         (Dval.Float (45.0 +. float_of_int (i mod 3))));
+    ignore (Engine.can_be_set_to net add_delay.cd_var (Dval.Float 115.0));
+    ignore (Engine.set net add_delay.cd_var (Dval.Float 130.0))
+  in
+  (net, attached, round)
+
 (* ---------------- trace ---------------- *)
 
-(* Observability demo: the Fig. 5.2 accumulator with the full board
-   attached (ring + metrics + profiler) and an optional JSONL export.
-   A few edits — including one the adder's internal spec rejects and
-   one tentative probe — give the spans, hotspots and histograms
-   something to show. *)
+(* Observability demo: the demo workload with the bare board attached
+   (ring + metrics + profiler) and an optional JSONL export. *)
 let run_trace jsonl chrome edits verify =
   setup_logs ();
   let open Constraint_kernel in
-  let env = Stem.Env.create () in
-  let net = env.env_cnet in
-  let board = Obs.Board.attach net in
-  let span_tracer =
-    match chrome with
-    | None -> None
-    | Some _ ->
-      (* hierarchical spans for the Perfetto export: the kernel sink
-         turns each episode into an "episode" span with its
-         propagate/drain/check/restore phases as children *)
-      let tr =
-        Obs.Tracing.create ~stage_prefix:"kernel.stage."
-          ~stages:[ "episode" ] ()
-      in
-      Obs.Tracing.set_enabled tr true;
-      Engine.add_sink net
-        (Obs.Tracing.kernel_sink tr ~net:net.Types.net_name);
-      Some tr
+  let attach net =
+    let board = Obs.Board.attach net in
+    let span_tracer =
+      match chrome with
+      | None -> None
+      | Some _ ->
+        (* hierarchical spans for the Perfetto export: the kernel sink
+           turns each episode into an "episode" span with its
+           propagate/drain/check/restore phases as children *)
+        let tr =
+          Obs.Tracing.create ~stage_prefix:"kernel.stage."
+            ~stages:[ "episode" ] ()
+        in
+        Obs.Tracing.set_enabled tr true;
+        Engine.add_sink net (Obs.Tracing.kernel_sink tr ~net:net.Types.net_name);
+        Some tr
+    in
+    let jsonl_oc =
+      Option.map
+        (fun file ->
+          let oc = open_out file in
+          Engine.add_sink net
+            (Obs.Jsonl.channel_sink ~pp_value:Dval.to_string oc);
+          (file, oc))
+        jsonl
+    in
+    (board, span_tracer, jsonl_oc)
   in
-  let jsonl_oc =
-    match jsonl with
-    | None -> None
-    | Some file ->
-      let oc = open_out file in
-      Engine.add_sink net (Obs.Jsonl.channel_sink ~pp_value:Dval.to_string oc);
-      Some (file, oc)
-  in
-  let acc = Cell_library.Datapath.accumulator ~spec:180.0 env in
-  let top = acc.Cell_library.Datapath.acc in
-  ignore (Delay.Delay_network.delay env top ~from_:"in" ~to_:"out");
-  let reg_delay = List.hd acc.Cell_library.Datapath.acc_reg.cc_delays in
-  let add_delay = List.hd acc.Cell_library.Datapath.acc_adder.cc_delays in
+  let net, (board, span_tracer, jsonl_oc), round = demo_workload attach in
   for i = 1 to edits do
-    (* alternate healthy edits with one the adder's 120 ns internal
-       spec rejects, plus a tentative probe per round *)
-    ignore (Engine.set net reg_delay.cd_var (Dval.Float (45.0 +. float_of_int (i mod 3))));
-    ignore (Engine.can_be_set_to net add_delay.cd_var (Dval.Float 115.0));
-    ignore (Engine.set net add_delay.cd_var (Dval.Float 130.0))
+    round i
   done;
-  Fmt.pr "== episode spans (most recent last) ==@.";
-  List.iter (fun sp -> Fmt.pr "  %a@." Types.pp_span sp) (Obs.Board.spans board);
-  Fmt.pr "@.== hotspots (top constraint kinds by activations) ==@.%a@."
-    (Obs.Profiler.pp_hotspots ~k:5)
-    (Obs.Board.profiler board);
-  Fmt.pr "@.== metrics ==@.%a@." Obs.Metrics.render (Obs.Board.metrics board);
+  let name = net.Types.net_name in
+  Fmt.pr "== episode spans (most recent last) ==@.%a@." Obs.Answer.text
+    (Obs.Answer.spans [ Obs.Answer.Named (name, board) ]);
+  Fmt.pr "@.== hotspots (constraint kinds by activations) ==@.%a@."
+    Obs.Answer.text
+    (Obs.Answer.hotspots (Obs.Board.profiler board));
+  Fmt.pr "@.== metrics ==@.%s"
+    (Serve.Exposition.render [ (name, Obs.Board.metrics board) ]);
   Fmt.pr "@.== kernel stats ==@.%a@." Editor.pp_stats (Engine.stats net);
   (match (chrome, span_tracer) with
   | Some file, Some tr ->
@@ -416,38 +436,16 @@ let trace_cmd =
 
 (* ---------------- health / top ---------------- *)
 
-(* Shared driver for the monitoring demos: the Fig. 5.2 accumulator
-   with a monitored board (rolling window + tail sampler + watchdog),
-   plus the same edit mix as `stem trace` — healthy edits, one tentative
-   probe and one assignment the adder's 120 ns internal spec rejects per
-   round — so every window holds committed, probe and rolled-back
-   episodes and the sampler always has a violating exemplar to show. *)
+(* The demo workload under a monitored board (rolling window + tail
+   sampler + watchdog), so the sampler always has a violating exemplar
+   to show. *)
 let health_setup ~window_width =
-  let env = Stem.Env.create () in
-  let net = env.env_cnet in
-  let board =
-    Obs.Board.attach ~monitor:true ~window_width
-      ~rules:
-        (Obs.Watchdog.latency_p99_above 50_000.0
-        :: Obs.Watchdog.violation_rate_above 0.9
-        :: Obs.Watchdog.default_rules ())
-      net
-  in
-  let acc = Cell_library.Datapath.accumulator ~spec:180.0 env in
-  ignore
-    (Delay.Delay_network.delay env acc.Cell_library.Datapath.acc ~from_:"in"
-       ~to_:"out");
-  let reg_delay = List.hd acc.Cell_library.Datapath.acc_reg.cc_delays in
-  let add_delay = List.hd acc.Cell_library.Datapath.acc_adder.cc_delays in
-  let round i =
-    let open Constraint_kernel in
-    ignore
-      (Engine.set net reg_delay.cd_var
-         (Dval.Float (45.0 +. float_of_int (i mod 3))));
-    ignore (Engine.can_be_set_to net add_delay.cd_var (Dval.Float 115.0));
-    ignore (Engine.set net add_delay.cd_var (Dval.Float 130.0))
-  in
-  (env, net, board, round)
+  demo_workload
+    (Obs.Board.attach ~monitor:true ~window_width
+       ~rules:
+         (Obs.Watchdog.latency_p99_above 50_000.0
+         :: Obs.Watchdog.violation_rate_above 0.9
+         :: Obs.Watchdog.default_rules ()))
 
 let verdict board =
   match Obs.Board.watchdog board with
@@ -457,54 +455,45 @@ let verdict board =
 let run_health edits window_eps dot_file json =
   setup_logs ();
   let open Constraint_kernel in
-  let _env, net, board, round =
+  let net, board, round =
     health_setup ~window_width:(Obs.Window.Episodes window_eps)
   in
   for i = 1 to edits do
     round i
   done;
   Obs.Board.checkpoint board;
-  if json then begin
-    (* machine-ingestible mode: the watchdog's alert transitions as
-       schema-v2 JSONL "alert" records, one per line — parseable by
-       Obs.Jsonl.parse_line and replay-compatible (R_other) *)
-    (match Obs.Board.watchdog board with
-    | None -> ()
-    | Some wd ->
-      List.iter
-        (fun a -> print_endline (Obs.Watchdog.alert_json a))
-        (Obs.Watchdog.alerts wd));
-    verdict board
-  end
+  let name = net.Types.net_name in
+  if json then
+    (* machine-ingestible mode: the alerts answer, one schema-v2 record
+       per line — parseable by Obs.Jsonl.parse_line and replay-compatible
+       (R_other) *)
+    print_string
+      (Obs.Jsonl.to_ndjson
+         (Obs.Answer.alerts
+            (Option.to_list
+               (Option.map (fun wd -> (name, wd)) (Obs.Board.watchdog board)))))
   else begin
-  Fmt.pr "== health: net '%s' ==@.%a@." net.Types.net_name Obs.Board.pp_health
-    board;
-  Fmt.pr "%a@." Constraint_kernel.Editor.pp_agenda net;
-  (match Obs.Board.sampler board with
-  | Some sam -> (
-    match Obs.Sampler.slowest sam with
-    | Some ex ->
-      Fmt.pr "@.== slowest episode exemplar ==@.%a@."
-        Obs.Sampler.pp_exemplar_events ex
-    | None -> ())
-  | None -> ());
-  (match dot_file with
-  | None -> ()
-  | Some file ->
-    let dot =
-      Obs.Topo.to_dot
-        ~profiler:(Obs.Board.profiler board)
-        ~metrics:(Obs.Board.metrics board)
-        net
-    in
-    let oc = open_out file in
-    output_string oc dot;
-    close_out oc;
-    let s = Obs.Topo.stats net in
-    Fmt.pr "@.topology written to %s (%d vars, %d constraints, %d edges)@."
-      file s.Obs.Topo.tp_vars s.Obs.Topo.tp_cstrs s.Obs.Topo.tp_edges);
+    Fmt.pr "== health: net '%s' ==@.%a@.%a@." name Obs.Answer.text
+      (Obs.Answer.health name board)
+      Editor.pp_agenda net;
+    Option.iter
+      (fun ex ->
+        Fmt.pr "@.== slowest episode exemplar ==@.%a@." Obs.Answer.text
+          (Obs.Answer.exemplar name ex))
+      (Option.bind (Obs.Board.sampler board) Obs.Sampler.slowest);
+    Option.iter
+      (fun file ->
+        Out_channel.with_open_text file (fun oc ->
+            output_string oc
+              (Obs.Topo.to_dot
+                 ~profiler:(Obs.Board.profiler board)
+                 ~metrics:(Obs.Board.metrics board)
+                 net));
+        Fmt.pr "@.topology written to %s@.%a@." file Obs.Answer.text
+          (Obs.Answer.topo net))
+      dot_file
+  end;
   verdict board
-  end
 
 let health_cmd =
   let edits =
@@ -533,38 +522,25 @@ let health_cmd =
 
 let run_top seconds interval =
   setup_logs ();
-  let _env, _net, board, round =
+  let net, board, round =
     health_setup ~window_width:(Obs.Window.Seconds interval)
   in
+  let name = net.Constraint_kernel.Types.net_name in
   let t0 = Unix.gettimeofday () in
   let tick = ref 0 in
   while Unix.gettimeofday () -. t0 < seconds do
     incr tick;
     round !tick;
-    (match (Obs.Board.window board, Obs.Board.watchdog board) with
-    | Some w, Some wd ->
-      let s =
-        match Obs.Window.last w with
-        | Some s -> s
-        | None -> Obs.Window.current w
-      in
-      let alerts =
-        match Obs.Watchdog.firing wd with
-        | [] -> "alerts: OK"
-        | fs ->
-          Printf.sprintf "ALERTS: %s"
-            (String.concat ", " (List.map fst fs))
-      in
-      Fmt.pr "t=%5.1fs  win#%-3d eps=%-4d rate=%7.0f/s  p50=%6.1fµs p99=%6.1fµs  viol=%-3d quar=%-2d  %s@."
-        (Unix.gettimeofday () -. t0)
-        s.Obs.Window.w_index s.Obs.Window.w_episodes
-        (Obs.Window.episode_rate s) (Obs.Window.p50 s) (Obs.Window.p99 s)
-        s.Obs.Window.w_violations s.Obs.Window.w_quarantines alerts
-    | _ -> ());
+    Option.iter
+      (fun w ->
+        let s = Option.value (Obs.Window.last w) ~default:(Obs.Window.current w) in
+        Fmt.pr "t=%.1fs %a@." (Unix.gettimeofday () -. t0) Obs.Answer.text
+          (Obs.Answer.window name s))
+      (Obs.Board.window board);
     Unix.sleepf interval
   done;
   Obs.Board.checkpoint board;
-  Fmt.pr "@.final %a@." Obs.Board.pp_health board;
+  Fmt.pr "@.== final health ==@.%a@." Obs.Answer.text (Obs.Answer.health name board);
   verdict board
 
 let top_cmd =
@@ -612,7 +588,7 @@ let run_serve bind port rate duration window_eps data fsync verify_replay
   | Some fsync_policy ->
   (* the demo net is served first: a recovered net of the same name
      takes its place *)
-  let _env, net, board, round =
+  let net, board, round =
     health_setup ~window_width:(Obs.Window.Episodes window_eps)
   in
   Serve.expose ~pp_value:Dval.to_string ~board net;
@@ -992,14 +968,13 @@ let run_why width =
   | Error v -> Fmt.pr "!! %a@." Types.pp_violation v);
   Fmt.pr "designer sets alu/a.bitWidth = %d; the floorplanner's channel follows:@." width;
   Fmt.pr "  %a@.  %a@.@." Var.pp_full bus Var.pp_full tracks;
-  Fmt.pr "== why chan0.tracks ==@.%a@.@." Obs.Provenance.pp_why
-    (Obs.Provenance.why fprov "chan0.tracks");
-  Fmt.pr "== episode tree ==@.%a@.@." Obs.Provenance.pp_forest
-    (Obs.Provenance.episode_forest fprov);
-  Fmt.pr "== blame alu/a.bitWidth (forward fan-out) ==@.";
-  List.iter
-    (fun sp -> Fmt.pr "  %a@." Obs.Provenance.pp_span sp)
-    (Obs.Provenance.blame dprov "alu/a.bitWidth");
+  let show title j = Fmt.pr "== %s ==@.%a@.@." title Obs.Answer.text j in
+  show "why chan0.tracks" (Obs.Answer.why fprov "chan0.tracks");
+  show "critical path of the floorplan's last episode"
+    (Obs.Answer.critical fprov None);
+  show "episode tree" (Obs.Answer.episodes fprov);
+  show "blame alu/a.bitWidth (forward fan-out)"
+    (Obs.Answer.blame dprov "alu/a.bitWidth");
   (* the acceptance property, checked live: the chain ends at the user set *)
   let chain = Obs.Provenance.why fprov "chan0.tracks" in
   let ends_at_user =
@@ -1043,40 +1018,13 @@ let run_report dir seconds =
     List.iter
       (fun w -> Fmt.pr "recovery: %s@." w)
       (Obs.Tsdb.recovery_warnings ts);
-    let st = Obs.Tsdb.stats ts in
-    Fmt.pr
-      "history %s: %d segment(s), %d block(s), %d point(s), %d bytes on disk \
-       (%.1fx compression)@.@."
-      dir st.Obs.Tsdb.st_segments st.Obs.Tsdb.st_blocks st.Obs.Tsdb.st_points
-      st.Obs.Tsdb.st_disk_bytes st.Obs.Tsdb.st_ratio;
-    let rows = Obs.Tsdb.series ts in
-    if rows = [] then Fmt.pr "no series recorded@."
-    else begin
-      Fmt.pr "%-44s %8s %12s %12s %12s  %s@." "series" "points" "min" "max"
-        "last" "last window";
-      List.iter
-        (fun (name, points, first, last) ->
-          let from_ = if seconds > 0.0 then last -. seconds else first in
-          let pts = Obs.Tsdb.query ts ~series:name ~from_ ~to_:last in
-          let vs = List.map snd pts in
-          let spark =
-            if List.length vs <= 40 || last -. from_ <= 0.0 then
-              Obs.Tsdb.sparkline vs
-            else
-              Obs.Tsdb.sparkline
-                (List.map
-                   (fun b -> b.Obs.Tsdb.bk_avg)
-                   (Obs.Tsdb.query_range ts ~series:name ~from_ ~to_:last
-                      ~step:((last -. from_) /. 40.)))
-          in
-          let mn = List.fold_left min infinity vs
-          and mx = List.fold_left max neg_infinity vs
-          and lv =
-            match List.rev vs with v :: _ -> v | [] -> nan
-          in
-          Fmt.pr "%-44s %8d %12g %12g %12g  %s@." name points mn mx lv spark)
-        rows
-    end;
+    let summary (series, _, first, last) =
+      let from_ = if seconds > 0.0 then last -. seconds else first in
+      Obs.Answer.summary ts series ~from_ ~to_:last
+    in
+    Fmt.pr "%a@.@.== per series ==@.%a@." Obs.Answer.text (Obs.Answer.history ts)
+      Obs.Answer.text
+      (Obs.Jsonl.J_arr (List.map summary (Obs.Tsdb.series ts)));
     Obs.Tsdb.close ts;
     0
   end

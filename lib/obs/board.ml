@@ -115,52 +115,6 @@ let sample_history metrics ts prefix (snap : Window.snapshot) =
     put "window.p99_us" (Window.p99 snap)
   end
 
-(* [watchdog_name] names the monitor's alerts: the network's name when
-   built by [attach]. *)
-let build ~watchdog_name ?(ring_capacity = 256) ?(monitor = false)
-    ?window_width ?rules ?slow_k ?head_every () =
-  let ring = Ring.create ~name:"ring" ~capacity:ring_capacity () in
-  let metrics = Metrics.create () in
-  let history = ref None in
-  let mon =
-    if not monitor then None
-    else begin
-      let width =
-        match window_width with Some w -> w | None -> Window.Episodes 32
-      in
-      let w = Window.create ~width () in
-      let sampler = Sampler.create ?slow_k ?head_every ~ring () in
-      let wd =
-        Watchdog.create ~name:watchdog_name
-          (match rules with Some rs -> rs | None -> Watchdog.default_rules ())
-      in
-      (* every window boundary: fresh slow top-K, then rule evaluation *)
-      Window.on_rotate w (fun _ -> Sampler.rotate sampler);
-      Watchdog.watch wd w;
-      register_gc_gauges metrics w;
-      (* registered once here — [set_history] only swings the cell, so
-         repeated enable/disable cannot stack rotation callbacks *)
-      Window.on_rotate w (fun snap ->
-          match !history with
-          | Some (ts, prefix) -> sample_history metrics ts prefix snap
-          | None -> ());
-      Some { mon_window = w; mon_sampler = sampler; mon_watchdog = wd }
-    end
-  in
-  {
-    b_ring = ring;
-    b_metrics = metrics;
-    b_profiler = Profiler.create ();
-    b_monitor = mon;
-    b_sink_errs_seen = 0;
-    b_history = history;
-  }
-
-let create ?ring_capacity ?monitor ?window_width ?rules ?slow_k ?head_every ()
-    =
-  build ~watchdog_name:"watchdog" ?ring_capacity ?monitor ?window_width ?rules
-    ?slow_k ?head_every ()
-
 (* The consumers are fused into one subscription: a single closure
    call, exception trap and event match per trace event instead of one
    each, which measurably matters on the propagation hot path (bench
@@ -172,20 +126,16 @@ let create ?ring_capacity ?monitor ?window_width ?rules ?slow_k ?head_every ()
    checks) pays nothing beyond the ring push the board does anyway.
    Each consumer is still available as a standalone sink for piecemeal
    use. *)
-let sink ?net b =
+let sink net b =
   let ring = b.b_ring in
   let ks = Metrics.kernel_set b.b_metrics in
   let p = b.b_profiler in
   (* wakeup-discipline gauges mirror the network's cumulative counters
      once per episode — two float stores, nothing on the event bulk *)
-  let note_wakeups =
-    match net with
-    | None -> fun () -> ()
-    | Some n ->
-      fun () ->
-        let s = n.Types.net_stats in
-        Metrics.set_gauge ks.ks_wakeups (float_of_int s.Types.k_wakeups);
-        Metrics.set_gauge ks.ks_suppressed (float_of_int s.Types.k_suppressed)
+  let note_wakeups () =
+    let s = net.Types.net_stats in
+    Metrics.set_gauge ks.ks_wakeups (float_of_int s.Types.k_wakeups);
+    Metrics.set_gauge ks.ks_suppressed (float_of_int s.Types.k_suppressed)
   in
   let base ep seq ev =
     ignore ep;
@@ -255,30 +205,59 @@ let sink ?net b =
           base ep seq ev;
           (* promote from the ring before anything else overwrites it *)
           Sampler.episode_ended sampler sp;
-          (match net with
-          | Some n ->
-            let errs = n.Types.net_stats.Types.k_sink_errors in
-            Window.note_sink_errors w (errs - b.b_sink_errs_seen);
-            b.b_sink_errs_seen <- errs
-          | None -> ());
+          let errs = net.Types.net_stats.Types.k_sink_errors in
+          Window.note_sink_errors w (errs - b.b_sink_errs_seen);
+          b.b_sink_errs_seen <- errs;
           (* last: may rotate the window and run the watchdog *)
           Window.observe_span w sp
         | _ -> base ep seq ev)
   in
   Types.{ snk_name = sink_name; snk_emit = emit }
 
-let attach ?ring_capacity ?monitor ?window_width ?rules ?slow_k ?head_every net
-    =
-  let b =
-    build ~watchdog_name:net.Types.net_name ?ring_capacity ?monitor
-      ?window_width ?rules ?slow_k ?head_every ()
+let attach ?(ring_capacity = 256) ?(monitor = false) ?window_width ?rules
+    ?slow_k ?head_every net =
+  let ring = Ring.create ~name:"ring" ~capacity:ring_capacity () in
+  let metrics = Metrics.create () in
+  let history = ref None in
+  let mon =
+    if not monitor then None
+    else begin
+      let width =
+        match window_width with Some w -> w | None -> Window.Episodes 32
+      in
+      let w = Window.create ~width () in
+      let sampler = Sampler.create ?slow_k ?head_every ~ring () in
+      let wd =
+        Watchdog.create ~name:net.Types.net_name
+          (match rules with Some rs -> rs | None -> Watchdog.default_rules ())
+      in
+      (* every window boundary: fresh slow top-K, then rule evaluation *)
+      Window.on_rotate w (fun _ -> Sampler.rotate sampler);
+      Watchdog.watch wd w;
+      register_gc_gauges metrics w;
+      (* registered once here — [set_history] only swings the cell, so
+         repeated enable/disable cannot stack rotation callbacks *)
+      Window.on_rotate w (fun snap ->
+          match !history with
+          | Some (ts, prefix) -> sample_history metrics ts prefix snap
+          | None -> ());
+      Some { mon_window = w; mon_sampler = sampler; mon_watchdog = wd }
+    end
   in
-  Engine.add_sink net (sink ~net b);
+  let b =
+    {
+      b_ring = ring;
+      b_metrics = metrics;
+      b_profiler = Profiler.create ();
+      b_monitor = mon;
+      b_sink_errs_seen = 0;
+      b_history = history;
+    }
+  in
+  Engine.add_sink net (sink net b);
   b
 
 let detach net = ignore (Engine.remove_sink net sink_name)
-
-let ring b = b.b_ring
 
 let metrics b = b.b_metrics
 
@@ -299,8 +278,6 @@ let watchdog b = Option.map (fun m -> m.mon_watchdog) b.b_monitor
 
 let spans b = Ring.spans b.b_ring
 
-let hotspots ?k b = Profiler.hotspots ?k b.b_profiler
-
 (* Close the current window if it holds anything, so a one-shot health
    report sees a completed (watchdog-evaluated) boundary. *)
 let checkpoint b =
@@ -309,29 +286,3 @@ let checkpoint b =
     if (Window.current m.mon_window).Window.w_episodes > 0 then
       Window.rotate m.mon_window
   | None -> ()
-
-let pp_health ppf b =
-  match b.b_monitor with
-  | None ->
-    Fmt.pf ppf "monitoring off (attach the board with ~monitor:true)"
-  | Some m ->
-    let w = m.mon_window in
-    Fmt.pf ppf "@[<v>";
-    (match Window.last w with
-    | Some snap -> Fmt.pf ppf "%a@," Window.pp_snapshot snap
-    | None -> Fmt.pf ppf "no completed window yet@,");
-    let cur = Window.current w in
-    if cur.Window.w_episodes > 0 then
-      Fmt.pf ppf "current %a@," Window.pp_snapshot cur;
-    Fmt.pf ppf "alerts: %a@," Watchdog.pp_status m.mon_watchdog;
-    let sam = m.mon_sampler in
-    Fmt.pf ppf "exemplars: %d stored (%d promoted of %d episodes)"
-      (Sampler.stored sam) (Sampler.promoted sam) (Sampler.seen sam);
-    (match Sampler.slowest sam with
-    | Some ex -> Fmt.pf ppf "@,slowest: %a" Sampler.pp_exemplar ex
-    | None -> ());
-    Fmt.pf ppf "@]"
-
-let pp_summary ppf b =
-  Fmt.pf ppf "@[<v>-- metrics --@,%a@,-- hotspots --@,%a@]" Metrics.render
-    b.b_metrics (Profiler.pp_hotspots ?k:None) b.b_profiler

@@ -20,8 +20,10 @@ open Constraint_kernel
 
 type 'a t
 
-(** Build a board without attaching it. Defaults: ring capacity 256; no
-    monitor. With [~monitor:true]: [window_width] defaults to
+(** Build a board and attach its sink; a same-named sink already on the
+    network is replaced in place. Defaults: ring capacity 256; no
+    monitor. With [~monitor:true] (the watchdog named after the
+    network): [window_width] defaults to
     [Window.Episodes 32], [rules] to {!Watchdog.default_rules},
     [slow_k]/[head_every] to the {!Sampler.create} defaults. Monitored
     boards also carry OCaml runtime gauges
@@ -31,24 +33,6 @@ type 'a t
     path — plus process gauges: [runtime.uptime_seconds] and, on
     Linux, [runtime.os.rss_bytes] (from [/proc/self/statm]; the gauge
     is simply absent where that file is). *)
-val create :
-  ?ring_capacity:int ->
-  ?monitor:bool ->
-  ?window_width:Window.width ->
-  ?rules:Watchdog.rule list ->
-  ?slow_k:int ->
-  ?head_every:int ->
-  unit ->
-  'a t
-
-(** The board's fused sink (named ["board"]), for manual attachment.
-    [?net] enables per-window sink-error deltas (read from the
-    network's stats at episode end). *)
-val sink : ?net:'a Types.network -> 'a t -> 'a Types.sink
-
-(** Build and attach. A same-named sink already on the network is
-    replaced in place. With a monitor, the watchdog is named after the
-    network. *)
 val attach :
   ?ring_capacity:int ->
   ?monitor:bool ->
@@ -61,10 +45,6 @@ val attach :
 
 (** Remove the board's sink from the network. *)
 val detach : 'a Types.network -> unit
-
-val sink_name : string
-
-val ring : 'a t -> 'a Ring.t
 
 val metrics : 'a t -> Metrics.t
 
@@ -97,15 +77,7 @@ val watchdog : 'a t -> Watchdog.t option
 (** Completed episode spans currently in the ring, oldest first. *)
 val spans : 'a t -> Types.episode_span list
 
-val hotspots : ?k:int -> 'a t -> Profiler.entry list
-
 (** Force a window boundary now if the current window holds any
     episodes (so a one-shot health report sees a completed,
     watchdog-evaluated window). No-op without a monitor. *)
 val checkpoint : 'a t -> unit
-
-(** Last window, current window, alert status, exemplar summary. *)
-val pp_health : Format.formatter -> 'a t -> unit
-
-(** Metrics + hotspots, human-readable. *)
-val pp_summary : Format.formatter -> 'a t -> unit

@@ -113,3 +113,25 @@ let read_file path =
             | n -> fill (off + n)
         in
         Bytes.sub_string buf 0 (fill 0))
+
+(* ---------------- appending ---------------- *)
+
+let open_at path valid_end =
+  let fd =
+    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644
+  in
+  (* cut a torn tail only when there is one, and raise rather than let
+     new frames overwrite the file from offset 0 *)
+  (try
+     if (Unix.fstat fd).Unix.st_size > valid_end then Unix.ftruncate fd valid_end;
+     ignore (Unix.lseek fd valid_end Unix.SEEK_SET)
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
+  fd
+
+let write_all fd s =
+  let n = String.length s in
+  let b = Bytes.unsafe_of_string s in
+  let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
+  go 0

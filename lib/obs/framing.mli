@@ -8,20 +8,8 @@
     mid-append) and a bit-flipped payload (detected by the CRC) — and
     strict about everything else. *)
 
-(** CRC-32 (IEEE 802.3, the zlib polynomial). *)
-val crc32 : string -> int
-
 (** Frame header size in bytes (length + CRC words). *)
 val header_len : int
-
-(** A frame length beyond this is not a record, it is corrupted
-    framing: readers stop rather than skip gigabytes on a garbage
-    length field. *)
-val max_record : int
-
-val put_u32 : Bytes.t -> int -> int -> unit
-
-val get_u32 : string -> int -> int
 
 (** Wrap one payload in a frame. *)
 val frame : string -> string
@@ -36,3 +24,15 @@ val scan : string -> (int * string) list * (int * string) list * int
 (** Whole-file read of at most the size [Unix.stat] reports; [""] when
     the file does not exist or reports size 0 (a character device). *)
 val read_file : string -> string
+
+(** {1 Appending} *)
+
+(** [open_at path valid_end] — open [path] for appending (creating it)
+    with the write offset at [valid_end], the end {!scan} found. A file
+    longer than that loses its torn tail first. A failed truncate or
+    seek closes the descriptor and raises the [Unix_error]. *)
+val open_at : string -> int -> Unix.file_descr
+
+(** Write the whole string (raises [Unix_error] as [Unix.write] does;
+    some bytes may have been written by then). *)
+val write_all : Unix.file_descr -> string -> unit

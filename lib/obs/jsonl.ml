@@ -103,6 +103,17 @@ let to_string v =
   write buf v;
   Buffer.contents buf
 
+let to_ndjson = function
+  | J_arr xs ->
+    let buf = Buffer.create 256 in
+    List.iter
+      (fun x ->
+        write buf x;
+        Buffer.add_char buf '\n')
+      xs;
+    Buffer.contents buf
+  | v -> to_string v ^ "\n"
+
 let opt f = function None -> J_null | Some x -> f x
 
 let outcome_string = function
@@ -350,9 +361,6 @@ let float fields k =
   | Some (J_float f) -> Some f
   | Some (J_int i) -> Some (float_of_int i)
   | _ -> None
-
-let bool fields k =
-  match List.assoc_opt k fields with Some (J_bool b) -> Some b | _ -> None
 
 let parse_lines s =
   String.split_on_char '\n' s

@@ -45,10 +45,11 @@ type json =
   | J_arr of json list
   | J_obj of (string * json) list  (** keys written in list order *)
 
-(** Append one document to a buffer. *)
-val write : Buffer.t -> json -> unit
-
 val to_string : json -> string
+
+(** NDJSON: each element of an array on its own line (any other value
+    as one line), every line newline-terminated. *)
+val to_ndjson : json -> string
 
 (** [opt f None = J_null], [opt f (Some x) = f x]. *)
 val opt : ('a -> json) -> 'a option -> json
@@ -98,8 +99,6 @@ val str : (string * json) list -> string -> string option
 val int : (string * json) list -> string -> int option
 
 val float : (string * json) list -> string -> float option
-
-val bool : (string * json) list -> string -> bool option
 
 val outcome_string : episode_outcome -> string
 

@@ -171,23 +171,6 @@ let quantile h q =
     go 0 0
   end
 
-(* ---------------- rendering ---------------- *)
-
-let pp_item ppf = function
-  | Counter c -> Fmt.pf ppf "%-28s %d" c.c_name c.c_count
-  | Gauge g ->
-    if g.g_samples = 0 then Fmt.pf ppf "%-28s (no samples)" g.g_name
-    else Fmt.pf ppf "%-28s last=%g max=%g" g.g_name g.g_last g.g_max
-  | Histogram h ->
-    if h.h_count = 0 then Fmt.pf ppf "%-28s (no samples)" h.h_name
-    else
-      Fmt.pf ppf "%-28s n=%d mean=%.1f p50=%.1f p90=%.1f p99=%.1f min=%.1f max=%.1f"
-        h.h_name h.h_count (mean h) (quantile h 0.5) (quantile h 0.9)
-        (quantile h 0.99) h.h_min h.h_max
-
-let render ppf t =
-  Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut pp_item) (items t)
-
 (* ---------------- Prometheus text exposition ---------------- *)
 
 (* The text exposition format (version 0.0.4) the Prometheus server

@@ -50,10 +50,6 @@ val histogram_standalone : ?bounds:float array -> string -> histogram
 
 val observe : histogram -> float -> unit
 
-val default_time_bounds : float array
-
-val default_size_bounds : float array
-
 val mean : histogram -> float
 
 (** Number of observations recorded. *)
@@ -74,10 +70,6 @@ val items : t -> item list
 
 (** The name an instrument was registered under. *)
 val item_name : item -> string
-
-val pp_item : Format.formatter -> item -> unit
-
-val render : Format.formatter -> t -> unit
 
 (** {1 Prometheus text exposition (format version 0.0.4)}
 

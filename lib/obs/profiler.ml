@@ -89,24 +89,6 @@ let entries t =
          | 0 -> compare a.e_kind b.e_kind
          | c -> c)
 
-let hotspots ?(k = 5) t =
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  take k (entries t)
-
 let clear t =
   Hashtbl.reset t.p_entries;
   Array.fill t.p_by_id 0 (Array.length t.p_by_id) None
-
-let pp_entry ppf e =
-  Fmt.pf ppf "%-18s act=%-6d sched=%-6d checks=%-6d fail=%-4d viol=%-4d quar=%d"
-    e.e_kind e.e_activations e.e_scheduled e.e_checks e.e_check_failures
-    e.e_violations e.e_quarantines
-
-let pp_hotspots ?k ppf t =
-  match hotspots ?k t with
-  | [] -> Fmt.pf ppf "(no constraint activity recorded)"
-  | es -> Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut pp_entry) es

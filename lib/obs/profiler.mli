@@ -3,7 +3,7 @@
     Attaching {!sink} to a network attributes constraint activity —
     activations, agenda pushes, satisfaction checks (and how many
     failed), violations, quarantines — to the constraint's [c_kind].
-    {!hotspots} ranks kinds by activation count, answering "which
+    {!entries} ranks kinds by activation count, answering "which
     constraint family is doing all the work" without per-activation
     clock reads (counting stays cheap enough to leave on). *)
 
@@ -38,11 +38,4 @@ val entry_of_cstr : t -> 'a cstr -> entry
 (** All kinds seen so far, most activations first (ties by name). *)
 val entries : t -> entry list
 
-(** Top-[k] entries by activation count (default 5). *)
-val hotspots : ?k:int -> t -> entry list
-
 val clear : t -> unit
-
-val pp_entry : Format.formatter -> entry -> unit
-
-val pp_hotspots : ?k:int -> Format.formatter -> t -> unit

@@ -229,8 +229,6 @@ let evicted t = t.pv_evicted
 
 let spilled t = Hashtbl.length t.pv_ants
 
-let net_name t = t.pv_net.net_name
-
 (* ---------------- sink behaviour ---------------- *)
 
 (* The latest live span id of [arg], if [arg] is a recorded antecedent
@@ -627,48 +625,3 @@ let episode_forest t =
     { tn_episode = e; tn_children = List.map build kids }
   in
   List.map build roots
-
-(* ---------------- printing ---------------- *)
-
-let pp_span ppf sp =
-  let value =
-    match sp.sp_value with Some v -> v | None -> "NIL"
-  in
-  Fmt.pf ppf "%s = %s  [%s via %s, %s ep%d seq%d%s]" sp.sp_var value sp.sp_just
-    sp.sp_source sp.sp_net sp.sp_episode sp.sp_seq
-    (if sp.sp_dead then ", rolled back" else "")
-
-let pp_why_step ppf { ws_depth; ws_span } =
-  Fmt.pf ppf "%s%a"
-    (String.concat "" (List.init ws_depth (fun _ -> "  ")))
-    pp_span ws_span
-
-let pp_why ppf steps =
-  if steps = [] then Fmt.string ppf "no recorded derivation"
-  else Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut pp_why_step) steps
-
-let pp_chain ppf spans =
-  if spans = [] then Fmt.string ppf "no spans"
-  else Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut pp_span) spans
-
-let pp_episode ppf e =
-  Fmt.pf ppf "%s#ep%d (%s)%s" e.epi_net e.epi_id e.epi_label
-    (match e.epi_outcome with
-    | None -> " open"
-    | Some E_committed -> ""
-    | Some E_rolled_back -> " ROLLED BACK"
-    | Some E_probe_ok -> " probe-ok"
-    | Some E_probe_rejected -> " probe-rejected")
-
-let pp_forest ppf forest =
-  let rec pp_node indent ppf node =
-    Fmt.pf ppf "%s%a" indent pp_episode node.tn_episode;
-    List.iter
-      (fun child -> Fmt.pf ppf "@,%a" (pp_node (indent ^ "  ")) child)
-      node.tn_children
-  in
-  if forest = [] then Fmt.string ppf "no episodes recorded"
-  else
-    Fmt.pf ppf "@[<v>%a@]"
-      (Fmt.list ~sep:Fmt.cut (fun ppf n -> pp_node "" ppf n))
-      forest

@@ -77,8 +77,6 @@ val attach :
     scope (an entry a same-named store put there stays). *)
 val detach : 'a t -> unit
 
-val net_name : 'a t -> string
-
 (** Spans evicted so far by the capacity bound (chains reaching them
     truncate). *)
 val evicted : 'a t -> int
@@ -132,15 +130,3 @@ type tree_node = { tn_episode : episode; tn_children : tree_node list }
 (** The forest of episodes across every store of [t]'s scope, children
     nested under the episode their [parent_ref] names. *)
 val episode_forest : 'a t -> tree_node list
-
-(** {1 Printing} *)
-
-val pp_span : span Fmt.t
-
-val pp_why : why_step list Fmt.t
-
-val pp_chain : span list Fmt.t
-
-val pp_episode : episode Fmt.t
-
-val pp_forest : tree_node list Fmt.t

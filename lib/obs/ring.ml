@@ -85,10 +85,3 @@ let spans r =
     (fun te ->
       match te.te_event with T_episode_end sp -> Some sp | _ -> None)
     (to_list r)
-
-let pp ppf r =
-  Fmt.pf ppf "@[<v>%a@]"
-    (Fmt.list ~sep:Fmt.cut (fun ppf te ->
-         Fmt.pf ppf "%6d [ep %d] %a" te.te_seq te.te_episode
-           Constraint_kernel.Editor.pp_trace_event te.te_event))
-    (to_list r)

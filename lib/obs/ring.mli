@@ -41,5 +41,3 @@ val capacity : 'a t -> int
 val seen : 'a t -> int
 
 val clear : 'a t -> unit
-
-val pp : Format.formatter -> 'a t -> unit

@@ -159,24 +159,6 @@ let episode_ended t sp =
 (* Window boundary: the next window gets a fresh top-K. *)
 let rotate t = t.sa_top_n <- 0
 
-(* ---------------- standalone use ---------------- *)
-
-(* When not riding the board's fused sink the sampler needs its own
-   event buffer; this sink feeds the ring *and* the sampler.  Do not
-   attach it alongside a board sharing the same ring (events would be
-   pushed twice). *)
-let sink ?(name = "sampler") t =
-  let emit ep seq ev =
-    Ring.push t.sa_ring ep seq ev;
-    match (ev : _ trace_event) with
-    | T_episode_start (id, _, _) -> episode_started t id
-    | T_violation _ -> violation_seen t
-    | T_quarantine _ -> quarantine_seen t
-    | T_episode_end sp -> episode_ended t sp
-    | _ -> ()
-  in
-  { snk_name = name; snk_emit = emit }
-
 (* ---------------- reading ---------------- *)
 
 let exemplars t = List.rev t.sa_store
@@ -198,29 +180,8 @@ let seen t = t.sa_seen
 
 let promoted t = t.sa_promoted
 
-let clear t =
-  t.sa_store <- [];
-  t.sa_stored <- 0;
-  t.sa_top_n <- 0
-
 let reason_label = function
   | Head -> "head"
   | Slow -> "slow"
   | Violating -> "violating"
   | Quarantining -> "quarantining"
-
-let pp_reasons ppf rs =
-  Fmt.pf ppf "[%s]" (String.concat "," (List.map reason_label rs))
-
-let pp_exemplar ppf ex =
-  Fmt.pf ppf "ep #%d %a %a — %d event(s)%s" ex.ex_episode pp_reasons
-    ex.ex_reasons pp_span ex.ex_span
-    (List.length ex.ex_events)
-    (if ex.ex_truncated then " (leading events evicted)" else "")
-
-let pp_exemplar_events ppf ex =
-  Fmt.pf ppf "@[<v>%a%a@]" pp_exemplar ex
-    (Fmt.list ~sep:Fmt.nop (fun ppf te ->
-         Fmt.pf ppf "@,  %6d %a" te.te_seq
-           Constraint_kernel.Editor.pp_trace_event te.te_event))
-    ex.ex_events

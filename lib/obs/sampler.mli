@@ -32,12 +32,6 @@ type 'a t
 val create :
   ?capacity:int -> ?head_every:int -> ?slow_k:int -> ring:'a Ring.t -> unit -> 'a t
 
-(** Standalone sink: pushes every event into the sampler's ring and
-    dispatches episode boundaries. Do {e not} attach alongside a board
-    that shares the same ring — events would be pushed twice; the board
-    calls the entry points below from its fused sink instead. *)
-val sink : ?name:string -> 'a t -> 'a sink
-
 (** Fused-sink entry points (see {!Board}): boundary bookkeeping only,
     no event copying. *)
 val episode_started : 'a t -> int -> unit
@@ -68,14 +62,4 @@ val seen : 'a t -> int
 (** Episodes ever promoted (including exemplars since evicted). *)
 val promoted : 'a t -> int
 
-val clear : 'a t -> unit
-
 val reason_label : reason -> string
-
-val pp_reasons : Format.formatter -> reason list -> unit
-
-(** One summary line. *)
-val pp_exemplar : Format.formatter -> 'a exemplar -> unit
-
-(** Summary line plus the full event trace. *)
-val pp_exemplar_events : Format.formatter -> 'a exemplar -> unit

@@ -1,8 +1,6 @@
-(* Multi-window burn-rate evaluation over Tsdb series.  The watchdog
-   machinery wants rules over window snapshots; an SLO's verdict is
-   computed from the time-series store instead, so the rule closure
-   just reads the verdict cell [evaluate] fills in — the transition
-   logging and /alerts rendering come along for free. *)
+(* Multi-window burn-rate evaluation over Tsdb series.  Each evaluation
+   records its one "burn_rate" verdict in the SLO's watchdog, which
+   keeps the firing state and the transition log. *)
 
 type kind =
   | Error_ratio of { total : string; errors : string }
@@ -35,25 +33,11 @@ let latency ?(target = 0.99) ?(windows = default_windows) ~name ~series ~limit
     ob_windows = windows;
   }
 
-type t = {
-  sl_ob : objective;
-  sl_ts : Tsdb.t;
-  sl_verdict : string option ref;
-  sl_wd : Watchdog.t;
-  sl_win : Window.t; (* private: only advances the evaluation index *)
-}
+type t = { sl_ob : objective; sl_ts : Tsdb.t; sl_wd : Watchdog.t }
 
 let create ts ob =
-  let verdict = ref None in
-  {
-    sl_ob = ob;
-    sl_ts = ts;
-    sl_verdict = verdict;
-    sl_wd =
-      Watchdog.create ~name:("slo:" ^ ob.ob_name)
-        [ Watchdog.rule ~name:"burn_rate" (fun _ -> !verdict) ];
-    sl_win = Window.create ~slots:1 ~width:(Window.Episodes 1) ();
-  }
+  let wd = Watchdog.create ~name:("slo:" ^ ob.ob_name) [] in
+  { sl_ob = ob; sl_ts = ts; sl_wd = wd }
 
 let objective t = t.sl_ob
 
@@ -118,34 +102,18 @@ let evaluate t ~now =
          (fun (_, thr, b) -> match b with Some b -> b >= thr | None -> false)
          burns
   in
-  t.sl_verdict :=
-    (if exceeded then
-       Some
-         (Printf.sprintf "budget burn %s (target %g)" (pp_burns burns)
-            t.sl_ob.ob_target)
-     else None);
-  (* each evaluation advances the private window's index, so alert
-     records order evaluations the way real watchdogs order windows *)
-  Window.rotate t.sl_win;
-  ignore (Watchdog.evaluate t.sl_wd (Window.current t.sl_win))
+  let verdict =
+    if exceeded then
+      Some
+        (Printf.sprintf "budget burn %s (target %g)" (pp_burns burns)
+           t.sl_ob.ob_target)
+    else None
+  in
+  (* the n-th evaluation (from 1) stamps its alerts the way a window's
+     index stamps a board's *)
+  ignore
+    (Watchdog.record t.sl_wd
+       ~index:(Watchdog.evaluations t.sl_wd + 1)
+       [ ("burn_rate", verdict) ])
 
 let firing t = not (Watchdog.ok t.sl_wd)
-
-let status_json t ~now =
-  Jsonl.J_obj
-    [
-      ("name", J_str t.sl_ob.ob_name);
-      ("target", J_float t.sl_ob.ob_target);
-      ("firing", J_bool (firing t));
-      ( "windows",
-        J_arr
-          (List.map
-             (fun (w, thr, b) ->
-               Jsonl.J_obj
-                 [
-                   ("seconds", J_float w);
-                   ("threshold", J_float thr);
-                   ("burn", Jsonl.opt (fun b -> Jsonl.J_float b) b);
-                 ])
-             (burn_rates t ~now)) );
-    ]

@@ -76,7 +76,3 @@ val burn_rates : t -> now:float -> (float * float * float option) list
 val evaluate : t -> now:float -> unit
 
 val firing : t -> bool
-
-(** JSON status object (burns, thresholds, firing); a window without
-    data reports ["burn": null], distinct from [0] for no bad events. *)
-val status_json : t -> now:float -> Jsonl.json

@@ -150,17 +150,6 @@ let stats net =
     tp_disabled = List.length (List.filter (fun c -> not c.c_enabled) cstrs);
   }
 
-let pp_stats ppf s =
-  Fmt.pf ppf
-    "@[<v>%d variable(s), %d constraint(s), %d edge(s)@,\
-     var fan-out: max %d, mean %.2f; constraint arity: max %d, mean %.2f@,\
-     derivation depth: %d@,\
-     cycle participation: %d variable(s), %d constraint(s)@,\
-     quarantined %d, disabled %d@]"
-    s.tp_vars s.tp_cstrs s.tp_edges s.tp_var_fan_max s.tp_var_fan_mean
-    s.tp_cstr_arity_max s.tp_cstr_arity_mean s.tp_depth s.tp_cyclic_vars
-    s.tp_cyclic_cstrs s.tp_quarantined s.tp_disabled
-
 (* ---------------- DOT export ---------------- *)
 
 (* User-supplied cell/constraint names end up inside quoted DOT

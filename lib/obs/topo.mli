@@ -30,8 +30,6 @@ type stats = {
 
 val stats : 'a network -> stats
 
-val pp_stats : Format.formatter -> stats -> unit
-
 (** Escape one user-supplied string for inclusion in a quoted DOT
     string: quotes/backslashes escaped, [\n]/[\r] as DOT line-break
     escapes, other control bytes as literal [\xNN] placeholders. *)

@@ -289,16 +289,6 @@ let spans t =
       done;
       !out)
 
-(* Keeps the arrays: they may only ever grow from [||] once, so that
-   concurrent pushes never need to re-check under the lock.  Resetting
-   [tr_seen] makes the old slots unreachable from [spans]. *)
-let clear t =
-  with_lock t (fun () ->
-      Atomic.set t.tr_seen 0;
-      t.tr_open1_net <- no_open_net;
-      t.tr_open1_h <- dummy_handle;
-      Hashtbl.reset t.tr_open_eps)
-
 (* ------------------------------------------------------------------ *)
 (* Ambient context                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -313,8 +303,6 @@ let with_ambient t ctx f =
   | exception e ->
     t.tr_ambient <- saved;
     raise e
-
-let ambient t = t.tr_ambient
 
 (* ------------------------------------------------------------------ *)
 (* Kernel sink: episode brackets -> spans with phase children          *)

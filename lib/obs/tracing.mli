@@ -114,8 +114,6 @@ val spans : t -> span list
 (** Spans recorded over the tracer's lifetime (evicted included). *)
 val seen : t -> int
 
-val clear : t -> unit
-
 (** {1 Ambient context}
 
     The write path serializes episodes under one global lock; the
@@ -124,8 +122,6 @@ val clear : t -> unit
     API. Not re-entrant across threads — hold the episode lock. *)
 
 val with_ambient : t -> ctx -> (unit -> 'a) -> 'a
-
-val ambient : t -> ctx option
 
 (** {1 The kernel sink}
 

@@ -434,12 +434,6 @@ let open_ ?(seg_bytes = 1 lsl 20) ?(retain_bytes = 64 * 1024 * 1024)
     ts_closed = false;
   }
 
-let write_all fd s =
-  let n = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
-  go 0
-
 let close_fd_locked t =
   match t.ts_fd with
   | None -> ()
@@ -478,21 +472,9 @@ let active_for_locked t frlen =
         t.ts_segs <- s :: t.ts_segs;
         s
     in
-    let fd =
-      Unix.openfile seg.sg_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ]
-        0o644
-    in
-    (* cut a torn tail (the scan stopped at sg_bytes) and position the
-       first append after the sealed blocks; a failure raises, as
-       [flush]'s does, rather than let new frames overwrite sealed ones
-       from offset 0 *)
-    (try
-       if (Unix.fstat fd).Unix.st_size > seg.sg_bytes then
-         Unix.ftruncate fd seg.sg_bytes;
-       ignore (Unix.lseek fd seg.sg_bytes Unix.SEEK_SET)
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
+    (* the scan stopped at sg_bytes: appends resume after the sealed
+       blocks *)
+    let fd = Framing.open_at seg.sg_path seg.sg_bytes in
     t.ts_fd <- Some fd;
     (seg, fd)
 
@@ -524,7 +506,7 @@ let seal_locked t name bu =
     let fr = Framing.frame payload in
     let seg, fd = active_for_locked t (String.length fr) in
     let off = seg.sg_bytes + Framing.header_len in
-    write_all fd fr;
+    Framing.write_all fd fr;
     seg.sg_bytes <- seg.sg_bytes + String.length fr;
     t.ts_blocks <-
       {

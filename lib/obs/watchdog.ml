@@ -62,29 +62,28 @@ let default_rules () = [ quarantine_any (); sink_errors_any () ]
 type state_kind = [ `Firing | `Cleared ]
 
 type alert = {
-  al_net : string;
   al_rule : string;
   al_window : int; (* index of the window that caused the transition *)
   al_state : state_kind;
   al_detail : string;
 }
 
-type rule_state = { rs_rule : rule; mutable rs_firing : string option }
-
 type t = {
   wd_name : string; (* names the alerts: the net, or "slo:<name>" *)
-  wd_rules : rule_state list;
+  wd_rules : rule list;
   wd_log_cap : int;
+  mutable wd_firing : (string * string) list; (* rule -> detail *)
   mutable wd_log : alert list; (* newest first, length <= cap *)
   mutable wd_logged : int;
-  mutable wd_evals : int; (* windows evaluated *)
+  mutable wd_evals : int; (* verdict sets recorded *)
 }
 
 let create ?(name = "watchdog") ?(log_capacity = 64) rules =
   {
     wd_name = name;
-    wd_rules = List.map (fun r -> { rs_rule = r; rs_firing = None }) rules;
+    wd_rules = rules;
     wd_log_cap = max 1 log_capacity;
+    wd_firing = [];
     wd_log = [];
     wd_logged = 0;
     wd_evals = 0;
@@ -100,101 +99,42 @@ let log_alert t a =
     t.wd_logged <- t.wd_log_cap
   end
 
-(* Evaluate every rule against one completed window; returns the
-   transitions (new alerts) this evaluation produced. *)
-let evaluate t (snap : Window.snapshot) =
+(* The one entry point: record each named rule's verdict for one
+   evaluation [index]; a rule starting or stopping to fire is a
+   transition, logged and returned. *)
+let record t ~index verdicts =
   t.wd_evals <- t.wd_evals + 1;
+  let alert rule state detail =
+    { al_rule = rule; al_window = index; al_state = state; al_detail = detail }
+  in
   let transitions =
     List.filter_map
-      (fun rs ->
-        let verdict = rs.rs_rule.rl_eval snap in
-        match (rs.rs_firing, verdict) with
-        | None, Some detail ->
-          rs.rs_firing <- Some detail;
-          Some
-            {
-              al_net = t.wd_name;
-              al_rule = rs.rs_rule.rl_name;
-              al_window = snap.Window.w_index;
-              al_state = `Firing;
-              al_detail = detail;
-            }
-        | Some _, Some detail ->
-          (* still firing: refresh the detail, no transition *)
-          rs.rs_firing <- Some detail;
-          None
-        | Some _, None ->
-          rs.rs_firing <- None;
-          Some
-            {
-              al_net = t.wd_name;
-              al_rule = rs.rs_rule.rl_name;
-              al_window = snap.Window.w_index;
-              al_state = `Cleared;
-              al_detail = "";
-            }
-        | None, None -> None)
-      t.wd_rules
+      (fun (rule, verdict) ->
+        match (List.mem_assoc rule t.wd_firing, verdict) with
+        | false, Some detail -> Some (alert rule `Firing detail)
+        | true, None -> Some (alert rule `Cleared "")
+        | _ -> None)
+      verdicts
   in
+  t.wd_firing <-
+    List.filter_map (fun (rule, v) -> Option.map (fun d -> (rule, d)) v) verdicts;
   List.iter (log_alert t) transitions;
   transitions
+
+let evaluate t (snap : Window.snapshot) =
+  record t ~index:snap.Window.w_index
+    (List.map (fun r -> (r.rl_name, r.rl_eval snap)) t.wd_rules)
 
 (* Subscribe to a window's boundaries. *)
 let watch t w = Window.on_rotate w (fun snap -> ignore (evaluate t snap))
 
-let firing t =
-  List.filter_map
-    (fun rs ->
-      match rs.rs_firing with
-      | Some detail -> Some (rs.rs_rule.rl_name, detail)
-      | None -> None)
-    t.wd_rules
+let firing t = t.wd_firing
 
 let ok t = firing t = []
 
-let rules t = List.map (fun rs -> rs.rs_rule.rl_name) t.wd_rules
+let rules t = List.map (fun r -> r.rl_name) t.wd_rules
 
 (* Alert transitions, oldest first. *)
 let alerts t = List.rev t.wd_log
 
 let evaluations t = t.wd_evals
-
-(* ---------------- rendering ---------------- *)
-
-(* Schema-v2 "alert" record: same flat shape as the trace lines, so a
-   health log can be interleaved with (or appended to) a JSONL trace
-   and still round-trip through [Jsonl.parse_line] / replay (which
-   files unknown kinds under R_other). *)
-let alert_json a =
-  Jsonl.to_string
-    (J_obj
-       [
-         ("v", J_int Jsonl.schema_version);
-         ("t", J_str "alert");
-         ("net", J_str a.al_net);
-         ("rule", J_str a.al_rule);
-         ("window", J_int a.al_window);
-         ( "state",
-           J_str
-             (match a.al_state with `Firing -> "firing" | `Cleared -> "cleared")
-         );
-         ("detail", J_str a.al_detail);
-       ])
-
-let pp_alert ppf a =
-  match a.al_state with
-  | `Firing ->
-    Fmt.pf ppf "FIRING  [%s] %s (window #%d): %s" a.al_net a.al_rule a.al_window
-      a.al_detail
-  | `Cleared ->
-    Fmt.pf ppf "cleared [%s] %s (window #%d)" a.al_net a.al_rule a.al_window
-
-let pp_status ppf t =
-  match firing t with
-  | [] ->
-    Fmt.pf ppf "OK (%d rule(s), %d window(s) evaluated)"
-      (List.length t.wd_rules) t.wd_evals
-  | fs ->
-    Fmt.pf ppf "@[<v>%a@]"
-      (Fmt.list ~sep:Fmt.cut (fun ppf (r, d) -> Fmt.pf ppf "FIRING %s: %s" r d))
-      fs

@@ -5,7 +5,9 @@
     [Some detail] when unhealthy. Rules are evaluated at window
     boundaries (wire with {!watch}); only *transitions* are logged — an
     alert when a rule starts firing, another when it clears — so the
-    log stays readable and bounded.
+    log stays readable and bounded. {!record} takes verdicts computed
+    elsewhere — an SLO's burn-rate verdict per evaluation — through
+    the same transition log.
 
     There is no registry: a watchdog belongs to its monitored board or
     SLO, and a health roll-up is computed over the watchdogs its reader
@@ -23,18 +25,14 @@ val latency_p99_above : float -> rule
 
 val violation_rate_above : float -> rule
 
-val quarantine_any : unit -> rule
-
-val sink_errors_any : unit -> rule
-
-(** [quarantine_any] + [sink_errors_any] — the always-sensible pair
+(** Any quarantine, any sink error — the always-sensible pair
     (violations are routine design-rule feedback in this domain). *)
 val default_rules : unit -> rule list
 
 type state_kind = [ `Firing | `Cleared ]
 
+(** One transition; its watchdog's {!name} names it. *)
 type alert = {
-  al_net : string;
   al_rule : string;
   al_window : int;
   al_state : state_kind;
@@ -51,8 +49,15 @@ val create : ?name:string -> ?log_capacity:int -> rule list -> t
 
 val name : t -> string
 
-(** Evaluate all rules against one completed window; returns (and logs)
-    the transitions it produced. *)
+(** [record t ~index verdicts] — the one entry point: record each named
+    rule's verdict ([Some detail] = firing) for evaluation [index] (a
+    window index, or an SLO's evaluation count); returns (and logs) the
+    transitions, stamped with [index]. The firing set becomes exactly
+    the rules given [Some] here. *)
+val record : t -> index:int -> (string * string option) list -> alert list
+
+(** [record] of every rule's verdict on one completed window, at its
+    index. *)
 val evaluate : t -> Window.snapshot -> alert list
 
 (** Subscribe to a window's rotation boundary. *)
@@ -68,16 +73,6 @@ val rules : t -> string list
 (** Logged transitions, oldest first. *)
 val alerts : t -> alert list
 
-(** Windows evaluated so far. *)
+(** Verdict sets recorded so far (windows evaluated, for a board's
+    watchdog). *)
 val evaluations : t -> int
-
-(** One alert transition as a schema-v2 JSONL record ([{"v":2,
-    "t":"alert","net":…,"rule":…,"window":…,"state":"firing"|"cleared",
-    "detail":…}]) — parseable by [Jsonl.parse_line] and ignored as
-    [R_other] by replay, so health logs interleave with traces. *)
-val alert_json : alert -> string
-
-val pp_alert : Format.formatter -> alert -> unit
-
-(** One watchdog's current status ("OK (...)" or the firing rules). *)
-val pp_status : Format.formatter -> t -> unit

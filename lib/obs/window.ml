@@ -24,7 +24,7 @@ type width = Episodes of int | Seconds of float
 type snapshot = {
   w_index : int; (* 0-based window number since creation *)
   w_opened : float; (* clock when the slot opened *)
-  mutable w_duration : float; (* clock span covered (set at close) *)
+  mutable w_duration : float; (* clock span to the latest episode, or to the close *)
   mutable w_episodes : int;
   mutable w_committed : int;
   mutable w_rolled_back : int;
@@ -35,12 +35,9 @@ type snapshot = {
   mutable w_sink_errors : int;
   mutable w_steps : int; (* total inference runs *)
   w_latency : Metrics.histogram; (* episode latency, µs *)
-  w_steps_h : Metrics.histogram; (* inferences per episode *)
-  w_agenda : Metrics.histogram; (* agenda-depth high-water marks *)
 }
 
 type t = {
-  wt_name : string;
   wt_width : width;
   wt_clock : unit -> float;
   wt_slots : int; (* completed snapshots retained *)
@@ -65,15 +62,9 @@ let fresh_slot ~clock index =
     w_sink_errors = 0;
     w_steps = 0;
     w_latency = Metrics.histogram_standalone "window.latency_us";
-    w_steps_h =
-      Metrics.histogram_standalone ~bounds:Metrics.default_size_bounds
-        "window.steps";
-    w_agenda =
-      Metrics.histogram_standalone ~bounds:Metrics.default_size_bounds
-        "window.agenda_depth";
   }
 
-let create ?(name = "window") ?(slots = 8) ?(width = Episodes 64)
+let create ?(slots = 8) ?(width = Episodes 64)
     ?(clock = Unix.gettimeofday) () =
   let slots = max 1 slots in
   (match width with
@@ -81,7 +72,6 @@ let create ?(name = "window") ?(slots = 8) ?(width = Episodes 64)
   | Seconds s when s <= 0. -> invalid_arg "Window.create: width <= 0 s"
   | _ -> ());
   {
-    wt_name = name;
     wt_width = width;
     wt_clock = clock;
     wt_slots = slots;
@@ -90,8 +80,6 @@ let create ?(name = "window") ?(slots = 8) ?(width = Episodes 64)
     wt_cur = fresh_slot ~clock 0;
     wt_on_rotate = [];
   }
-
-let name t = t.wt_name
 
 let on_rotate t f = t.wt_on_rotate <- t.wt_on_rotate @ [ f ]
 
@@ -106,8 +94,7 @@ let rotate t =
 let maybe_rotate t =
   match t.wt_width with
   | Episodes n -> if t.wt_cur.w_episodes >= n then rotate t
-  | Seconds s ->
-    if t.wt_clock () -. t.wt_cur.w_opened >= s then rotate t
+  | Seconds s -> if t.wt_cur.w_duration >= s then rotate t
 
 let note_violation t = t.wt_cur.w_violations <- t.wt_cur.w_violations + 1
 
@@ -126,8 +113,7 @@ let observe_span t sp =
   | E_probe_rejected -> w.w_probe_rejected <- w.w_probe_rejected + 1);
   w.w_steps <- w.w_steps + sp.es_steps;
   Metrics.observe w.w_latency (span_total sp *. 1e6);
-  Metrics.observe w.w_steps_h (float_of_int sp.es_steps);
-  Metrics.observe w.w_agenda (float_of_int sp.es_agenda_hwm);
+  w.w_duration <- t.wt_clock () -. w.w_opened;
   maybe_rotate t
 
 (* The standalone sink; when the window rides the fused board sink the
@@ -142,10 +128,9 @@ let sink ?(name = "window") t =
   in
   { snk_name = name; snk_emit = emit }
 
-let current t =
-  (* a live view: duration up to now, other fields as accumulated *)
-  t.wt_cur.w_duration <- t.wt_clock () -. t.wt_cur.w_opened;
-  t.wt_cur
+(* A live view whose duration runs to the latest episode, so reading it
+   twice with nothing in between answers the same. *)
+let current t = t.wt_cur
 
 let completed_count t = t.wt_completed
 
@@ -168,8 +153,6 @@ let p95 s = Metrics.quantile s.w_latency 0.95
 
 let p99 s = Metrics.quantile s.w_latency 0.99
 
-let mean_latency s = Metrics.mean s.w_latency
-
 (* Episodes per second; 0 when the slot covers no measurable time
    (e.g. a frozen test clock). *)
 let episode_rate s =
@@ -180,20 +163,3 @@ let episode_rate s =
 let violation_rate s =
   if s.w_episodes = 0 then 0.
   else float_of_int s.w_violations /. float_of_int s.w_episodes
-
-let pp_snapshot ppf s =
-  let rate =
-    if s.w_duration > 0. then
-      Fmt.str " %.0f ep/s," (float_of_int s.w_episodes /. s.w_duration)
-    else ""
-  in
-  Fmt.pf ppf
-    "window #%d: %d episode(s) in %.3f s,%s %d committed / %d rolled back / %d \
-     probe(s); viol %d quar %d sink_err %d; latency µs p50=%.1f p95=%.1f \
-     p99=%.1f max=%.1f; steps %d"
-    s.w_index s.w_episodes s.w_duration rate s.w_committed s.w_rolled_back
-    (s.w_probe_ok + s.w_probe_rejected)
-    s.w_violations s.w_quarantines s.w_sink_errors (p50 s) (p95 s) (p99 s)
-    (if Metrics.samples s.w_latency = 0 then 0.
-     else Metrics.quantile s.w_latency 1.0)
-    s.w_steps

@@ -4,8 +4,9 @@
     question — "what happened in the last N episodes / last s seconds" —
     in bounded memory: one current slot plus a fixed ring of the most
     recently completed slots. Each slot holds outcome counts,
-    violation/quarantine/sink-error counts and fixed-bucket latency /
-    steps / agenda histograms (p50/p95/p99 via {!Metrics.quantile}).
+    violation/quarantine/sink-error counts, a step total and a
+    fixed-bucket latency histogram (p50/p95/p99 via
+    {!Metrics.quantile}).
 
     A slot closes ("rotates") when its {!width} is reached — episode
     count (deterministic; tests) or wall-clock seconds (live sessions) —
@@ -35,22 +36,17 @@ type snapshot = {
   mutable w_sink_errors : int;
   mutable w_steps : int;
   w_latency : Metrics.histogram;
-  w_steps_h : Metrics.histogram;
-  w_agenda : Metrics.histogram;
 }
 
 type t
 
 (** Defaults: 8 retained slots, width [Episodes 64], wall clock. *)
 val create :
-  ?name:string ->
   ?slots:int ->
   ?width:width ->
   ?clock:(unit -> float) ->
   unit ->
   t
-
-val name : t -> string
 
 (** Standalone sink (matches violation/quarantine/episode-end events).
     Not needed when the window rides {!Board}'s fused sink. *)
@@ -72,7 +68,8 @@ val rotate : t -> unit
 (** Called with each completed snapshot, in registration order. *)
 val on_rotate : t -> (snapshot -> unit) -> unit
 
-(** Live view of the open slot (duration = elapsed so far). *)
+(** Live view of the open slot; its duration runs from the slot's
+    opening to its latest episode. *)
 val current : t -> snapshot
 
 (** Retained completed snapshots, oldest first. *)
@@ -90,13 +87,9 @@ val p95 : snapshot -> float
 
 val p99 : snapshot -> float
 
-val mean_latency : snapshot -> float
-
 (** Episodes per second; 0 if the slot covers no measurable time. *)
 val episode_rate : snapshot -> float
 
 (** Violations per episode (time-free, deterministic under test
     clocks); 0 for an empty slot. *)
 val violation_rate : snapshot -> float
-
-val pp_snapshot : Format.formatter -> snapshot -> unit

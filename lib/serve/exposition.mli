@@ -12,7 +12,3 @@
 
 (** [(source name, registry)] pairs → a complete exposition document. *)
 val render : ?namespace:string -> (string * Obs.Metrics.t) list -> string
-
-(** Help text for a family name (a small table of known families with
-    a generic fallback); exposed for tests. *)
-val help_for : string -> string

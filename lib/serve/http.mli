@@ -51,8 +51,6 @@ val read_request : ?max_head:int -> conn -> (request, parse_error) result
     the body stay buffered for the next keep-alive request. *)
 val read_body : ?max_body:int -> conn -> request -> (unit, parse_error) result
 
-val default_max_body : int
-
 (** Case-insensitive header lookup. *)
 val header : request -> string -> string option
 
@@ -63,13 +61,8 @@ val query_int : request -> string -> int option
 (** Path parameter bound by the router ([/nets/:id] → [param rq "id"]). *)
 val param : request -> string -> string option
 
-(** The parsed [content-length] header, if any. *)
-val content_length : request -> int option
-
 (** HTTP/1.1 defaults to keep-alive unless [Connection: close]. *)
 val keep_alive : request -> bool
-
-val status_text : int -> string
 
 (** Loop until the whole string is written (raises [Unix_error] on a
     dead peer — EPIPE / ECONNRESET / send timeout). *)
@@ -106,5 +99,3 @@ val write_chunk : Unix.file_descr -> string -> unit
 (** The terminating zero-length chunk. *)
 val write_last_chunk : Unix.file_descr -> unit
 
-(** [%XX] and [+]-as-space decoding (bad escapes pass through). *)
-val percent_decode : string -> string

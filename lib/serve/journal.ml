@@ -32,8 +32,6 @@ let fsync_of_string = function
    time-series segment files share it, so they also share its crash
    semantics); the journal re-exports the pieces its callers use. *)
 
-let crc32 = Obs.Framing.crc32
-
 let frame = Obs.Framing.frame
 
 (* Scan a raw journal image.  Returns the kept payloads (in order),
@@ -74,8 +72,6 @@ let with_lock j f =
   Mutex.lock j.j_mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock j.j_mu) f
 
-let path j = j.j_path
-
 let fsync_policy j = j.j_fsync
 
 let appended j = j.j_appended
@@ -88,13 +84,7 @@ let open_append ?(fsync = Always) path =
   (* Truncate away a torn tail before appending: a new record written
      after garbage bytes would be unreachable to the reader. *)
   let _, warnings, valid_end = scan (read_file path) in
-  let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644
-  in
-  (try
-     ignore (Unix.ftruncate fd valid_end);
-     ignore (Unix.lseek fd valid_end Unix.SEEK_SET)
-   with Unix.Unix_error _ -> ());
+  let fd = Obs.Framing.open_at path valid_end in
   ( {
       j_path = path;
       j_fsync = fsync;
@@ -107,23 +97,32 @@ let open_append ?(fsync = Always) path =
     },
     warnings )
 
-let write_all fd s =
-  let n = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let rec go off =
-    if off < n then go (off + Unix.write fd b off (n - off))
-  in
-  go 0
-
 let check_locked j = Option.iter (fun msg -> raise (Failed msg)) j.j_failure
+
+let poison j what err =
+  let msg = Printf.sprintf "%s %s: %s" what j.j_path (Unix.error_message err) in
+  j.j_failure <- Some msg;
+  raise (Failed msg)
 
 (* Run one durability call; a Unix error poisons the journal. *)
 let durably j what f =
-  try f ()
+  try f () with Unix.Unix_error (err, _, _) -> poison j what err
+
+(* A write that fails mid-frame would leave a torn frame for later
+   frames to follow, and the reader would take their bytes as its
+   payload: cut the file back to the last whole frame (best effort —
+   the poison refuses every later append anyway), then poison. *)
+let write_locked j fd f =
+  try
+    Obs.Framing.write_all fd f;
+    j.j_size <- j.j_size + String.length f;
+    j.j_appended <- j.j_appended + 1
   with Unix.Unix_error (err, _, _) ->
-    let msg = Printf.sprintf "%s %s: %s" what j.j_path (Unix.error_message err) in
-    j.j_failure <- Some msg;
-    raise (Failed msg)
+    (try
+       Unix.ftruncate fd j.j_size;
+       ignore (Unix.lseek fd j.j_size Unix.SEEK_SET)
+     with Unix.Unix_error _ -> ());
+    poison j "write" err
 
 let sync_locked j fd =
   durably j "fsync" (fun () -> Unix.fsync fd);
@@ -143,15 +142,10 @@ let append ?trace j payload =
         check_locked j;
         let f = frame payload in
         (match trace with
-        | None ->
-          write_all fd f;
-          j.j_size <- j.j_size + String.length f;
-          j.j_appended <- j.j_appended + 1
+        | None -> write_locked j fd f
         | Some (t, ctx) ->
           let t0 = Obs.Tracing.now t in
-          write_all fd f;
-          j.j_size <- j.j_size + String.length f;
-          j.j_appended <- j.j_appended + 1;
+          write_locked j fd f;
           Obs.Tracing.span t ~parent:ctx ~name:"append" ~start:t0
             ~stop:(Obs.Tracing.now t) ~note:"");
         let sync_span () =
@@ -213,17 +207,5 @@ let close j =
         | Never, _ | _, Some _ -> ()
         | (Always | Interval _), None -> (
           try sync_locked j fd with Failed _ -> ()));
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        j.j_fd <- None)
-
-(* Drop the handle without flushing or snapshotting — the test hook
-   that stands in for [kill -9]: whatever reached the OS survives,
-   nothing else does.  (Closing the fd matches those semantics: close
-   never flushes the page cache.) *)
-let abandon j =
-  with_lock j (fun () ->
-      match j.j_fd with
-      | None -> ()
-      | Some fd ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
         j.j_fd <- None)

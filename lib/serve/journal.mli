@@ -29,10 +29,6 @@ val pp_fsync : Format.formatter -> fsync_policy -> unit
 (** ["always"], ["never"], ["interval:0.5"]. *)
 val fsync_of_string : string -> fsync_policy option
 
-(** CRC-32 (IEEE 802.3 / zlib polynomial) of a string, exposed for
-    tests that corrupt frames deliberately. *)
-val crc32 : string -> int
-
 (** Frame one payload as the appender would (for tests). *)
 val frame : string -> string
 
@@ -84,12 +80,6 @@ val reset : t -> unit
     a failed final sync is recorded in {!failure} and the handle is
     closed regardless. *)
 val close : t -> unit
-
-(** Drop the handle {e without} flushing — the test hook simulating
-    [kill -9]: bytes already written survive, nothing else. *)
-val abandon : t -> unit
-
-val path : t -> string
 
 val fsync_policy : t -> fsync_policy
 

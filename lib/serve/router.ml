@@ -11,8 +11,6 @@ let create () = { rt_routes = [] }
 
 let add t ~meth ~path handler = t.rt_routes <- (meth, path, handler) :: t.rt_routes
 
-let routes t = List.rev_map (fun (m, p, _) -> (m, p)) t.rt_routes
-
 let text ?(status = 200) ?(content_type = "text/plain; charset=utf-8") body =
   Reply { status; headers = [ ("content-type", content_type) ]; body }
 

@@ -28,9 +28,6 @@ val add : t -> meth:string -> path:string -> (Http.request -> reply) -> unit
     handler; 404/405 otherwise. *)
 val dispatch : t -> Http.request -> reply
 
-(** Registered [(method, path)] pairs, registration order. *)
-val routes : t -> (string * string) list
-
 (** {1 Reply helpers} *)
 
 val text : ?status:int -> ?content_type:string -> string -> reply

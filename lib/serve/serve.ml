@@ -14,8 +14,6 @@ module Journal = Journal
 module Admission = Admission
 module Wstore = Wstore
 
-open Constraint_kernel
-
 let hub = Wstore.hub
 
 let stream_stats () = Stream.stats hub
@@ -28,10 +26,13 @@ let unexpose = Wstore.unexpose
 
 (* The server's long-horizon history: the store it was started with
    (the caller opened it and closes it after [stop]) and one
-   availability SLO per tenant seen on its admission controller. *)
+   availability SLO per tenant seen on its admission controller.  The
+   SLOs are an immutable list sorted by tenant, replaced whole when a
+   tenant joins, so a scrape takes every row with one load while a
+   tick adds one. *)
 type history = {
   hs_ts : Obs.Tsdb.t;
-  hs_slos : (string, Obs.Slo.t) Hashtbl.t;  (* tenant -> availability SLO *)
+  hs_slos : (string * Obs.Slo.t) list Atomic.t;  (* tenant -> availability SLO *)
 }
 
 type t = {
@@ -58,8 +59,6 @@ type t = {
 
 let port t = t.sv_port
 
-let running t = t.sv_running
-
 let tracer t = t.sv_tracer
 
 let requests_served t = Obs.Metrics.count t.sv_requests
@@ -83,60 +82,12 @@ let trace_of sv rq =
   | Some ctx when Obs.Tracing.enabled sv.sv_tracer -> Some (sv.sv_tracer, ctx)
   | _ -> None
 
-(* ---------------- JSON rendering ---------------- *)
-
 module J = Obs.Jsonl
 
-let span_obj net (s : Types.episode_span) =
-  let open Types in
-  let t = s.es_timings in
-  J.J_obj
-    [
-      ("net", J_str net);
-      ("ep", J_int s.es_id);
-      ("label", J_str s.es_label);
-      ("outcome", J_str (J.outcome_string s.es_outcome));
-      ("latency_us", J_float (span_total s *. 1e6));
-      ("propagate_us", J_float (t.ph_propagate *. 1e6));
-      ("drain_us", J_float (t.ph_drain *. 1e6));
-      ("check_us", J_float (t.ph_check *. 1e6));
-      ("restore_us", J_float (t.ph_restore *. 1e6));
-      ("steps", J_int s.es_steps);
-      ("agenda_hwm", J_int s.es_agenda_hwm);
-    ]
-
-let exemplar_obj net (ex : 'a Obs.Sampler.exemplar) =
-  let open Obs.Sampler in
-  J.J_obj
-    [
-      ("net", J_str net);
-      ("episode", J_int ex.ex_episode);
-      ( "reasons",
-        J_arr (List.map (fun r -> J.J_str (reason_label r)) ex.ex_reasons) );
-      ("outcome", J_str (J.outcome_string ex.ex_span.Types.es_outcome));
-      ("latency_us", J_float (Types.span_total ex.ex_span *. 1e6));
-      ("events", J_int (List.length ex.ex_events));
-      ("truncated", J_bool ex.ex_truncated);
-    ]
-
-let window_obj net w =
-  let open Obs.Window in
-  let s = current w in
-  J.J_obj
-    [
-      ("net", J_str net);
-      ("index", J_int s.w_index);
-      ("episodes", J_int s.w_episodes);
-      ("committed", J_int s.w_committed);
-      ("rolled_back", J_int s.w_rolled_back);
-      ("violations", J_int s.w_violations);
-      ("quarantines", J_int s.w_quarantines);
-      ("sink_errors", J_int s.w_sink_errors);
-      ("p50_us", J_float (p50 s));
-      ("p95_us", J_float (p95 s));
-      ("p99_us", J_float (p99 s));
-      ("episode_rate", J_float (episode_rate s));
-    ]
+(* Every served board under its served name, for the answers that span
+   networks. *)
+let named served =
+  List.map (fun (Wstore.Served s) -> Obs.Answer.Named (s.name, s.board)) served
 
 (* ---------------- long-horizon history ---------------- *)
 
@@ -160,8 +111,9 @@ let unwire_history h =
 (* Per-tenant availability objective: admitted+rejected as the request
    total, rejections as the bad events.  Applied to tenants as they
    appear in the admission table. *)
-let tenant_slo h tenant =
-  match Hashtbl.find_opt h.hs_slos tenant with
+let rec tenant_slo h tenant =
+  let known = Atomic.get h.hs_slos in
+  match List.assoc_opt tenant known with
   | Some slo -> slo
   | None ->
     let p = "serve.tenant." ^ tenant in
@@ -172,8 +124,11 @@ let tenant_slo h tenant =
            ~name:("tenant-" ^ tenant) ~total:(p ^ ".requests")
            ~errors:(p ^ ".rejected") ())
     in
-    Hashtbl.replace h.hs_slos tenant slo;
-    slo
+    let added =
+      List.merge (fun (a, _) (b, _) -> compare a b) known [ (tenant, slo) ]
+    in
+    if Atomic.compare_and_set h.hs_slos known added then slo
+    else tenant_slo h tenant
 
 (* The server's own sampling tick: board instruments ride their
    windows' rotations; this covers what no board owns (serve counters,
@@ -202,16 +157,7 @@ let history_tick ?now sv =
 let slos sv =
   match sv.sv_history with
   | None -> []
-  | Some h ->
-    Hashtbl.fold (fun _ slo acc -> slo :: acc) h.hs_slos []
-    |> List.sort (fun a b ->
-           compare (Obs.Slo.objective a).Obs.Slo.ob_name
-             (Obs.Slo.objective b).Obs.Slo.ob_name)
-
-let slos_json sv =
-  let now = Unix.gettimeofday () in
-  J.to_string
-    (J_arr (List.map (fun s -> Obs.Slo.status_json s ~now) (slos sv)))
+  | Some h -> List.map snd (Atomic.get h.hs_slos)
 
 (* ---------------- endpoint renderers ---------------- *)
 
@@ -242,139 +188,24 @@ let watchdogs sv served =
       (List.map Obs.Slo.watchdog (slos sv))
 
 let healthz sv =
-  let served = Wstore.served () in
-  let wds = watchdogs sv served in
-  let healthy = List.for_all (fun (_, wd) -> Obs.Watchdog.ok wd) wds in
   let st = Stream.stats hub in
-  let net (net, wd) =
-    J.J_obj
-      [
-        ("net", J_str net);
-        ("ok", J_bool (Obs.Watchdog.ok wd));
-        ( "firing",
-          J_arr
-            (List.map
-               (fun (r, d) ->
-                 J.J_obj [ ("rule", J_str r); ("detail", J_str d) ])
-               (Obs.Watchdog.firing wd)) );
-      ]
+  let answer =
+    Obs.Answer.healthz
+      (named (Wstore.served ()))
+      (slos sv)
+      ~stream:
+        [
+          ("published", st.Stream.st_published);
+          ("dropped", st.Stream.st_dropped);
+          ("subscribers", st.Stream.st_subscribers);
+        ]
   in
-  Router.json
-    ~status:(if healthy then 200 else 503)
-    (J.to_string
-       (J_obj
-          [
-            ("healthy", J_bool healthy);
-            ("nets", J_arr (List.map net wds));
-            ( "windows",
-              J_arr
-                (List.filter_map
-                   (fun (Wstore.Served s) ->
-                     Option.map (window_obj s.name) (Obs.Board.window s.board))
-                   served) );
-            ( "stream",
-              J_obj
-                [
-                  ("published", J_int st.Stream.st_published);
-                  ("dropped", J_int st.Stream.st_dropped);
-                  ("subscribers", J_int st.Stream.st_subscribers);
-                ] );
-            ( "exposed",
-              J_arr
-                (List.map (fun (Wstore.Served s) -> J.J_str s.name) served) );
-          ]))
-
-let alerts_ndjson sv =
-  let buf = Buffer.create 512 in
-  List.iter
-    (fun (name, wd) ->
-      List.iter
-        (fun a ->
-          Buffer.add_string buf
-            (Obs.Watchdog.alert_json { a with Obs.Watchdog.al_net = name });
-          Buffer.add_char buf '\n')
-        (Obs.Watchdog.alerts wd))
-    (watchdogs sv (Wstore.served ()));
-  Buffer.contents buf
-
-let series_json ts =
-  let st = Obs.Tsdb.stats ts in
-  let row (name, points, first, last) =
-    J.J_obj
-      [
-        ("series", J_str name);
-        ("points", J_int points);
-        ("first", J_float first);
-        ("last", J_float last);
-      ]
+  let healthy =
+    match answer with
+    | J.J_obj fields -> List.assoc_opt "healthy" fields = Some (J.J_bool true)
+    | _ -> false
   in
-  J.to_string
-    (J_obj
-       [
-         ("dir", J_str (Obs.Tsdb.dir ts));
-         ("segments", J_int st.Obs.Tsdb.st_segments);
-         ("blocks", J_int st.Obs.Tsdb.st_blocks);
-         ("points", J_int st.Obs.Tsdb.st_points);
-         ("disk_bytes", J_int st.Obs.Tsdb.st_disk_bytes);
-         ("compression", J_float st.Obs.Tsdb.st_ratio);
-         ("series", J_arr (List.map row (Obs.Tsdb.series ts)));
-       ])
-
-let query_json ts ~series ~from_ ~to_ ~step =
-  let head =
-    [ ("metric", J.J_str series); ("from", J_float from_); ("to", J_float to_) ]
-  in
-  J.to_string
-    (match step with
-    | Some step ->
-      let bucket b =
-        J.J_obj
-          [
-            ("t", J_float b.Obs.Tsdb.bk_t);
-            ("min", J_float b.Obs.Tsdb.bk_min);
-            ("max", J_float b.Obs.Tsdb.bk_max);
-            ("avg", J_float b.Obs.Tsdb.bk_avg);
-            ("count", J_int b.Obs.Tsdb.bk_count);
-          ]
-      in
-      J_obj
-        (head
-        @ [
-            ("step", J_float step);
-            ( "buckets",
-              J_arr
-                (List.map bucket
-                   (Obs.Tsdb.query_range ts ~series ~from_ ~to_ ~step)) );
-          ])
-    | None ->
-      J_obj
-        (head
-        @ [
-            ( "points",
-              J_arr
-                (List.map
-                   (fun (t, v) -> J.J_arr [ J_float t; J_float v ])
-                   (Obs.Tsdb.query ts ~series ~from_ ~to_)) );
-          ]))
-
-let spans_json () =
-  J.to_string
-    (J_arr
-       (List.concat_map
-          (fun (Wstore.Served s) ->
-            List.map (span_obj s.name) (Obs.Board.spans s.board))
-          (Wstore.served ())))
-
-let exemplars_json () =
-  J.to_string
-    (J_arr
-       (List.concat_map
-          (fun (Wstore.Served s) ->
-            match Obs.Board.sampler s.board with
-            | None -> []
-            | Some smp ->
-              List.map (exemplar_obj s.name) (Obs.Sampler.exemplars smp))
-          (Wstore.served ())))
+  Router.json ~status:(if healthy then 200 else 503) (J.to_string answer)
 
 let topo_dot net =
   let dot (Wstore.Served s) =
@@ -500,22 +331,6 @@ let state_json e =
          ("vars", J_arr (List.map row (Wstore.state e)));
        ])
 
-let prov_span_obj (s : Obs.Provenance.span) =
-  let open Obs.Provenance in
-  J.J_obj
-    [
-      ("id", J_int s.sp_id);
-      ("net", J_str s.sp_net);
-      ("ep", J_int s.sp_episode);
-      ("seq", J_int s.sp_seq);
-      ("var", J_str s.sp_var);
-      ("value", J.opt (fun v -> J.J_str v) s.sp_value);
-      ("just", J_str s.sp_just);
-      ("source", J_str s.sp_source);
-      ("antecedents", J_arr (List.map (fun i -> J.J_int i) s.sp_antecedents));
-      ("dead", J_bool s.sp_dead);
-    ]
-
 let body_lines rq =
   String.split_on_char '\n' rq.Http.rq_body
   |> List.filter (fun l -> String.trim l <> "")
@@ -610,18 +425,7 @@ let why_handler rq =
     match Http.query rq "var" with
     | None -> Router.json ~status:422 (err_json "missing ?var=")
     | Some path ->
-      let steps = Obs.Provenance.why (Wstore.prov e) path in
-      let step st =
-        J.J_obj
-          [
-            ("depth", J_int st.Obs.Provenance.ws_depth);
-            ("span", prov_span_obj st.Obs.Provenance.ws_span);
-          ]
-      in
-      Router.json
-        (J.to_string
-           (J_obj
-              [ ("var", J_str path); ("chain", J_arr (List.map step steps)) ])))
+      Router.json (J.to_string (Obs.Answer.why (Wstore.prov e) path)))
 
 let blame_handler rq =
   match entry_for rq (param_id rq) with
@@ -630,14 +434,7 @@ let blame_handler rq =
     match Http.query rq "var" with
     | None -> Router.json ~status:422 (err_json "missing ?var=")
     | Some path ->
-      let spans = Obs.Provenance.blame (Wstore.prov e) path in
-      Router.json
-        (J.to_string
-           (J_obj
-              [
-                ("var", J_str path);
-                ("downstream", J_arr (List.map prov_span_obj spans));
-              ])))
+      Router.json (J.to_string (Obs.Answer.blame (Wstore.prov e) path)))
 
 let snapshot_handler rq =
   match entry_for rq (param_id rq) with
@@ -752,9 +549,13 @@ let routes sv =
       Router.text ~content_type:"text/plain; version=0.0.4; charset=utf-8"
         (render_metrics sv));
   get "/healthz" (fun _ -> healthz sv);
-  get "/alerts" (fun _ -> Router.ndjson (alerts_ndjson sv));
-  get "/exemplars" (fun _ -> Router.json (exemplars_json ()));
-  get "/spans" (fun _ -> Router.json (spans_json ()));
+  get "/alerts" (fun _ ->
+      Router.ndjson
+        (J.to_ndjson (Obs.Answer.alerts (watchdogs sv (Wstore.served ())))));
+  get "/exemplars" (fun _ ->
+      Router.json (J.to_string (Obs.Answer.exemplars (named (Wstore.served ())))));
+  get "/spans" (fun _ ->
+      Router.json (J.to_string (Obs.Answer.spans (named (Wstore.served ())))));
   get "/topo.dot" (fun rq ->
       match topo_dot (Http.query rq "net") with
       | Some dot -> Router.text ~content_type:"text/vnd.graphviz" dot
@@ -767,7 +568,7 @@ let routes sv =
   in
   get "/series" (fun _ ->
       match sv.sv_history with
-      | Some h -> Router.json (series_json h.hs_ts)
+      | Some h -> Router.json (J.to_string (Obs.Answer.history h.hs_ts))
       | None -> history_disabled ());
   get "/query" (fun rq ->
       let qfloat name = Option.bind (Http.query rq name) float_of_string_opt in
@@ -787,12 +588,18 @@ let routes sv =
           | Some raw -> (
             match float_of_string_opt raw with
             | Some step when step > 0. ->
-              Router.json (query_json ts ~series ~from_ ~to_ ~step:(Some step))
+              Router.json
+                (J.to_string
+                   (Obs.Answer.query ts ~series ~from_ ~to_ ~step:(Some step)))
             | _ ->
               Router.json ~status:422
                 (err_json "step must be a positive number"))
-          | None -> Router.json (query_json ts ~series ~from_ ~to_ ~step:None))));
-  get "/slo" (fun _ -> Router.json (slos_json sv));
+          | None ->
+            Router.json
+              (J.to_string (Obs.Answer.query ts ~series ~from_ ~to_ ~step:None)))));
+  get "/slo" (fun _ ->
+      Router.json
+        (J.to_string (Obs.Answer.slos (slos sv) ~now:(Unix.gettimeofday ()))));
   get "/nets" (fun _ -> Router.json (nets_json ()));
   post "/nets" (create_handler sv);
   get "/nets/:id/state" (fun rq ->
@@ -988,7 +795,7 @@ let start ?(bind_addr = "127.0.0.1") ?(port = 9464) ?(workers = 4)
           ~stages:[ "parse"; "admit"; "episode"; "append"; "fsync" ]
           ();
       sv_history =
-        Option.map (fun ts -> { hs_ts = ts; hs_slos = Hashtbl.create 8 }) history;
+        Option.map (fun ts -> { hs_ts = ts; hs_slos = Atomic.make [] }) history;
       sv_self = self;
       sv_requests = Obs.Metrics.counter self "serve.requests";
       sv_published = Obs.Metrics.counter self "serve.events_published";

@@ -2,21 +2,20 @@
 
     A thin, dependency-free HTTP/1.1 server (Unix sockets +
     [threads.posix]) exposing everything the observability layer
-    already collects — without ever getting in propagation's way:
+    already collects — without ever getting in propagation's way.
+    Each JSON body is [Obs.Jsonl.to_string] of one {!Obs.Answer}
+    (named below), over the served boards under their served names:
 
     - [GET /metrics] — Prometheus text exposition (0.0.4) merging every
       exposed network's registry (series labelled [net="<name>"]) plus
       the server's own counters.
-    - [GET /healthz] — this server's health: the watchdogs of the
-      served monitored boards (each under its served name) and of the
-      server's own SLOs; status 200 when all are quiet, 503 otherwise;
-      JSON body with per-row firing rules, current window snapshots,
-      stream statistics and the served names.
-    - [GET /alerts] — the same watchdogs' logged transitions as NDJSON
-      (the schema-v2 ["alert"] records of [Obs.Watchdog.alert_json],
-      ["net"] set to the row's name).
-    - [GET /exemplars] — the tail sampler's kept episodes, JSON.
-    - [GET /spans] — completed episode spans in the boards' rings, JSON.
+    - [GET /healthz] — {!Obs.Answer.healthz} of the served boards and
+      the server's own SLOs; status 200 when all are quiet, 503
+      otherwise.
+    - [GET /alerts] — {!Obs.Answer.alerts} of the same watchdogs, one
+      record per line (NDJSON).
+    - [GET /exemplars], [GET /spans] — {!Obs.Answer.exemplars},
+      {!Obs.Answer.spans}.
     - [GET /topo.dot] — the constraint graph(s) as DOT ([?net=] selects
       one network; default renders all).
     - [GET /events] — {e live} chunked NDJSON: one schema-v2 trace line
@@ -106,8 +105,6 @@ val stop : t -> unit
 (** The actual bound port. *)
 val port : t -> int
 
-val running : t -> bool
-
 (** Requests this server answered. *)
 val requests_served : t -> int
 
@@ -128,8 +125,8 @@ val requests_served : t -> int
       write episode, journaled before it is acknowledged. Per-item
       results; 422 if any failed, 503 + [retry-after] if the
       wall-clock deadline aborted the tail of the batch.
-    - [POST /nets/:id/why?var=] / [/blame?var=] — provenance chains
-      over the hosted network, JSON.
+    - [POST /nets/:id/why?var=] / [/blame?var=] — {!Obs.Answer.why},
+      {!Obs.Answer.blame} over the hosted network's provenance store.
     - [POST /nets/:id/snapshot] — checkpoint now (journal truncated).
     - [POST /nets/:id/drop] — final snapshot, unhost.
     - [GET /admission] — per-tenant admission counters.
@@ -149,12 +146,11 @@ val requests_served : t -> int
     0.99, windows 60 s at burn 2 and 300 s at burn 1, firing onto
     this server's [/alerts] and [/healthz] only). Read side:
 
-    - [GET /series] — stored series and store statistics, JSON.
-    - [GET /query?metric=&from=&to=&step=] — range read; with [step],
-      per-bucket min/max/avg downsampling, else raw points. Defaults:
-      the last hour. 404 without a store, 422 on a missing metric or
-      bad step.
-    - [GET /slo] — per-tenant burn rates and firing state, JSON. *)
+    - [GET /series] — {!Obs.Answer.history}.
+    - [GET /query?metric=&from=&to=&step=] — {!Obs.Answer.query};
+      defaults: the last hour. 404 without a store, 422 on a missing
+      metric or bad step.
+    - [GET /slo] — {!Obs.Answer.slos}. *)
 
 (** One sampling tick: re-point every served board at the store (so
     networks served since the last tick join), then serve counters and

@@ -164,8 +164,6 @@ let id e = e.e_id
 
 let tenant e = e.e_tenant
 
-let spec e = e.e_spec
-
 let net e = e.e_net
 
 let board e = e.e_board
@@ -309,8 +307,6 @@ let configure ?dir ?fsync ?snapshot_every () =
       d_snapshot_every =
         Option.value snapshot_every ~default:d.d_snapshot_every;
     }
-
-let data_dir () = !durability.d_dir
 
 let valid_id id =
   id <> ""

@@ -22,11 +22,6 @@
 
 open Constraint_kernel
 
-(** [Dval.to_string] — the [pp_value] used for traces, provenance and
-    replay everywhere in the store (diffs compare rendered strings, so
-    one renderer must be used consistently). *)
-val pp_value : Dval.t -> string
-
 (** {1 Value tokens} — records carry values as [Dval.to_token]
     strings; this is their parser ([Dval.of_string]). *)
 
@@ -63,8 +58,6 @@ type entry
 val id : entry -> string
 
 val tenant : entry -> string
-
-val spec : entry -> string
 
 val net : entry -> Dval.t Types.network
 
@@ -131,11 +124,6 @@ val configure :
   ?snapshot_every:int ->
   unit ->
   unit
-
-val data_dir : unit -> string option
-
-(** Network ids are path-safe: [[A-Za-z0-9_-]{1,64}]. *)
-val valid_id : string -> bool
 
 (** {1 Writes} *)
 

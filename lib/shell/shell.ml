@@ -79,16 +79,16 @@ let help_text =
   \  threshold N            failures before auto-quarantine (0 = never)\n\
   \  budget N|off           per-episode inference step budget\n\
   \  audit                  cross-reference / justification integrity audit\n\
-  \  dump                   network summary\n\
-  \  metrics                episode/event metrics (latency histograms &c)\n\
+  \  dump                   network summary, wakeups and agenda strata\n\
+  \  metrics                the board's metrics as Prometheus text (GET /metrics)\n\
   \  spans [N]              last N completed episode spans (default all)\n\
   \  hotspots [K]           top-K constraint kinds by activation count\n\
   \  trace jsonl FILE       start exporting trace events to FILE (JSONL)\n\
   \  trace off              stop the JSONL export\n\
-  \  health                 one-shot health report (window, alerts, exemplars)\n\
-  \  window [N]             last N completed telemetry windows + the current one\n\
-  \  exemplars [N]          captured episode exemplars; N = full trace of the N-th newest\n\
-  \  alerts                 watchdog status and alert transitions\n\
+  \  health                 one-shot health (windows, watchdog, exemplars)\n\
+  \  window [N]             last N telemetry windows, the current one last\n\
+  \  exemplars [N]          captured exemplars, oldest first; N = the N-th's event trace\n\
+  \  alerts                 watchdog alert transitions (schema-v2 records)\n\
   \  dot FILE               write the constraint graph (heat-annotated DOT) to FILE\n\
   \  topo                   structural statistics (fan-out, depth, cycles)\n\
   \  why PATH               causal chain: why does PATH hold its value?\n\
@@ -101,11 +101,30 @@ let help_text =
   \  host ID [TENANT]       offer this network to the HTTP write API as ID\n\
   \  unhost ID              withdraw it from the write API\n\
   \  history [DIR|off]      long-horizon telemetry store: status / enable / seal\n\
-  \  sparkline SERIES [SEC] unicode sparkline of a stored series (default last 300 s)\n\
+  \  sparkline SERIES [SEC] a stored series in one line, with a sparkline (default last 300 s)\n\
   \  tracing [on|off]       the server's request tracing for hosted-net writes\n\
   \  chrome FILE            write the server's request spans as Chrome trace JSON\n\
   \  help                   this text\n\
   \  quit                   leave the editor"
+
+(* Every observability command prints one answer: the tree the HTTP
+   server would serve for the same question, in its text view. *)
+let answer j = Fmt.pr "%a@." Obs.Answer.text j
+
+(* [rows keep arg answer] — an array answer cut to [keep n] of its rows
+   when a count argument is given. *)
+let rows keep arg j =
+  match (arg, j) with
+  | [], _ -> answer j
+  | [ n ], Obs.Jsonl.J_arr rs -> (
+    match int_of_string_opt n with
+    | Some n when n >= 0 -> answer (Obs.Jsonl.J_arr (keep n rs))
+    | _ -> Fmt.pr "  count must be a non-negative integer@.")
+  | _ -> Fmt.pr "  at most one count argument@."
+
+let first n rs = List.filteri (fun i _ -> i < n) rs
+
+let last n rs = List.filteri (fun i _ -> i >= List.length rs - n) rs
 
 let with_var cnet path f =
   match Editor.find_var cnet path with
@@ -120,37 +139,30 @@ let with_cstr cnet id_str f =
     | Some c -> f c
     | None -> Fmt.pr "no constraint #%d@." id)
 
-let execute ss line =
+(* One command's output; whether the loop goes on is [execute]'s call. *)
+let command ss words =
   let cnet = Stem.Env.cnet ss.ss_env in
-  let words =
-    String.split_on_char ' ' (String.trim line) |> List.filter (fun w -> w <> "")
-  in
+  let name = cnet.Types.net_name in
+  let boards = [ Obs.Answer.Named (name, ss.ss_board) ] in
   match words with
-  | [] -> true
-  | [ "quit" ] | [ "q" ] | [ "exit" ] -> false
+  | [] -> ()
   | [ "help" ] ->
-    Fmt.pr "%s@." help_text;
-    true
+    Fmt.pr "%s@." help_text
   | [ "vars" ] | "vars" :: _ ->
     let filter = match words with _ :: f :: _ -> f | _ -> "" in
     List.iter
       (fun v -> Fmt.pr "  %a@." Var.pp_full v)
-      (Editor.grep_vars cnet filter);
-    true
+      (Editor.grep_vars cnet filter)
   | [ "cstrs" ] ->
     List.iter
       (fun c -> Fmt.pr "  %a%s@." Cstr.pp c (if Cstr.is_enabled c then "" else " (disabled)"))
-      (List.rev cnet.Types.net_cstrs);
-    true
+      (List.rev cnet.Types.net_cstrs)
   | [ "show"; path ] ->
-    with_var cnet path (fun v -> Fmt.pr "  %a@." Var.pp_full v);
-    true
+    with_var cnet path (fun v -> Fmt.pr "  %a@." Var.pp_full v)
   | [ "inspect"; path ] ->
-    with_var cnet path (fun v -> Fmt.pr "%a@." Editor.inspect_var v);
-    true
+    with_var cnet path (fun v -> Fmt.pr "%a@." Editor.inspect_var v)
   | [ "cstr"; id ] ->
-    with_cstr cnet id (fun c -> Fmt.pr "%a@." Editor.inspect_cstr c);
-    true
+    with_cstr cnet id (fun c -> Fmt.pr "%a@." Editor.inspect_cstr c)
   | "set" :: path :: rest ->
     let value_text = String.concat " " rest in
     (match Dval.of_string value_text with
@@ -159,47 +171,37 @@ let execute ss line =
       with_var cnet path (fun v ->
           match Engine.set cnet v value with
           | Ok () -> Fmt.pr "  ok: %a@." Var.pp_full v
-          | Error viol -> Fmt.pr "  !! %a (values restored)@." Types.pp_violation viol));
-    true
+          | Error viol -> Fmt.pr "  !! %a (values restored)@." Types.pp_violation viol))
   | [ "reset"; path ] ->
     with_var cnet path (fun v ->
         ignore (Engine.reset cnet v);
-        Fmt.pr "  ok: %a@." Var.pp_full v);
-    true
+        Fmt.pr "  ok: %a@." Var.pp_full v)
   | [ "antecedents"; path ] ->
-    with_var cnet path (fun v -> Fmt.pr "%a@." Editor.trace_antecedents v);
-    true
+    with_var cnet path (fun v -> Fmt.pr "%a@." Editor.trace_antecedents v)
   | [ "consequences"; path ] ->
-    with_var cnet path (fun v -> Fmt.pr "%a@." Editor.trace_consequences v);
-    true
+    with_var cnet path (fun v -> Fmt.pr "%a@." Editor.trace_consequences v)
   | [ "disable"; id ] ->
     with_cstr cnet id (fun c ->
         Cstr.set_enabled c false;
-        Fmt.pr "  disabled %a@." Cstr.pp c);
-    true
+        Fmt.pr "  disabled %a@." Cstr.pp c)
   | [ "enable"; id ] ->
     with_cstr cnet id (fun c ->
         Cstr.set_enabled c true;
-        Fmt.pr "  enabled %a@." Cstr.pp c);
-    true
+        Fmt.pr "  enabled %a@." Cstr.pp c)
   | [ "remove"; id ] ->
     with_cstr cnet id (fun c ->
         Network.remove_constraint cnet c;
-        Fmt.pr "  removed #%s; dependent values erased@." id);
-    true
+        Fmt.pr "  removed #%s; dependent values erased@." id)
   | [ "on" ] ->
     Engine.enable cnet;
-    Fmt.pr "  propagation on@.";
-    true
+    Fmt.pr "  propagation on@."
   | [ "off" ] ->
     Engine.disable cnet;
-    Fmt.pr "  propagation off@.";
-    true
+    Fmt.pr "  propagation off@."
   | [ "check" ] ->
     (match Editor.unsatisfied cnet with
     | [] -> Fmt.pr "  all constraints satisfied@."
-    | bad -> List.iter (fun c -> Fmt.pr "  VIOLATED %a@." Cstr.pp c) bad);
-    true
+    | bad -> List.iter (fun c -> Fmt.pr "  VIOLATED %a@." Cstr.pp c) bad)
   | [ "quarantine" ] ->
     (match Network.quarantined cnet with
     | [] -> Fmt.pr "  no quarantined constraints@."
@@ -208,8 +210,7 @@ let execute ss line =
         (fun c ->
           Fmt.pr "  %a — %s@." Cstr.pp c
             (Option.value ~default:"(no reason recorded)" (Cstr.quarantined c)))
-        qs);
-    true
+        qs)
   | [ "clearq"; id ] ->
     with_cstr cnet id (fun c ->
         if not (Cstr.is_quarantined c) then
@@ -219,67 +220,37 @@ let execute ss line =
           | Ok () -> Fmt.pr "  quarantine lifted: %a@." Cstr.pp c
           | Error viol ->
             Fmt.pr "  quarantine lifted, but re-initialisation failed: %a@."
-              Types.pp_violation viol);
-    true
+              Types.pp_violation viol)
   | [ "threshold"; n ] ->
     (match int_of_string_opt n with
     | Some n when n >= 0 ->
       Engine.set_fail_threshold cnet n;
       if n = 0 then Fmt.pr "  auto-quarantine off@."
       else Fmt.pr "  quarantine after %d failure(s)@." n
-    | _ -> Fmt.pr "  threshold must be a non-negative integer@.");
-    true
-  | [ "budget"; b ] ->
-    (match b with
-    | "off" ->
-      Engine.set_step_budget cnet None;
-      Fmt.pr "  step budget off@.";
-      true
-    | _ ->
-      (match int_of_string_opt b with
-      | Some n when n > 0 ->
-        Engine.set_step_budget cnet (Some n);
-        Fmt.pr "  step budget: %d inference(s) per episode@." n
-      | _ -> Fmt.pr "  budget must be a positive integer or 'off'@.");
-      true)
+    | _ -> Fmt.pr "  threshold must be a non-negative integer@.")
+  | [ "budget"; "off" ] ->
+    Engine.set_step_budget cnet None;
+    Fmt.pr "  step budget off@."
+  | [ "budget"; b ] -> (
+    match int_of_string_opt b with
+    | Some n when n > 0 ->
+      Engine.set_step_budget cnet (Some n);
+      Fmt.pr "  step budget: %d inference(s) per episode@." n
+    | _ -> Fmt.pr "  budget must be a positive integer or 'off'@.")
   | [ "audit" ] ->
     (match Network.check_integrity cnet with
     | [] -> Fmt.pr "  network integrity ok@."
-    | issues -> List.iter (fun i -> Fmt.pr "  INTEGRITY %s@." i) issues);
-    true
+    | issues -> List.iter (fun i -> Fmt.pr "  INTEGRITY %s@." i) issues)
   | [ "dump" ] ->
-    Fmt.pr "%a@." Editor.dump_network cnet;
-    true
+    Fmt.pr "%a@.%a@." Editor.dump_network cnet Editor.pp_agenda cnet
   | [ "metrics" ] ->
-    Fmt.pr "%a@." Obs.Metrics.render (Obs.Board.metrics ss.ss_board);
-    true
+    Fmt.pr "%s@?"
+      (Serve.Exposition.render [ (name, Obs.Board.metrics ss.ss_board) ])
   | "spans" :: rest ->
-    let spans = Obs.Board.spans ss.ss_board in
-    let spans =
-      match rest with
-      | [ n ] -> (
-        match int_of_string_opt n with
-        | Some n when n >= 0 ->
-          let len = List.length spans in
-          if len > n then List.filteri (fun i _ -> i >= len - n) spans
-          else spans
-        | _ ->
-          Fmt.pr "  span count must be a non-negative integer@.";
-          [])
-      | _ -> spans
-    in
-    if spans = [] then Fmt.pr "  no completed episodes in the ring@."
-    else List.iter (fun sp -> Fmt.pr "  %a@." Types.pp_span sp) spans;
-    true
+    rows last rest (Obs.Answer.spans boards)
   | "hotspots" :: rest ->
-    let k = match rest with [ n ] -> int_of_string_opt n | _ -> Some 5 in
-    (match k with
-    | Some k ->
-      Fmt.pr "%a@."
-        (Obs.Profiler.pp_hotspots ~k)
-        (Obs.Board.profiler ss.ss_board)
-    | None -> Fmt.pr "  hotspot count must be an integer@.");
-    true
+    rows first (if rest = [] then [ "5" ] else rest)
+      (Obs.Answer.hotspots (Obs.Board.profiler ss.ss_board))
   | [ "trace"; "jsonl"; file ] ->
     ignore (trace_off ss);
     (match open_out file with
@@ -288,72 +259,33 @@ let execute ss line =
         (Obs.Jsonl.channel_sink ~pp_value:Dval.to_string oc);
       ss.ss_jsonl <- Some (file, oc);
       Fmt.pr "  tracing to %s (JSONL)@." file
-    | exception Sys_error msg -> Fmt.pr "  cannot open %s: %s@." file msg);
-    true
+    | exception Sys_error msg -> Fmt.pr "  cannot open %s: %s@." file msg)
   | [ "trace"; "off" ] ->
     if trace_off ss then Fmt.pr "  trace export stopped@."
-    else Fmt.pr "  no trace export active@.";
-    true
+    else Fmt.pr "  no trace export active@."
   | [ "health" ] ->
     Obs.Board.checkpoint ss.ss_board;
-    Fmt.pr "%a@." Obs.Board.pp_health ss.ss_board;
-    Fmt.pr "%a@." Editor.pp_agenda cnet;
-    true
+    answer (Obs.Answer.health name ss.ss_board)
   | "window" :: rest ->
-    (match Obs.Board.window ss.ss_board with
-    | None -> Fmt.pr "  monitoring off@."
-    | Some w ->
-      let completed = Obs.Window.completed w in
-      let completed =
-        match rest with
-        | [ n ] -> (
-          match int_of_string_opt n with
-          | Some n when n >= 0 ->
-            let len = List.length completed in
-            if len > n then List.filteri (fun i _ -> i >= len - n) completed
-            else completed
-          | _ ->
-            Fmt.pr "  window count must be a non-negative integer@.";
-            [])
-        | _ -> completed
-      in
-      List.iter
-        (fun s -> Fmt.pr "  %a@." Obs.Window.pp_snapshot s)
-        completed;
-      let cur = Obs.Window.current w in
-      Fmt.pr "  current %a@." Obs.Window.pp_snapshot cur);
-    true
-  | "exemplars" :: rest ->
-    (match Obs.Board.sampler ss.ss_board with
-    | None -> Fmt.pr "  monitoring off@."
-    | Some sam -> (
-      let exs = List.rev (Obs.Sampler.exemplars sam) in
-      (* newest first *)
-      match rest with
-      | [] ->
-        if exs = [] then Fmt.pr "  no exemplars captured yet@."
-        else
-          List.iteri
-            (fun i ex -> Fmt.pr "  %2d. %a@." (i + 1) Obs.Sampler.pp_exemplar ex)
-            exs
-      | [ n ] -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 && n <= List.length exs ->
-          Fmt.pr "%a@." Obs.Sampler.pp_exemplar_events (List.nth exs (n - 1))
-        | Some _ -> Fmt.pr "  no exemplar #%s (have %d)@." n (List.length exs)
-        | None -> Fmt.pr "  exemplar index must be an integer@.")
-      | _ -> Fmt.pr "  usage: exemplars [N]@."));
-    true
+    Option.iter
+      (fun w -> rows last rest (Obs.Answer.windows name w))
+      (Obs.Board.window ss.ss_board)
+  | [ "exemplars" ] ->
+    answer (Obs.Answer.exemplars boards)
+  | [ "exemplars"; n ] ->
+    let exs =
+      Option.fold ~none:[] ~some:Obs.Sampler.exemplars
+        (Obs.Board.sampler ss.ss_board)
+    in
+    (match int_of_string_opt n with
+    | Some i when i >= 1 && i <= List.length exs ->
+      answer (Obs.Answer.exemplar name (List.nth exs (i - 1)))
+    | _ -> Fmt.pr "  no exemplar #%s (have %d)@." n (List.length exs))
   | [ "alerts" ] ->
-    (match Obs.Board.watchdog ss.ss_board with
-    | None -> Fmt.pr "  monitoring off@."
-    | Some wd ->
-      Fmt.pr "  status: %a@." Obs.Watchdog.pp_status wd;
-      (match Obs.Watchdog.alerts wd with
-      | [] -> Fmt.pr "  no alert transitions recorded@."
-      | alerts ->
-        List.iter (fun a -> Fmt.pr "  %a@." Obs.Watchdog.pp_alert a) alerts));
-    true
+    answer
+      (Obs.Answer.alerts
+         (Option.to_list
+            (Option.map (fun wd -> (name, wd)) (Obs.Board.watchdog ss.ss_board))))
   | [ "dot"; file ] ->
     let dot =
       Obs.Topo.to_dot
@@ -365,44 +297,22 @@ let execute ss line =
     | oc ->
       output_string oc dot;
       close_out oc;
-      let s = Obs.Topo.stats cnet in
-      Fmt.pr "  wrote %s (%d vars, %d constraints, %d edges)@." file
-        s.Obs.Topo.tp_vars s.Obs.Topo.tp_cstrs s.Obs.Topo.tp_edges
-    | exception Sys_error msg -> Fmt.pr "  cannot open %s: %s@." file msg);
-    true
+      Fmt.pr "  wrote %s@." file;
+      answer (Obs.Answer.topo cnet)
+    | exception Sys_error msg -> Fmt.pr "  cannot open %s: %s@." file msg)
   | [ "topo" ] ->
-    Fmt.pr "%a@." Obs.Topo.pp_stats (Obs.Topo.stats cnet);
-    true
+    answer (Obs.Answer.topo cnet)
   | [ "why"; path ] ->
-    with_var cnet path (fun v ->
-        Fmt.pr "%a@." Obs.Provenance.pp_why
-          (Obs.Provenance.why ss.ss_prov (Var.path v)));
-    true
+    with_var cnet path (fun v -> answer (Obs.Answer.why ss.ss_prov (Var.path v)))
   | [ "blame"; path ] ->
     with_var cnet path (fun v ->
-        match Obs.Provenance.blame ss.ss_prov (Var.path v) with
-        | [] -> Fmt.pr "  nothing derived from %s@." (Var.path v)
-        | spans -> List.iter (fun sp -> Fmt.pr "  %a@." Obs.Provenance.pp_span sp) spans);
-    true
-  | "critical" :: rest ->
-    let episode =
-      match rest with
-      | [ e ] -> (
-        match int_of_string_opt e with
-        | Some _ as ep -> Ok ep
-        | None -> Error ())
-      | _ -> Ok None
-    in
-    (match episode with
-    | Error () -> Fmt.pr "  episode id must be an integer@."
-    | Ok episode ->
-      Fmt.pr "%a@." Obs.Provenance.pp_chain
-        (Obs.Provenance.critical_path ss.ss_prov ?episode ()));
-    true
+        answer (Obs.Answer.blame ss.ss_prov (Var.path v)))
+  | [ "critical" ] -> answer (Obs.Answer.critical ss.ss_prov None)
+  | [ "critical"; e ] when int_of_string_opt e <> None ->
+    answer (Obs.Answer.critical ss.ss_prov (int_of_string_opt e))
+  | "critical" :: _ -> Fmt.pr "  episode id must be an integer@."
   | [ "tracetree" ] ->
-    Fmt.pr "%a@." Obs.Provenance.pp_forest
-      (Obs.Provenance.episode_forest ss.ss_prov);
-    true
+    answer (Obs.Answer.episodes ss.ss_prov)
   | "replay" :: file :: rest ->
     (match Obs.Replay.of_file file with
     | rp ->
@@ -426,8 +336,7 @@ let execute ss line =
           List.iter
             (fun d -> Fmt.pr "  DIVERGENCE %a@." Obs.Replay.pp_divergence d)
             divs)
-    | exception Sys_error msg -> Fmt.pr "  cannot read %s: %s@." file msg);
-    true
+    | exception Sys_error msg -> Fmt.pr "  cannot read %s: %s@." file msg)
   | "serve" :: rest ->
     (match ss.ss_serve with
     | Some sv -> Fmt.pr "  already serving on port %d (unserve first)@." (Serve.port sv)
@@ -444,12 +353,10 @@ let execute ss line =
             (Serve.port sv)
         | exception Unix.Unix_error (e, _, _) ->
           ignore (Serve.unexpose cnet.Types.net_name);
-          Fmt.pr "  cannot bind port %d: %s@." port (Unix.error_message e))));
-    true
+          Fmt.pr "  cannot bind port %d: %s@." port (Unix.error_message e))))
   | [ "unserve" ] ->
     if serve_off ss then Fmt.pr "  telemetry server stopped@."
-    else Fmt.pr "  no telemetry server running@.";
-    true
+    else Fmt.pr "  no telemetry server running@."
   | "host" :: id :: rest ->
     (let tenant = match rest with [ t ] -> Some t | _ -> None in
      match
@@ -459,28 +366,16 @@ let execute ss line =
      | Ok e ->
        Fmt.pr "  hosted as %S for tenant %S (POST /nets/%s/set)@."
          (Serve.Wstore.id e) (Serve.Wstore.tenant e) (Serve.Wstore.id e)
-     | Error msg -> Fmt.pr "  cannot host: %s@." msg);
-    true
+     | Error msg -> Fmt.pr "  cannot host: %s@." msg)
   | [ "unhost"; id ] ->
     if Serve.Wstore.drop ~id then Fmt.pr "  %S unhosted@." id
-    else Fmt.pr "  no hosted network %S@." id;
-    true
+    else Fmt.pr "  no hosted network %S@." id
   | [ "history" ] ->
     (match ss.ss_history with
     | None -> Fmt.pr "  history off (history DIR to enable)@."
-    | Some ts ->
-      let st = Obs.Tsdb.stats ts in
-      Fmt.pr
-        "  history in %s: %d series, %d points, %d segments, %d bytes on \
-         disk (%.1fx compression)@."
-        (Obs.Tsdb.dir ts)
-        (List.length (Obs.Tsdb.series ts))
-        st.Obs.Tsdb.st_points st.Obs.Tsdb.st_segments
-        st.Obs.Tsdb.st_disk_bytes st.Obs.Tsdb.st_ratio);
-    true
+    | Some ts -> answer (Obs.Answer.history ts))
   | [ "history"; _ ] when Option.is_some ss.ss_serve ->
-    Fmt.pr "  the server samples the store it started with (unserve first)@.";
-    true
+    Fmt.pr "  the server samples the store it started with (unserve first)@."
   | [ "history"; "off" ] ->
     (match ss.ss_history with
     | None -> Fmt.pr "  history already off@."
@@ -488,8 +383,7 @@ let execute ss line =
       Obs.Board.set_history ss.ss_board None;
       ss.ss_history <- None;
       if close_history ts then Fmt.pr "  history off, store sealed@."
-      else Fmt.pr "  history off@.");
-    true
+      else Fmt.pr "  history off@.")
   | [ "history"; dir ] ->
     (match Obs.Tsdb.open_ dir with
     | ts ->
@@ -504,42 +398,18 @@ let execute ss line =
         "  history in %s (%d points on disk); sampling every window tick@."
         dir st.Obs.Tsdb.st_points
     | exception Unix.Unix_error (e, _, _) ->
-      Fmt.pr "  cannot open %s: %s@." dir (Unix.error_message e));
-    true
+      Fmt.pr "  cannot open %s: %s@." dir (Unix.error_message e))
   | "sparkline" :: series :: rest ->
     (match ss.ss_history with
     | None -> Fmt.pr "  history off (history DIR first)@."
     | Some ts -> (
-      let secs =
+      match
         match rest with [ s ] -> float_of_string_opt s | _ -> Some 300.
-      in
-      match secs with
-      | None | Some 0. -> Fmt.pr "  seconds must be a positive number@."
-      | Some secs -> (
+      with
+      | Some secs when secs > 0. ->
         let to_ = Unix.gettimeofday () in
-        let from_ = to_ -. secs in
-        match Obs.Tsdb.query ts ~series ~from_ ~to_ with
-        | [] ->
-          Fmt.pr "  no samples for %S in the last %gs@." series secs
-        | pts ->
-          let vs = List.map snd pts in
-          (* one glyph per time bucket keeps the line terminal-width *)
-          let line =
-            if List.length pts <= 60 then Obs.Tsdb.sparkline vs
-            else
-              Obs.Tsdb.sparkline
-                (List.map
-                   (fun b -> b.Obs.Tsdb.bk_avg)
-                   (Obs.Tsdb.query_range ts ~series ~from_ ~to_
-                      ~step:(secs /. 60.)))
-          in
-          let mn = List.fold_left min infinity vs
-          and mx = List.fold_left max neg_infinity vs in
-          Fmt.pr "  %s@.  min %g  max %g  last %g  (%d samples / last %gs)@."
-            line mn mx
-            (List.nth vs (List.length vs - 1))
-            (List.length pts) secs)));
-    true
+        answer (Obs.Answer.summary ts series ~from_:(to_ -. secs) ~to_)
+      | _ -> Fmt.pr "  seconds must be a positive number@."))
   | [ "tracing"; ("on" | "off") as sw ] ->
     (match ss.ss_serve with
     | None -> Fmt.pr "  request tracing belongs to the server (serve first)@."
@@ -549,14 +419,12 @@ let execute ss line =
         Fmt.pr
           "  request tracing on: hosted-net writes record \
            parse/admit/episode/append spans (GET /trace, chrome FILE)@."
-      else Fmt.pr "  request tracing off@.");
-    true
+      else Fmt.pr "  request tracing off@.")
   | [ "tracing" ] ->
     Fmt.pr "  request tracing is %s@."
       (match ss.ss_serve with
       | Some sv when Obs.Tracing.enabled (Serve.tracer sv) -> "on"
-      | _ -> "off");
-    true
+      | _ -> "off")
   | [ "chrome"; file ] ->
     (match ss.ss_serve with
     | None -> Fmt.pr "  no server, no request spans (serve first)@."
@@ -571,10 +439,17 @@ let execute ss line =
           "  chrome trace written to %s (load it in Perfetto or \
            chrome://tracing)@."
           file
-      | exception Sys_error msg -> Fmt.pr "  cannot write %s: %s@." file msg));
-    true
+      | exception Sys_error msg -> Fmt.pr "  cannot write %s: %s@." file msg))
   | cmd :: _ ->
-    Fmt.pr "unknown command %S (try: help)@." cmd;
+    Fmt.pr "unknown command %S (try: help)@." cmd
+
+let execute ss line =
+  match
+    String.split_on_char ' ' (String.trim line) |> List.filter (fun w -> w <> "")
+  with
+  | [ "quit" ] | [ "q" ] | [ "exit" ] -> false
+  | words ->
+    command ss words;
     true
 
 let close ss =

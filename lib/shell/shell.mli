@@ -1,15 +1,7 @@
 (** The constraint-editor command shell (§5.4), shared by the [stem edit]
-    REPL and by tests/batch scripts.
-
-    Commands: [vars [SUBSTR]], [cstrs], [show PATH], [inspect PATH],
-    [cstr ID], [set PATH VALUE], [reset PATH], [antecedents PATH],
-    [consequences PATH], [enable/disable ID], [remove ID], [on]/[off],
-    [check], [quarantine], [clearq ID], [threshold N], [budget N|off],
-    [audit], [dump], [metrics], [spans [N]], [hotspots [K]],
-    [trace jsonl FILE], [trace off], [why PATH], [blame PATH],
-    [critical [EP]], [tracetree], [replay FILE [SEQ]],
-    [serve [PORT]]/[unserve] (the HTTP telemetry server), [help],
-    [quit]. *)
+    REPL and by tests/batch scripts. The [help] command lists the
+    commands; each observability command prints {!Obs.Answer.text} of
+    the answer the telemetry server serves for the same question. *)
 
 (** A shell session: the environment plus its observability board
     (ring, metrics, profiler — attached as trace sinks for the

@@ -171,6 +171,39 @@ let test_journal_sync_failure () =
   raises "flush under never" (fun () -> J.flush j);
   J.close j
 
+(* A failed write is never swallowed either.  Writes to /dev/full fail
+   with ENOSPC (and it reports size 0, so it opens as an empty journal):
+   the first append raises [Failed] and poisons the journal, and the
+   next append is refused without writing. *)
+let test_journal_write_failure () =
+  let module J = Serve.Journal in
+  let j, _ = J.open_append ~fsync:J.Never "/dev/full" in
+  (match J.append j "{\"a\":1}" with
+  | () -> Alcotest.fail "an append to /dev/full succeeded"
+  | exception J.Failed msg ->
+    Alcotest.(check bool) "names the write" true (contains ~sub:"write" msg));
+  Alcotest.(check bool) "poisoned" true (J.failure j <> None);
+  (match J.append j "{\"b\":2}" with
+  | () -> Alcotest.fail "a poisoned journal took an append"
+  | exception J.Failed _ -> ());
+  Alcotest.(check int) "nothing counted as appended" 0 (J.appended j);
+  Alcotest.(check int) "size stays at the last whole frame" 0 (J.size j);
+  J.close j
+
+(* A durable net whose journal cannot write answers [Not_durable] for
+   its initial set, instead of letting the raw Unix error escape, and is
+   not hosted.  The journal file is a symlink to /dev/full. *)
+let test_unwritten_set_not_acked () =
+  with_dir (fun d ->
+      Serve.Wstore.configure ~dir:d ~fsync:Serve.Journal.Never ();
+      Unix.symlink "/dev/full" (Filename.concat d "full.jnl");
+      (match Serve.Wstore.create ~id:"full" ~spec:"var a.x = 4\nvar a.y\neq a.x a.y\n" () with
+      | Ok _ -> Alcotest.fail "an unwritten initial set was acknowledged"
+      | Error msg ->
+        Alcotest.(check bool) "initial set not durable" true
+          (contains ~sub:"not durable: write" msg));
+      Alcotest.(check bool) "not hosted" true (Serve.Wstore.find ~id:"full" = None))
+
 (* A durable net whose journal cannot sync is never acknowledged: its
    initial sets answer [Not_durable] and the net is not hosted.  The
    journal file is a symlink to /dev/null. *)
@@ -801,6 +834,79 @@ let alert_nets ~port =
            | _ -> Alcotest.fail "alert without a net")
          | _ -> Alcotest.fail "alert is not an object")
 
+(* Ticks adding tenants race scrapes of /slo and /healthz: every scrape
+   answers with the SLO rows sorted by name, and none raises.  Tenants
+   join in reverse name order, so each one lands before the others. *)
+let test_slo_table_race () =
+  with_dir (fun hist ->
+      let ts = Obs.Tsdb.open_ hist in
+      let adm = Serve.Admission.create () in
+      let sv = Serve.start ~port:0 ~admission:adm ~history:ts () in
+      Fun.protect
+        ~finally:(fun () ->
+          Serve.stop sv;
+          Obs.Tsdb.close ts)
+        (fun () ->
+          let n = 48 in
+          let done_ = Atomic.make false in
+          let ticker =
+            Thread.create
+              (fun () ->
+                for i = 1 to n do
+                  (match
+                     Serve.Admission.admit adm
+                       ~tenant:(Printf.sprintf "t%02d" (n - i))
+                   with
+                  | Serve.Admission.Admitted tk ->
+                    Serve.Admission.finish adm tk ~over_budget:false
+                  | _ -> ());
+                  Serve.history_tick sv
+                done;
+                Atomic.set done_ true)
+              ()
+          in
+          let names path =
+            match Serve.Client.request ~port:(Serve.port sv) path with
+            | Error e -> Alcotest.failf "%s: %s" path e
+            | Ok r -> (
+              let rows =
+                match Strict_json.parse_json r.Serve.Client.rs_body with
+                | Strict_json.Arr rows -> rows
+                | Strict_json.Obj kvs -> (
+                  match List.assoc_opt "nets" kvs with
+                  | Some (Strict_json.Arr rows) -> rows
+                  | _ -> Alcotest.failf "%s: no nets" path)
+                | _ -> Alcotest.failf "%s: not an array or object" path
+              in
+              List.filter_map
+                (function
+                  | Strict_json.Obj kvs -> (
+                    match (List.assoc_opt "name" kvs, List.assoc_opt "net" kvs) with
+                    | Some (Strict_json.Str s), _ -> Some s
+                    | _, Some (Strict_json.Str s) -> Some s
+                    | _ -> None)
+                  | _ -> None)
+                rows)
+          in
+          let scrapes = ref 0 in
+          while not (Atomic.get done_) do
+            List.iter
+              (fun path ->
+                (* /healthz lists the served boards first *)
+                let ns =
+                  List.filter (String.starts_with ~prefix:"slo:") (names path)
+                  @ List.filter (String.starts_with ~prefix:"tenant-") (names path)
+                in
+                Alcotest.(check (list string)) (path ^ " rows sorted")
+                  (List.sort compare ns) ns;
+                incr scrapes)
+              [ "/slo"; "/healthz" ]
+          done;
+          Thread.join ticker;
+          Alcotest.(check int) "every tenant has its SLO" n
+            (List.length (names "/slo"));
+          Alcotest.(check bool) "scraped while ticking" true (!scrapes > 0)))
+
 (* Two servers at once: the first has history and a tenant whose SLO
    burns.  Each answers health from what it serves — the shared served
    nets and its own SLOs — so only the first reports the SLO. *)
@@ -1109,6 +1215,10 @@ let suite =
         test_journal_bad_framing_stops;
       Alcotest.test_case "journal fsync failure raises and poisons" `Quick
         test_journal_sync_failure;
+      Alcotest.test_case "journal write failure raises and poisons" `Quick
+        test_journal_write_failure;
+      Alcotest.test_case "unwritten set is not acknowledged" `Quick
+        test_unwritten_set_not_acked;
       Alcotest.test_case "unsynced set is not acknowledged" `Quick
         test_unsynced_set_not_acked;
       Alcotest.test_case "recover bit-identical" `Quick
@@ -1130,6 +1240,8 @@ let suite =
         test_write_api_end_to_end;
       Alcotest.test_case "drop withdraws from the read endpoints" `Quick
         test_drop_withdraws_from_reads;
+      Alcotest.test_case "slo table races ticks and scrapes" `Quick
+        test_slo_table_race;
       Alcotest.test_case "health is per server" `Quick
         test_health_is_per_server;
       Alcotest.test_case "health uses the served name" `Quick

@@ -419,7 +419,7 @@ let test_slo_no_data_is_null () =
         ~finally:(fun () -> Obs.Tsdb.close ts)
         (fun () ->
           let burn_json now =
-            Obs.Jsonl.to_string (Obs.Slo.status_json slo ~now)
+            Obs.Jsonl.to_string (Obs.Answer.slos [ slo ] ~now)
           in
           Alcotest.(check bool) "no samples: no burn" true
             (Obs.Slo.burn_rates slo ~now:5. = [ (10., 1.0, None) ]);
@@ -454,7 +454,8 @@ let test_board_samples_on_window_tick () =
   with_dir (fun d ->
       let ts = Obs.Tsdb.open_ d in
       let board =
-        Obs.Board.create ~monitor:true ~window_width:(Obs.Window.Episodes 2) ()
+        Obs.Board.attach ~monitor:true ~window_width:(Obs.Window.Episodes 2)
+          (Constraint_kernel.Engine.create_network ~name:"net1" ())
       in
       Obs.Board.set_history ~prefix:"net1" board (Some ts);
       Alcotest.(check bool) "history wired" true

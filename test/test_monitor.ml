@@ -456,15 +456,15 @@ let test_board_monitor_end_to_end () =
   Obs.Board.checkpoint b;
   Alcotest.(check int) "empty checkpoint is a no-op" 3
     (Obs.Window.completed_count w);
-  (* health rendering mentions the essentials *)
-  let health = Fmt.str "%a" Obs.Board.pp_health b in
+  (* the health answer's text mentions the essentials *)
+  let health = Fmt.str "%a" Obs.Answer.text (Obs.Answer.health "net" b) in
   List.iter
     (fun needle ->
       Alcotest.(check bool)
-        (Printf.sprintf "pp_health mentions %S" needle)
+        (Printf.sprintf "health text mentions %S" needle)
         true
         (Astring_contains.contains health needle))
-    [ "episodes"; "p50"; "p99"; "alerts:"; "exemplars:" ];
+    [ "episodes"; "p50"; "p99"; "firing:"; "exemplars:" ];
   Obs.Board.detach net;
   Alcotest.(check int) "detach removes the sink" 0
     (List.length (Engine.sinks net))

@@ -387,13 +387,13 @@ let test_profiler_hotspots () =
   for i = 1 to 5 do
     ignore (Engine.set net a i)
   done;
-  (match Obs.Profiler.hotspots ~k:1 p with
-  | [ e ] ->
+  (match Obs.Profiler.entries p with
+  | e :: _ ->
     Alcotest.(check string) "equality dominates" "equality"
       e.Obs.Profiler.e_kind;
     Alcotest.(check bool) "activations counted" true
       (e.Obs.Profiler.e_activations > 0)
-  | _ -> Alcotest.fail "expected exactly one hotspot");
+  | [] -> Alcotest.fail "expected a hotspot");
   let entries = Obs.Profiler.entries p in
   Alcotest.(check int) "both kinds present" 2 (List.length entries);
   List.iteri
@@ -504,6 +504,50 @@ let test_jsonl_escaping () =
     Alcotest.(check (option string)) "kind round-trips" (Some "uni\tmax")
       (Obs.Jsonl.str fields "kind")
 
+(* ---------------- the answers' text view ---------------- *)
+
+let test_answer_text () =
+  let open Obs.Jsonl in
+  let rows =
+    [
+      ("int", J_int 3, "3");
+      ("integral float", J_float 2.0, "2");
+      ("float", J_float 12.3456, "12.35");
+      ("small float", J_float 0.000123456, "0.0001235");
+      ("bool", J_bool true, "true");
+      ("null", J_null, "null");
+      ("bare string", J_str "ok", "ok");
+      ("empty string", J_str "", "\"\"");
+      ("string with a newline", J_str "a\nb", "\"a\\nb\"");
+      ("string with quotes", J_str "say \"hi\"", "\"say \\\"hi\\\"\"");
+      ("empty array", J_arr [], "[]");
+      ("array of scalars", J_arr [ J_int 1; J_str "x y"; J_null ], "[1,\"x y\",null]");
+      ("empty object", J_obj [], "{}");
+      ( "flat object on one line",
+        J_obj [ ("a", J_int 1); ("b", J_arr []); ("c", J_null) ],
+        "a=1 b=[] c=null" );
+      ( "nested object",
+        J_obj
+          [
+            ("name", J_str "n");
+            ("inner", J_obj [ ("x", J_int 1) ]);
+            ("deep", J_obj [ ("k", J_obj [ ("y", J_bool false) ]) ]);
+          ],
+        "name: n\ninner: x=1\ndeep:\n  k: y=false" );
+      ( "array of objects",
+        J_arr
+          [
+            J_obj [ ("ep", J_int 1); ("why", J_str "line\none") ];
+            J_obj [ ("ep", J_int 2); ("kids", J_arr [ J_obj [ ("ep", J_int 3) ] ]) ];
+          ],
+        "- ep=1 why=\"line\\none\"\n- ep: 2\n  kids:\n    - ep=3" );
+    ]
+  in
+  List.iter
+    (fun (what, j, expected) ->
+      Alcotest.(check string) what expected (Fmt.str "%a" Obs.Answer.text j))
+    rows
+
 (* ---------------- the board bundle ---------------- *)
 
 let test_board_bundle () =
@@ -516,7 +560,7 @@ let test_board_bundle () =
     (List.length (Engine.sinks net));
   Alcotest.(check int) "spans collected" 2 (List.length (Obs.Board.spans b));
   Alcotest.(check bool) "hotspots collected" true
-    (Obs.Board.hotspots b <> []);
+    (Obs.Profiler.entries (Obs.Board.profiler b) <> []);
   (match Obs.Metrics.find (Obs.Board.metrics b) "episodes.total" with
   | Some (Obs.Metrics.Counter c) ->
     Alcotest.(check int) "metrics fed" 2 (Obs.Metrics.count c)
@@ -944,6 +988,7 @@ let suite =
       Alcotest.test_case "profiler hotspots" `Quick test_profiler_hotspots;
       Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
       Alcotest.test_case "jsonl escaping" `Quick test_jsonl_escaping;
+      Alcotest.test_case "answer text view" `Quick test_answer_text;
       Alcotest.test_case "board bundle" `Quick test_board_bundle;
       Alcotest.test_case "provenance queries" `Quick test_provenance_queries;
       Alcotest.test_case "provenance rollback" `Quick test_provenance_rollback;

@@ -160,16 +160,21 @@ let test_dot_escape () =
 (* ---------------- watchdog alert records ---------------- *)
 
 let test_alert_json () =
-  let a =
-    {
-      Obs.Watchdog.al_net = "net\"1";
-      al_rule = "latency.p99";
-      al_window = 7;
-      al_state = `Firing;
-      al_detail = "p99 123.0µs > 50.0µs";
-    }
+  (* a firing then a cleared transition, recorded through the verdict
+     entry point, rendered by the alerts answer as two NDJSON lines *)
+  let wd = Obs.Watchdog.create [] in
+  ignore
+    (Obs.Watchdog.record wd ~index:7
+       [ ("latency.p99", Some "p99 123.0µs > 50.0µs") ]);
+  ignore (Obs.Watchdog.record wd ~index:8 [ ("latency.p99", None) ]);
+  let line, cleared =
+    match
+      String.split_on_char '\n'
+        (Obs.Jsonl.to_ndjson (Obs.Answer.alerts [ ("net\"1", wd) ]))
+    with
+    | [ line; cleared; "" ] -> (line, cleared)
+    | _ -> Alcotest.fail "expected two alert lines"
   in
-  let line = Obs.Watchdog.alert_json a in
   (match Obs.Jsonl.parse_line line with
   | Error e -> Alcotest.failf "alert line does not parse: %s" e
   | Ok fields ->
@@ -184,7 +189,6 @@ let test_alert_json () =
       (Obs.Jsonl.int fields "window");
     Alcotest.(check (option string)) "state" (Some "firing")
       (Obs.Jsonl.str fields "state"));
-  let cleared = Obs.Watchdog.alert_json { a with al_state = `Cleared; al_detail = "" } in
   (match Obs.Jsonl.parse_line cleared with
   | Error e -> Alcotest.failf "cleared line does not parse: %s" e
   | Ok fields ->

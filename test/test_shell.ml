@@ -86,16 +86,15 @@ let test_observability_commands () =
     run env [ "set REG8.d->q.delay 45.0"; "metrics"; "spans 2"; "hotspots 3" ]
   in
   Alcotest.(check bool) "metrics render counters" true
-    (contains out "episodes.total");
+    (contains out "stem_episodes_total");
   Alcotest.(check bool) "latency histogram populated" true
-    (contains out "episode.latency_us");
+    (contains out "stem_episode_latency_us_bucket");
   Alcotest.(check bool) "span printed with outcome" true
     (contains out "committed");
   Alcotest.(check bool) "hotspots name a constraint kind" true
-    (contains out "act=");
+    (contains out "activations=");
   let out = run env [ "spans" ] in
-  Alcotest.(check bool) "no-episode case reported" true
-    (contains out "no completed episodes")
+  Alcotest.(check string) "no-episode case is the empty answer" "[]\n" out
 
 let test_health_commands () =
   let env = mkenv () in
@@ -118,17 +117,17 @@ let test_health_commands () =
   Alcotest.(check bool) "health shows latency quantiles" true
     (contains out "p99");
   Alcotest.(check bool) "health shows alert status" true
-    (contains out "alerts:");
+    (contains out "firing:");
   Alcotest.(check bool) "health counts exemplars" true
     (contains out "exemplars:");
   Alcotest.(check bool) "exemplar list names a reason" true
     (contains out "slow" || contains out "violating");
   Alcotest.(check bool) "exemplar detail prints the event trace" true
     (contains out "start (set)" && contains out "<-");
-  Alcotest.(check bool) "alerts prints the roll-up" true
-    (contains out "watchdog" || contains out "OK" || contains out "FIRING");
+  Alcotest.(check bool) "alerts prints the transitions" true
+    (contains out "[]" || contains out "t=alert");
   Alcotest.(check bool) "topo prints structural stats" true
-    (contains out "derivation depth");
+    (contains out "depth=");
   (* dot export writes a parseable document *)
   let file = Filename.temp_file "stem_shell_topo" ".dot" in
   Fun.protect
@@ -177,6 +176,124 @@ let test_trace_jsonl_command () =
       Alcotest.(check (list string)) "only the traced episode exported"
         [ "committed" ] eps)
 
+(* ---------------- one answer, three surfaces ---------------- *)
+
+(* One command in a live session, and what it printed. *)
+let capture ss line =
+  let buf = Buffer.create 256 in
+  let out, flush = Format.get_formatter_output_functions () in
+  Format.set_formatter_output_functions (Buffer.add_substring buf) ignore;
+  Fun.protect
+    ~finally:(fun () ->
+      Format.print_flush ();
+      Format.set_formatter_output_functions out flush)
+    (fun () -> ignore (Shell.execute ss line));
+  Buffer.contents buf
+
+(* A monitored session net with a provenance store, served (shell
+   [serve], with the session's history store) and hosted (shell [host]),
+   after a fixed edit mix with a rolled-back episode: every HTTP body is
+   [Jsonl.to_string] of an answer, and every shell command prints
+   [Answer.text] of the same answer. *)
+let test_surfaces_agree () =
+  Test_durable.with_dir (fun dir ->
+      let env = mkenv () in
+      let ss = Shell.session env in
+      Fun.protect
+        ~finally:(fun () -> Shell.close ss)
+        (fun () ->
+          let sh = capture ss in
+          List.iter
+            (fun l -> ignore (sh l))
+            [
+              "set REG8.d->q.delay 45.0";
+              "set REG8.d->q.delay 50.0";
+              "set ADDER8.a->s.delay 130.0" (* rolled back *);
+              "history " ^ dir;
+            ];
+          let port =
+            let out = sh "serve 0" in
+            match String.index_opt out ':' with
+            | None -> Alcotest.failf "no port in %S" out
+            | Some _ ->
+              Scanf.sscanf
+                (List.nth (String.split_on_char ':' out) 2)
+                "%d" Fun.id
+          in
+          ignore (sh "host agree");
+          let health_out = sh "health" in
+          let net = (Stem.Env.cnet env).Constraint_kernel.Types.net_name in
+          let e = Option.get (Serve.Wstore.find ~id:"agree") in
+          let board = Serve.Wstore.board e and prov = Serve.Wstore.prov e in
+          let ts = Option.get (Obs.Board.history board) in
+          let served =
+            List.map
+              (fun (Serve.Wstore.Served s) -> Obs.Answer.Named (s.name, s.board))
+              (Serve.Wstore.served ())
+          in
+          let mine = [ Obs.Answer.Named (net, board) ] in
+          let wd (name, b) = Option.map (fun w -> (name, w)) (Obs.Board.watchdog b) in
+          let watchdogs =
+            List.filter_map
+              (fun (Serve.Wstore.Served s) -> wd (s.name, s.board))
+              (Serve.Wstore.served ())
+          in
+          let body meth path =
+            let r =
+              match meth with
+              | `Get -> Serve.Client.request ~port path
+              | `Post -> Serve.Client.post ~port ~body:"" path
+            in
+            match r with
+            | Ok r -> r.Serve.Client.rs_body
+            | Error e -> Alcotest.failf "%s: %s" path e
+          in
+          let text j = Fmt.str "%a@." Obs.Answer.text j in
+          let json = Obs.Jsonl.to_string in
+          let check = Alcotest.(check string) in
+          Alcotest.(check bool) "the mix rolled one episode back" true
+            (contains (json (Obs.Answer.spans mine)) "\"outcome\":\"rolled_back\"");
+          (* HTTP bodies *)
+          check "GET /spans" (json (Obs.Answer.spans served)) (body `Get "/spans");
+          check "GET /exemplars"
+            (json (Obs.Answer.exemplars served))
+            (body `Get "/exemplars");
+          let st = Serve.stream_stats () in
+          check "GET /healthz"
+            (json
+               (Obs.Answer.healthz served []
+                  ~stream:
+                    [
+                      ("published", st.Serve.Stream.st_published);
+                      ("dropped", st.Serve.Stream.st_dropped);
+                      ("subscribers", st.Serve.Stream.st_subscribers);
+                    ]))
+            (body `Get "/healthz");
+          check "GET /alerts"
+            (Obs.Jsonl.to_ndjson (Obs.Answer.alerts watchdogs))
+            (body `Get "/alerts");
+          let var = "ACCUMULATOR.in->out.delay" in
+          let q = "?var=ACCUMULATOR.in-%3Eout.delay" in
+          check "POST /nets/:id/why"
+            (json (Obs.Answer.why prov var))
+            (body `Post ("/nets/agree/why" ^ q));
+          check "POST /nets/:id/blame"
+            (json (Obs.Answer.blame prov "REG8.d->q.delay"))
+            (body `Post "/nets/agree/blame?var=REG8.d-%3Eq.delay");
+          check "GET /series" (json (Obs.Answer.history ts)) (body `Get "/series");
+          (* shell output *)
+          check "shell health" (text (Obs.Answer.health net board)) health_out;
+          check "shell spans" (text (Obs.Answer.spans mine)) (sh "spans");
+          check "shell exemplars" (text (Obs.Answer.exemplars mine)) (sh "exemplars");
+          check "shell alerts"
+            (text (Obs.Answer.alerts (Option.to_list (wd (net, board)))))
+            (sh "alerts");
+          check "shell why" (text (Obs.Answer.why prov var)) (sh ("why " ^ var));
+          check "shell blame"
+            (text (Obs.Answer.blame prov "REG8.d->q.delay"))
+            (sh "blame REG8.d->q.delay");
+          check "shell history" (text (Obs.Answer.history ts)) (sh "history")))
+
 let suite =
   let tc = Alcotest.test_case in
   ( "shell",
@@ -191,4 +308,5 @@ let suite =
       tc "observability commands" `Quick test_observability_commands;
       tc "health and topology commands" `Quick test_health_commands;
       tc "trace jsonl export" `Quick test_trace_jsonl_command;
+      tc "surfaces agree" `Quick test_surfaces_agree;
     ] )
