@@ -1,8 +1,8 @@
 (* E16: overhead of the observability layer.
 
    Runs the E11 equality chain under several sink configurations —
-   nothing attached, each consumer alone, everything at once — and
-   reports the best (minimum) time per episode plus the overhead
+   nothing attached, the JSONL export, the board (the one observer every
+   hosted network carries), both at once — and reports the best (minimum) time per episode plus the overhead
    relative to the bare network.  Emits a JSON summary (for the CI artifact) when
    --out is given.
 
@@ -41,38 +41,12 @@ let configs () =
   [
     { cf_name = "none"; cf_attach = ignore; cf_drain = ignore };
     {
-      (* a sink that ignores every event: the dispatch floor every real
-         sink pays (event construction, sequence tagging, fan-out) *)
-      cf_name = "null";
-      cf_attach = (fun net -> Engine.add_sink net (Obs.Sink.null ()));
-      cf_drain = ignore;
-    };
-    {
-      cf_name = "ring";
-      cf_attach =
-        (fun net ->
-          Engine.add_sink net (Obs.Ring.sink (Obs.Ring.create ~capacity:256 ())));
-      cf_drain = ignore;
-    };
-    {
-      cf_name = "metrics";
-      cf_attach =
-        (fun net -> Engine.add_sink net (Obs.Metrics.kernel_sink (Obs.Metrics.create ())));
-      cf_drain = ignore;
-    };
-    {
-      cf_name = "profiler";
-      cf_attach =
-        (fun net -> Engine.add_sink net (Obs.Profiler.sink (Obs.Profiler.create ())));
-      cf_drain = ignore;
-    };
-    {
       cf_name = "jsonl";
       cf_attach = (fun net -> Engine.add_sink net (Obs.Jsonl.buffer_sink jsonl_buf));
       cf_drain = (fun () -> Buffer.clear jsonl_buf);
     };
     {
-      (* the always-on set: ring + metrics + profiler *)
+      (* ring, metrics, profiler, monitor and provenance on one sink *)
       cf_name = "board";
       cf_attach = (fun net -> ignore (Obs.Board.attach net));
       cf_drain = ignore;

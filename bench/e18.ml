@@ -1,16 +1,12 @@
 (* E18: overhead of continuous monitoring (window + sampler + watchdog).
 
-   Runs the E11 equality chain bare, with the fused board (E16's
-   always-on set), and with the monitored board (board + rolling window
-   + tail sampler + watchdog riding the same fused sink), and reports
-   the best (minimum) time per episode plus overheads relative to the
-   bare network and the board baseline.  Also measures the standalone
-   window sink for reference.  The acceptance target is board+monitor
-   within +15% of the *bare kernel* path: the monitor's per-event work
-   is a few int stores on episode boundaries, so it should cost little
-   beyond the board itself.  The bare config doubles as the "no-sink
-   path unchanged" check against E16's none row.  Emits a JSON summary
-   when --out is given.
+   Runs the E11 equality chain bare and with the board, whose rolling
+   window, tail sampler and watchdog ride its one fused sink together
+   with the ring, metrics, profiler and provenance, and reports the best
+   (minimum) time per episode plus the overhead relative to the bare
+   network.  The bare config doubles as the "no-sink path unchanged"
+   check against E16's none row.  Emits a JSON summary when --out is
+   given.
 
      dune exec bench/e18.exe -- --chain 200 --samples 9 --batch 200
      dune exec bench/e18.exe -- --out BENCH_e18.json *)
@@ -48,25 +44,9 @@ let configs () =
     };
     {
       cf_name = "board";
-      cf_attach = (fun net -> ignore (Obs.Board.attach net));
-      cf_detach = ignore;
-    };
-    {
-      cf_name = "window";
-      (* the standalone window sink alone, for reference *)
       cf_attach =
         (fun net ->
-          Engine.add_sink net (Obs.Window.sink (Obs.Window.create ())));
-      cf_detach = ignore;
-    };
-    {
-      cf_name = "board+monitor";
-      cf_attach =
-        (fun net ->
-          ignore
-            (Obs.Board.attach ~monitor:true
-               ~window_width:(Obs.Window.Episodes 64) net));
-      (* Board.attach registered a watchdog under the net's name *)
+          ignore (Obs.Board.attach ~window_width:(Obs.Window.Episodes 64) net));
       cf_detach = (fun net -> Obs.Board.detach net);
     };
   ]
@@ -78,7 +58,7 @@ let best xs = List.fold_left Float.min infinity xs
 let measure cfs =
   (* One shared network for every config, samples interleaved
      round-robin, re-warm after each attach — the same discipline as
-     E16/E17, so the board numbers are comparable across experiments. *)
+     E16, so the board numbers are comparable across experiments. *)
   let net, run = Workloads.chain_observed !chain ~attach:ignore in
   for _ = 1 to !batch do run () done;
   let cells = List.map (fun cf -> (cf, ref [])) cfs in
@@ -113,29 +93,18 @@ let () =
     match List.assoc_opt name results with Some b -> b | None -> nan
   in
   let base = lookup "none" in
-  let board = lookup "board" in
   let vs b ns = (ns -. b) /. b *. 100.0 in
   List.iter
     (fun (name, ns) ->
-      Fmt.pr
-        "  %-14s %10.0f ns/episode   vs none %+6.1f%%   vs board %+6.1f%%@."
-        name ns (vs base ns) (vs board ns))
+      Fmt.pr "  %-14s %10.0f ns/episode   vs none %+6.1f%%@." name ns
+        (vs base ns))
     results;
-  let monitored = lookup "board+monitor" in
-  Fmt.pr
-    "board+monitor vs board:       %+.1f%% (the monitor's own marginal cost; \
-     target ~0, noise floor)@."
-    (vs board monitored);
-  Fmt.pr
-    "board+monitor vs bare kernel: %+.1f%% (board sink floor + marginal; <= \
-     +15%% where the board meets E16's ~+10%% band — see EXPERIMENTS.md E18)@."
-    (vs base monitored);
   if !out <> "" then begin
     let oc = open_out !out in
     let cfg_json (name, ns) =
       Printf.sprintf
-        "{\"name\":\"%s\",\"ns_per_episode\":%.1f,\"overhead_vs_none_pct\":%.2f,\"overhead_vs_board_pct\":%.2f}"
-        (Obs.Jsonl.escape name) ns (vs base ns) (vs board ns)
+        "{\"name\":\"%s\",\"ns_per_episode\":%.1f,\"overhead_vs_none_pct\":%.2f}"
+        (Obs.Jsonl.escape name) ns (vs base ns)
     in
     Printf.fprintf oc
       "{\"experiment\":\"E18\",\"chain\":%d,\"samples\":%d,\"batch\":%d,\"configs\":[%s]}\n"

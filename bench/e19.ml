@@ -1,7 +1,7 @@
 (* E19: cost of remote telemetry (the HTTP server from lib/serve).
 
-   Runs the E11 equality chain with the monitored board (E18's
-   board+monitor config) as the baseline, then adds the telemetry
+   Runs the E11 equality chain with the board (E18's board config) as
+   the baseline, then adds the telemetry
    server in four postures:
 
      serve-idle      server bound + exposed, no client connected
@@ -65,12 +65,12 @@ let stalled_sub = ref None
 
 let dropped_total = ref 0
 
-let attach_board net = ignore (Obs.Board.attach ~monitor:true net)
+let attach_board net = ignore (Obs.Board.attach net)
 
 let detach_board net = Obs.Board.detach net
 
 let start_server net =
-  let board = Obs.Board.attach ~monitor:true net in
+  let board = Obs.Board.attach net in
   Serve.expose ~pp_value:string_of_int ~board net;
   let sv = Serve.start ~port:0 () in
   server := Some sv;
@@ -93,7 +93,7 @@ let wait_for cond =
 let configs () =
   [
     {
-      cf_name = "board+monitor";
+      cf_name = "board";
       cf_attach = attach_board;
       cf_detach = detach_board;
     };
@@ -133,7 +133,7 @@ let configs () =
       cf_name = "hub-stall";
       cf_attach =
         (fun net ->
-          let board = Obs.Board.attach ~monitor:true net in
+          let board = Obs.Board.attach net in
           Serve.expose ~pp_value:string_of_int ~board net;
           stalled_sub := Some (Serve.Stream.subscribe ~capacity:64 Serve.hub));
       cf_detach =
@@ -207,19 +207,19 @@ let () =
   let lookup name =
     match List.assoc_opt name results with Some b -> b | None -> nan
   in
-  let base = lookup "board+monitor" in
+  let base = lookup "board" in
   let vs b ns = (ns -. b) /. b *. 100.0 in
   List.iter
     (fun (name, ns) ->
-      Fmt.pr "  %-14s %10.0f ns/episode   vs board+monitor %+6.1f%%@." name ns
+      Fmt.pr "  %-14s %10.0f ns/episode   vs board %+6.1f%%@." name ns
         (vs base ns))
     results;
   Fmt.pr
-    "serve-idle vs board+monitor:    %+.1f%% (idle server; target ~0, noise \
+    "serve-idle vs board:    %+.1f%% (idle server; target ~0, noise \
      floor)@."
     (vs base (lookup "serve-idle"));
   Fmt.pr
-    "serve-stalled vs board+monitor: %+.1f%% (thunk + ring store per event; \
+    "serve-stalled vs board: %+.1f%% (thunk + ring store per event; \
      stalled subscribers dropped %d lines in total and never blocked \
      propagation)@."
     (vs base (lookup "serve-stalled"))
@@ -229,7 +229,7 @@ let () =
     let oc = open_out !out in
     let cfg_json (name, ns) =
       Printf.sprintf
-        "{\"name\":\"%s\",\"ns_per_episode\":%.1f,\"overhead_vs_monitor_pct\":%.2f}"
+        "{\"name\":\"%s\",\"ns_per_episode\":%.1f,\"overhead_vs_board_pct\":%.2f}"
         (Obs.Jsonl.escape name) ns (vs base ns)
     in
     Printf.fprintf oc

@@ -319,8 +319,8 @@ let demo_workload attach =
 
 (* ---------------- trace ---------------- *)
 
-(* Observability demo: the demo workload with the bare board attached
-   (ring + metrics + profiler) and an optional JSONL export. *)
+(* Observability demo: the demo workload with a board attached and an
+   optional JSONL export. *)
 let run_trace jsonl chrome edits verify =
   setup_logs ();
   let open Constraint_kernel in
@@ -436,21 +436,17 @@ let trace_cmd =
 
 (* ---------------- health / top ---------------- *)
 
-(* The demo workload under a monitored board (rolling window + tail
-   sampler + watchdog), so the sampler always has a violating exemplar
-   to show. *)
+(* The demo workload under a board with a stricter watchdog; its
+   sampler always has a violating exemplar to show. *)
 let health_setup ~window_width =
   demo_workload
-    (Obs.Board.attach ~monitor:true ~window_width
+    (Obs.Board.attach ~window_width
        ~rules:
          (Obs.Watchdog.latency_p99_above 50_000.0
          :: Obs.Watchdog.violation_rate_above 0.9
          :: Obs.Watchdog.default_rules ()))
 
-let verdict board =
-  match Obs.Board.watchdog board with
-  | Some wd when not (Obs.Watchdog.ok wd) -> 1
-  | Some _ | None -> 0
+let verdict board = if Obs.Watchdog.ok (Obs.Board.watchdog board) then 0 else 1
 
 let run_health edits window_eps dot_file json =
   setup_logs ();
@@ -469,9 +465,7 @@ let run_health edits window_eps dot_file json =
        (R_other) *)
     print_string
       (Obs.Jsonl.to_ndjson
-         (Obs.Answer.alerts
-            (Option.to_list
-               (Option.map (fun wd -> (name, wd)) (Obs.Board.watchdog board)))))
+         (Obs.Answer.alerts [ (name, Obs.Board.watchdog board) ]))
   else begin
     Fmt.pr "== health: net '%s' ==@.%a@.%a@." name Obs.Answer.text
       (Obs.Answer.health name board)
@@ -480,7 +474,7 @@ let run_health edits window_eps dot_file json =
       (fun ex ->
         Fmt.pr "@.== slowest episode exemplar ==@.%a@." Obs.Answer.text
           (Obs.Answer.exemplar name ex))
-      (Option.bind (Obs.Board.sampler board) Obs.Sampler.slowest);
+      (Obs.Sampler.slowest (Obs.Board.sampler board));
     Option.iter
       (fun file ->
         Out_channel.with_open_text file (fun oc ->
@@ -531,12 +525,10 @@ let run_top seconds interval =
   while Unix.gettimeofday () -. t0 < seconds do
     incr tick;
     round !tick;
-    Option.iter
-      (fun w ->
-        let s = Option.value (Obs.Window.last w) ~default:(Obs.Window.current w) in
-        Fmt.pr "t=%.1fs %a@." (Unix.gettimeofday () -. t0) Obs.Answer.text
-          (Obs.Answer.window name s))
-      (Obs.Board.window board);
+    let w = Obs.Board.window board in
+    let s = Option.value (Obs.Window.last w) ~default:(Obs.Window.current w) in
+    Fmt.pr "t=%.1fs %a@." (Unix.gettimeofday () -. t0) Obs.Answer.text
+      (Obs.Answer.window name s);
     Unix.sleepf interval
   done;
   Obs.Board.checkpoint board;
@@ -569,7 +561,7 @@ let sync_history op ts =
       (Unix.error_message e);
     false
 
-(* The telemetry daemon: the same monitored accumulator workload as
+(* The telemetry daemon: the same accumulator workload as
    `stem health`, kept propagating at a configurable rate while the
    HTTP server exposes /metrics, /healthz, /events &c.  SIGINT/SIGTERM
    stop it gracefully (server drained and joined, summary printed) —
@@ -942,12 +934,11 @@ let run_why width =
   let design = Stem.Env.create ~name:"design" () in
   let floorplan = Stem.Env.create ~name:"floorplan" () in
   let scope = Obs.Provenance.scope () in
-  let dprov =
-    Obs.Provenance.attach ~pp_value:Dval.to_string ~scope design.env_cnet
+  let provenance net =
+    Obs.Board.provenance (Obs.Board.attach ~pp_value:Dval.to_string ~scope net)
   in
-  let fprov =
-    Obs.Provenance.attach ~pp_value:Dval.to_string ~scope floorplan.env_cnet
-  in
+  let dprov = provenance design.env_cnet in
+  let fprov = provenance floorplan.env_cnet in
   (* design side: two connected pin widths held equal *)
   let a = Dclib.variable design.env_cnet ~owner:"alu/a" ~name:"bitWidth" () in
   let b = Dclib.variable design.env_cnet ~owner:"alu/sum" ~name:"bitWidth" () in
@@ -987,8 +978,8 @@ let run_why width =
   Fmt.pr "@.chain spans %d network(s)%s@." (List.length nets)
     (if ends_at_user then " and ends at the designer entry" else
        " but DOES NOT reach a designer entry");
-  Obs.Provenance.detach dprov;
-  Obs.Provenance.detach fprov;
+  Obs.Board.detach design.env_cnet;
+  Obs.Board.detach floorplan.env_cnet;
   if ends_at_user && List.length nets = 2 then 0 else 1
 
 let why_cmd =

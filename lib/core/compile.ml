@@ -9,7 +9,7 @@ exception Cyclic of string
    consuming that variable as an input.  The result variable of a
    functional constraint is, by convention (Clib.functional), its first
    argument. *)
-let plan_of _net cstrs =
+let plan_of cstrs =
   let compilable = List.filter (fun c -> c.c_recompute <> None) cstrs in
   let result_of c =
     match c.c_args with
@@ -60,7 +60,7 @@ let plan_of _net cstrs =
   { pl_order = List.rev !order }
 
 let plan net =
-  plan_of net (List.filter (fun c -> c.c_enabled) (List.rev net.net_cstrs))
+  plan_of (List.filter (fun c -> c.c_enabled) (List.rev net.net_cstrs))
 
 let size p = List.length p.pl_order
 

@@ -28,9 +28,6 @@ exception Cyclic of string
     another's input run first. *)
 val plan : 'a network -> 'a plan
 
-(** [plan_of net cstrs] — same, restricted to the given constraints. *)
-val plan_of : 'a network -> 'a cstr list -> 'a plan
-
 (** Number of compiled constraints. *)
 val size : 'a plan -> int
 

@@ -96,8 +96,6 @@ let kind c = c.c_kind
 
 let label c = c.c_label
 
-let set_label c l = c.c_label <- l
-
 let args c = c.c_args
 
 let is_enabled c = c.c_enabled
@@ -116,8 +114,6 @@ let failures c = c.c_failures
 let quarantined c = c.c_quarantined
 
 let is_quarantined c = c.c_quarantined <> None
-
-let clear_failures c = c.c_failures <- 0
 
 let equal a b = a.c_id = b.c_id
 

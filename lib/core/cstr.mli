@@ -50,15 +50,12 @@ val activation :
   unit ->
   'a activation
 
-(** [activation ()] — immediate, wake on every argument change. *)
-val wake_all : 'a activation
-
 (** [make net ~kind ~propagate ~satisfied args] builds and registers a
     constraint. It does {e not} attach the constraint to its argument
     variables — use {!Network.add_constraint}, which also installs the
     watch lists and performs the re-initialising propagation of §4.2.5.
 
-    @param activation the wake/schedule spec; default {!wake_all}
+    @param activation the wake/schedule spec; default [activation ()]
       (immediate, wake on every argument).
     @param fires_on_reset default [false].
     @param recompute direct recomputation procedure for the network
@@ -77,9 +74,6 @@ val make :
   satisfied:('a cstr -> bool) ->
   'a var list ->
   'a cstr
-
-(** The generic dependency-record interpretation. *)
-val default_in_dependency : 'a cstr -> 'a dependency -> 'a var -> bool
 
 (** {1 Watch lists} *)
 
@@ -103,8 +97,6 @@ val id : 'a cstr -> int
 val kind : 'a cstr -> string
 
 val label : 'a cstr -> string
-
-val set_label : 'a cstr -> string -> unit
 
 val args : 'a cstr -> 'a var list
 
@@ -134,8 +126,6 @@ val failures : 'a cstr -> int
 val quarantined : 'a cstr -> string option
 
 val is_quarantined : 'a cstr -> bool
-
-val clear_failures : 'a cstr -> unit
 
 val equal : 'a cstr -> 'a cstr -> bool
 

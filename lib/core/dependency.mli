@@ -17,7 +17,7 @@ val antecedents : 'a var -> 'a var list * 'a cstr list
     arguments of the justifying constraint that [v]'s dependency record
     names, without transitive closure and without [v] itself. Empty for
     unpropagated values. This is the per-assignment edge set a
-    provenance sink captures at emit time. *)
+    provenance store captures at emit time. *)
 val direct_antecedents : 'a var -> 'a var list
 
 (** [consequences v] — every variable whose current value depends,

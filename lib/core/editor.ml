@@ -1,7 +1,5 @@
 open Types
 
-let describe_var ppf v = Var.pp_full ppf v
-
 let inspect_var ppf v =
   Fmt.pf ppf "@[<v2>%a@,%a@]" Var.pp_full v
     (Fmt.list ~sep:Fmt.cut (fun ppf c -> Fmt.pf ppf "- %a" Cstr.pp c))

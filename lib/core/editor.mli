@@ -8,9 +8,6 @@
 
 open Types
 
-(** One line: [owner.name = value (justification)]. *)
-val describe_var : Format.formatter -> 'a var -> unit
-
 (** The variable plus its attached constraints. *)
 val inspect_var : Format.formatter -> 'a var -> unit
 

@@ -80,11 +80,6 @@ val set_clock : 'a network -> (unit -> float) -> unit
     a {!Types.parent_ref} naming the enclosing episode, so
     hierarchy-wide propagations stitch into one trace tree. *)
 
-(** The innermost episode currently in flight across all networks, as
-    the parent reference a child episode started now would record;
-    [None] outside any episode. *)
-val current_trace_parent : unit -> parent_ref option
-
 (** [note_trace_cause path] pins the [pr_cause] of the innermost open
     episode to the variable path [path]. The engine refreshes the cause
     on every traced assignment; a bridging constraint that pushes a
@@ -195,13 +190,6 @@ val reset_by_constraint : 'a ctx -> 'a var -> source:'a cstr -> (unit, 'a violat
     discipline (only a [Custom] wake predicate is still consulted). *)
 val activate : 'a ctx -> 'a cstr -> changed:'a var option -> (unit, 'a violation) result
 
-(** [v] changed: mark every attached constraint for the final
-    [is_satisfied] sweep, wake the constraints watching [v] (rotating
-    2-watch sets as needed) plus the implicit hierarchy constraints,
-    except [except]. The difference between marked and woken constraints
-    is counted as [st_suppressed]. *)
-val propagate_from : 'a ctx -> 'a var -> except:'a cstr option -> (unit, 'a violation) result
-
 (** [propagate_along ctx v c] — the paper's [propagateAlongConstraint:]:
     let [v] assert its value through [c] only, then drain the agendas.
     Used when (re-)initialising an edited constraint (§4.2.5). *)
@@ -210,21 +198,10 @@ val propagate_along : 'a ctx -> 'a var -> 'a cstr -> (unit, 'a violation) result
 (** Drain the agendas, highest priority first. *)
 val drain : 'a ctx -> (unit, 'a violation) result
 
-(** Send [is_satisfied] to every visited constraint, in activation
-    order. *)
-val check_visited : 'a ctx -> (unit, 'a violation) result
-
 (** {1 Episode plumbing} *)
 
 (** Emit a trace event through the network's trace hook, if any. *)
 val trace : 'a network -> 'a trace_event -> unit
-
-val new_ctx : 'a network -> 'a ctx
-
-(** Record the variable's pre-propagation state on the episode's trail,
-    the first time the episode writes it (an episode-stamp compare, no
-    lookup). *)
-val save_state : 'a ctx -> 'a var -> unit
 
 (** The variable carries this episode's stamp: it was saved (written)
     in this episode and not re-stamped since by a nested episode. *)

@@ -110,8 +110,6 @@ let activations inj = inj.inj_activations
 
 let fired inj = inj.inj_fired
 
-let constraint_ inj = inj.inj_cstr
-
 (* ------------------------------------------------------------------ *)
 (* Wrapping                                                            *)
 (* ------------------------------------------------------------------ *)

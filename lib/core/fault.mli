@@ -46,8 +46,6 @@ val activations : 'a injection -> int
 (** Faults actually injected so far. *)
 val fired : 'a injection -> int
 
-val constraint_ : 'a injection -> 'a cstr
-
 (** Wrap every constraint of the network with an independently seeded
     [Flaky p] plan (the chaos-monkey configuration). *)
 val chaos : ?seed:int -> p:float -> 'a network -> 'a injection list

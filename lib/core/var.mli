@@ -26,9 +26,6 @@ val create :
   unit ->
   'a var
 
-(** The default overwrite rule. *)
-val default_overwrite : 'a var -> proposed:'a -> overwrite_decision
-
 val id : 'a var -> int
 
 val name : 'a var -> string

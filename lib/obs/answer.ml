@@ -52,12 +52,9 @@ let exemplars boards =
   J_arr
     (List.concat_map
        (fun (Named (net, b)) ->
-         match Board.sampler b with
-         | None -> []
-         | Some sam ->
-           List.map
-             (fun ex -> J_obj (exemplar_fields net ex))
-             (Sampler.exemplars sam))
+         List.map
+           (fun ex -> J_obj (exemplar_fields net ex))
+           (Sampler.exemplars (Board.sampler b)))
        boards)
 
 let exemplar net ex =
@@ -113,48 +110,44 @@ let watchdog_fields net wd =
   ]
 
 let health net b =
-  match (Board.window b, Board.sampler b, Board.watchdog b) with
-  | Some w, Some sam, Some wd ->
-    J_obj
-      (watchdog_fields net wd
-      @ [
-          ("rules", J_arr (List.map (fun r -> J_str r) (Watchdog.rules wd)));
-          ("evaluated", J_int (Watchdog.evaluations wd));
-          ("last", opt (window net) (Window.last w));
-          ("current", window net (Window.current w));
-          ( "exemplars",
-            J_obj
-              [
-                ("stored", J_int (Sampler.stored sam));
-                ("promoted", J_int (Sampler.promoted sam));
-                ("seen", J_int (Sampler.seen sam));
-              ] );
-          ( "slowest",
-            opt (fun ex -> J_obj (exemplar_fields net ex)) (Sampler.slowest sam)
-          );
-        ])
-  | _ -> J_obj [ ("net", J_str net); ("monitored", J_bool false) ]
+  let w = Board.window b and sam = Board.sampler b and wd = Board.watchdog b in
+  J_obj
+    (watchdog_fields net wd
+    @ [
+        ("rules", J_arr (List.map (fun r -> J_str r) (Watchdog.rules wd)));
+        ("evaluated", J_int (Watchdog.evaluations wd));
+        ("last", opt (window net) (Window.last w));
+        ("current", window net (Window.current w));
+        ( "exemplars",
+          J_obj
+            [
+              ("stored", J_int (Sampler.stored sam));
+              ("promoted", J_int (Sampler.promoted sam));
+              ("seen", J_int (Sampler.seen sam));
+            ] );
+        ( "slowest",
+          opt (fun ex -> J_obj (exemplar_fields net ex)) (Sampler.slowest sam)
+        );
+      ])
 
 let healthz boards slos ~stream =
-  let monitored = List.filter (fun (Named (_, b)) -> Board.monitored b) boards in
   let slo_wds = List.map Slo.watchdog slos in
   let wds =
-    List.filter_map (fun (Named (_, b)) -> Board.watchdog b) boards @ slo_wds
+    List.map (fun (Named (_, b)) -> Board.watchdog b) boards @ slo_wds
   in
   J_obj
     [
       ("healthy", J_bool (List.for_all Watchdog.ok wds));
       ( "nets",
         J_arr
-          (List.map (fun (Named (net, b)) -> health net b) monitored
+          (List.map (fun (Named (net, b)) -> health net b) boards
           @ List.map
               (fun wd -> J_obj (watchdog_fields (Watchdog.name wd) wd))
               slo_wds) );
       ( "windows",
         J_arr
-          (List.filter_map
-             (fun (Named (net, b)) ->
-               Option.map (fun w -> window net (Window.current w)) (Board.window b))
+          (List.map
+             (fun (Named (net, b)) -> window net (Window.current (Board.window b)))
              boards) );
       ("stream", J_obj (List.map (fun (k, n) -> (k, J_int n)) stream));
       ("exposed", J_arr (List.map (fun (Named (net, _)) -> J_str net) boards));

@@ -23,7 +23,7 @@ type named = Named : string * 'a Board.t -> named
     "drain_us","check_us","restore_us","steps","agenda_hwm"}]]. *)
 val spans : named list -> Jsonl.json
 
-(** Every monitored board's stored exemplars, oldest first:
+(** Every board's stored exemplars, oldest first:
     [[{"net","episode","reasons","outcome","latency_us","events",
     "truncated"}]]. *)
 val exemplars : named list -> Jsonl.json
@@ -47,12 +47,11 @@ val windows : string -> Window.t -> Jsonl.json
 (** One board's health: [{"net","ok","firing","rules","evaluated",
     "last","current","exemplars","slowest"}] — last and current
     {!window}, the watchdog's firing rules ([{"rule","detail"}]), the
-    sampler's counts and its slowest exemplar row (or [null]). An
-    unmonitored board answers [{"net","monitored":false}]. *)
+    sampler's counts and its slowest exemplar row (or [null]). *)
 val health : string -> 'a Board.t -> Jsonl.json
 
 (** A server's health: [{"healthy","nets","windows","stream",
-    "exposed"}]. [nets] holds {!health} of every monitored board, then
+    "exposed"}]. [nets] holds {!health} of every board, then
     one [{"net","ok","firing"}] row per SLO; [windows] the boards'
     current windows; [stream] the given counters; [exposed] every
     board's name. *)

@@ -1,24 +1,20 @@
-(* The standard observability bundle: one ring buffer, one metrics
-   registry and one profiler, attached to a network as three sinks in a
-   single call — plus, when requested, the continuous-monitoring trio
-   (rolling window, tail sampler, watchdog).  This is what the shell,
-   `stem trace` and `stem health` use. *)
+(* The one observer of a network: a ring buffer, a metrics registry, a
+   profiler, the continuous-monitoring trio (rolling window, tail
+   sampler, watchdog) and the provenance store, fed by one sink.  Every
+   hosted network, the shell session and the CLI demos carry one. *)
 
 open Constraint_kernel
-
-type 'a monitor = {
-  mon_window : Window.t;
-  mon_sampler : 'a Sampler.t;
-  mon_watchdog : Watchdog.t;
-}
 
 type 'a t = {
   b_ring : 'a Ring.t;
   b_metrics : Metrics.t;
   b_profiler : Profiler.t;
-  b_monitor : 'a monitor option;
+  b_window : Window.t;
+  b_sampler : 'a Sampler.t;
+  b_watchdog : Watchdog.t;
+  b_prov : 'a Provenance.t;
   (* network sink-error total at the last episode end, for per-window
-     deltas (only maintained when attached with a monitor) *)
+     deltas *)
   mutable b_sink_errs_seen : int;
   (* long-horizon history sink; sampled at each window rotation (a
      ref cell: the rotation callback closes over it before the board
@@ -31,9 +27,8 @@ let sink_name = "board"
 let process_started = Unix.gettimeofday ()
 
 (* OCaml runtime gauges, refreshed from [Gc.quick_stat] (the cheap,
-   non-forcing variant).  Registered on monitored boards only and
-   sampled once at creation plus once per window rotation, so the
-   propagation hot path never reads GC statistics. *)
+   non-forcing variant).  Sampled once at creation plus once per window
+   rotation, so the propagation hot path never reads GC statistics. *)
 (* Resident set size from /proc/self/statm (field 2, in pages; statm
    reports pages of the historical 4 KiB size regardless of the
    kernel's actual page size only on some archs, so we scale by the
@@ -117,32 +112,26 @@ let sample_history metrics ts prefix (snap : Window.snapshot) =
 
 (* The consumers are fused into one subscription: a single closure
    call, exception trap and event match per trace event instead of one
-   each, which measurably matters on the propagation hot path (bench
-   E16/E18).  The ring push is match-free; the metrics and profiler
-   updates share the one match below, against the instruments both
-   modules expose for exactly this purpose.  The monitor rides the same
-   match: its per-event work is a few int stores on episode boundaries
-   and violations only — the bulk of the stream (assigns, activations,
-   checks) pays nothing beyond the ring push the board does anyway.
-   Each consumer is still available as a standalone sink for piecemeal
-   use. *)
+   each, which measurably matters on the propagation hot path.  The
+   ring push is match-free; every other consumer updates from its arm
+   of the one match below, through the instruments and feeds its module
+   exposes for exactly this purpose.  The monitor's per-event work is a
+   few int stores on episode boundaries and violations; provenance
+   records assignments, resets and episode boundaries. *)
 let sink net b =
   let ring = b.b_ring in
   let ks = Metrics.kernel_set b.b_metrics in
   let p = b.b_profiler in
-  (* wakeup-discipline gauges mirror the network's cumulative counters
-     once per episode — two float stores, nothing on the event bulk *)
-  let note_wakeups () =
-    let s = net.Types.net_stats in
-    Metrics.set_gauge ks.ks_wakeups (float_of_int s.Types.k_wakeups);
-    Metrics.set_gauge ks.ks_suppressed (float_of_int s.Types.k_suppressed)
-  in
-  let base ep seq ev =
-    ignore ep;
-    ignore seq;
+  let w = b.b_window and sampler = b.b_sampler and prov = b.b_prov in
+  let emit ep seq ev =
+    Ring.push ring ep seq ev;
     match (ev : _ Types.trace_event) with
-    | T_assign _ -> Metrics.tick ks.ks_assign
-    | T_reset _ -> Metrics.tick ks.ks_reset
+    | T_assign (v, _, src) ->
+      Metrics.tick ks.ks_assign;
+      Provenance.assigned prov ep seq v src
+    | T_reset (v, src) ->
+      Metrics.tick ks.ks_reset;
+      Provenance.reset prov ep seq v src
     | T_activate (c, _) ->
       Metrics.tick ks.ks_activate;
       let e = Profiler.entry_of_cstr p c in
@@ -163,93 +152,66 @@ let sink net b =
       | Some kind ->
         let e = Profiler.entry p kind in
         e.Profiler.e_violations <- e.Profiler.e_violations + 1
-      | None -> ())
+      | None -> ());
+      Window.note_violation w;
+      Sampler.violation_seen sampler
     | T_restore _ -> Metrics.tick ks.ks_restore
     | T_quarantine (c, _) ->
       Metrics.tick ks.ks_quarantine;
       let e = Profiler.entry_of_cstr p c in
-      e.Profiler.e_quarantines <- e.Profiler.e_quarantines + 1
-    | T_episode_start _ -> Metrics.tick ks.ks_ep_total
+      e.Profiler.e_quarantines <- e.Profiler.e_quarantines + 1;
+      Window.note_quarantine w;
+      Sampler.quarantine_seen sampler
+    | T_episode_start (id, label, parent) ->
+      Metrics.tick ks.ks_ep_total;
+      Provenance.episode_started prov id label parent;
+      Sampler.episode_started sampler id
     | T_episode_end sp ->
-      note_wakeups ();
-      Metrics.observe_span ks sp
-  in
-  let emit =
-    match b.b_monitor with
-    | None ->
-      fun ep seq ev ->
-        Ring.push ring ep seq ev;
-        base ep seq ev
-    | Some m ->
-      (* Still one match per event: the monitored variant re-dispatches
-         only on the four event types the monitor cares about — episode
-         boundaries, violations, quarantines — which are rare relative
-         to the assign/activate/check bulk, so the common arms fall
-         straight through [base] exactly as the bare board does. *)
-      let w = m.mon_window and sampler = m.mon_sampler in
-      fun ep seq ev ->
-        Ring.push ring ep seq ev;
-        (match (ev : _ Types.trace_event) with
-        | T_violation _ ->
-          base ep seq ev;
-          Window.note_violation w;
-          Sampler.violation_seen sampler
-        | T_quarantine _ ->
-          base ep seq ev;
-          Window.note_quarantine w;
-          Sampler.quarantine_seen sampler
-        | T_episode_start (id, _, _) ->
-          base ep seq ev;
-          Sampler.episode_started sampler id
-        | T_episode_end sp ->
-          base ep seq ev;
-          (* promote from the ring before anything else overwrites it *)
-          Sampler.episode_ended sampler sp;
-          let errs = net.Types.net_stats.Types.k_sink_errors in
-          Window.note_sink_errors w (errs - b.b_sink_errs_seen);
-          b.b_sink_errs_seen <- errs;
-          (* last: may rotate the window and run the watchdog *)
-          Window.observe_span w sp
-        | _ -> base ep seq ev)
+      (* wakeup-discipline gauges mirror the network's cumulative
+         counters once per episode *)
+      let s = net.Types.net_stats in
+      Metrics.set_gauge ks.ks_wakeups (float_of_int s.Types.k_wakeups);
+      Metrics.set_gauge ks.ks_suppressed (float_of_int s.Types.k_suppressed);
+      Metrics.observe_span ks sp;
+      Provenance.episode_ended prov sp;
+      (* promote from the ring before anything else overwrites it *)
+      Sampler.episode_ended sampler sp;
+      let errs = s.Types.k_sink_errors in
+      Window.note_sink_errors w (errs - b.b_sink_errs_seen);
+      b.b_sink_errs_seen <- errs;
+      (* last: may rotate the window and run the watchdog *)
+      Window.observe_span w sp
   in
   Types.{ snk_name = sink_name; snk_emit = emit }
 
-let attach ?(ring_capacity = 256) ?(monitor = false) ?window_width ?rules
-    ?slow_k ?head_every net =
-  let ring = Ring.create ~name:"ring" ~capacity:ring_capacity () in
+let attach ?(window_width = Window.Episodes 32)
+    ?(rules = Watchdog.default_rules ()) ?(pp_value = fun _ -> "<opaque>")
+    ?(scope = Provenance.scope ()) net =
+  let ring = Ring.create ~capacity:256 () in
   let metrics = Metrics.create () in
   let history = ref None in
-  let mon =
-    if not monitor then None
-    else begin
-      let width =
-        match window_width with Some w -> w | None -> Window.Episodes 32
-      in
-      let w = Window.create ~width () in
-      let sampler = Sampler.create ?slow_k ?head_every ~ring () in
-      let wd =
-        Watchdog.create ~name:net.Types.net_name
-          (match rules with Some rs -> rs | None -> Watchdog.default_rules ())
-      in
-      (* every window boundary: fresh slow top-K, then rule evaluation *)
-      Window.on_rotate w (fun _ -> Sampler.rotate sampler);
-      Watchdog.watch wd w;
-      register_gc_gauges metrics w;
-      (* registered once here — [set_history] only swings the cell, so
-         repeated enable/disable cannot stack rotation callbacks *)
-      Window.on_rotate w (fun snap ->
-          match !history with
-          | Some (ts, prefix) -> sample_history metrics ts prefix snap
-          | None -> ());
-      Some { mon_window = w; mon_sampler = sampler; mon_watchdog = wd }
-    end
-  in
+  let w = Window.create ~width:window_width () in
+  let sampler = Sampler.create ~ring () in
+  let wd = Watchdog.create ~name:net.Types.net_name rules in
+  (* every window boundary: fresh slow top-K, then rule evaluation *)
+  Window.on_rotate w (fun _ -> Sampler.rotate sampler);
+  Watchdog.watch wd w;
+  register_gc_gauges metrics w;
+  (* registered once here — [set_history] only swings the cell, so
+     repeated enable/disable cannot stack rotation callbacks *)
+  Window.on_rotate w (fun snap ->
+      match !history with
+      | Some (ts, prefix) -> sample_history metrics ts prefix snap
+      | None -> ());
   let b =
     {
       b_ring = ring;
       b_metrics = metrics;
       b_profiler = Profiler.create ();
-      b_monitor = mon;
+      b_window = w;
+      b_sampler = sampler;
+      b_watchdog = wd;
+      b_prov = Provenance.create ~pp_value ~scope net;
       b_sink_errs_seen = 0;
       b_history = history;
     }
@@ -263,26 +225,23 @@ let metrics b = b.b_metrics
 
 let profiler b = b.b_profiler
 
-let monitored b = b.b_monitor <> None
+let provenance b = b.b_prov
 
 let set_history ?(prefix = "") b ts =
   b.b_history := Option.map (fun t -> (t, prefix)) ts
 
 let history b = Option.map fst !(b.b_history)
 
-let window b = Option.map (fun m -> m.mon_window) b.b_monitor
+let window b = b.b_window
 
-let sampler b = Option.map (fun m -> m.mon_sampler) b.b_monitor
+let sampler b = b.b_sampler
 
-let watchdog b = Option.map (fun m -> m.mon_watchdog) b.b_monitor
+let watchdog b = b.b_watchdog
 
 let spans b = Ring.spans b.b_ring
 
 (* Close the current window if it holds anything, so a one-shot health
    report sees a completed (watchdog-evaluated) boundary. *)
 let checkpoint b =
-  match b.b_monitor with
-  | Some m ->
-    if (Window.current m.mon_window).Window.w_episodes > 0 then
-      Window.rotate m.mon_window
-  | None -> ()
+  if (Window.current b.b_window).Window.w_episodes > 0 then
+    Window.rotate b.b_window

@@ -1,6 +1,6 @@
 (* A small metrics registry: named counters, gauges and fixed-bucket
-   histograms, plus a kernel sink that aggregates a network's trace
-   events into it.  All instruments are O(1) per observation and
+   histograms, plus the kernel instruments a board aggregates a
+   network's trace events into.  All instruments are O(1) per observation and
    allocation-free after creation. *)
 
 open Constraint_kernel.Types
@@ -310,7 +310,7 @@ let add_family_header buf ~fam ~ty ~help =
   Buffer.add_string buf ty;
   Buffer.add_char buf '\n'
 
-(* ---------------- the kernel sink ---------------- *)
+(* ---------------- the kernel instruments ---------------- *)
 
 (* Aggregates a network's event stream: one counter per event type,
    outcome counters, and the histograms the bare NIL feedback of the
@@ -345,7 +345,7 @@ type kernel_set = {
   ks_sched_implicit : counter;
   ks_sched_other : counter;
   (* wakeup-discipline gauges, set from the network's counters at every
-     episode end by sinks that know their network (the fused board) *)
+     episode end by the board, which knows its network *)
   ks_wakeups : gauge;
   ks_suppressed : gauge;
 }
@@ -402,23 +402,6 @@ let observe_span ks sp =
   observe ks.ks_restore_time (us sp.es_timings.ph_restore);
   observe ks.ks_steps (float_of_int sp.es_steps);
   observe ks.ks_agenda (float_of_int sp.es_agenda_hwm)
-
-let kernel_sink ?(name = "metrics") t =
-  let ks = kernel_set t in
-  let emit _ep _seq ev =
-    match ev with
-    | T_assign _ -> tick ks.ks_assign
-    | T_reset _ -> tick ks.ks_reset
-    | T_activate _ -> tick ks.ks_activate
-    | T_schedule (_, priority) -> tick_schedule ks priority
-    | T_check _ -> tick ks.ks_check
-    | T_violation _ -> tick ks.ks_violation
-    | T_restore _ -> tick ks.ks_restore
-    | T_quarantine _ -> tick ks.ks_quarantine
-    | T_episode_start _ -> tick ks.ks_ep_total
-    | T_episode_end sp -> observe_span ks sp
-  in
-  { snk_name = name; snk_emit = emit }
 
 let samples h = h.h_count
 

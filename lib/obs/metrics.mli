@@ -1,11 +1,10 @@
 (** Metrics registry: named counters, gauges and fixed-bucket
-    histograms, plus the sink that aggregates a constraint network's
-    trace events into them.
+    histograms, plus the kernel instruments a board aggregates a
+    constraint network's trace events into.
 
     This registry is the only home of latency/histogram aggregates —
-    [Engine.stats] stays a plain snapshot of event counters. Attach
-    {!kernel_sink} to a network (directly or via {!Board.attach}) to
-    populate: episode latency (overall and per phase, microseconds),
+    [Engine.stats] stays a plain snapshot of event counters. A board
+    ({!Board.attach}) populates its registry's {!kernel_set}: episode latency (overall and per phase, microseconds),
     inferences per episode, agenda-depth high-water marks, event and
     outcome counts. *)
 
@@ -107,12 +106,8 @@ val add_family_header :
     escaped with {!prometheus_escape}. *)
 val add_series : Buffer.t -> string -> (string * string) list -> string -> unit
 
-(** The aggregating trace sink (default name ["metrics"]). *)
-val kernel_sink : ?name:string -> t -> 'a sink
-
-(** The instruments {!kernel_sink} feeds, pre-created and exposed so a
-    fused sink (see [Board]) can update them from its own single event
-    match instead of paying a second dispatch per event. *)
+(** The kernel instruments, pre-created and exposed so the board's
+    fused sink can update them from its own single event match. *)
 type kernel_set = {
   ks_assign : counter;
   ks_reset : counter;

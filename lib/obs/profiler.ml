@@ -54,34 +54,6 @@ let entry_of_cstr t c =
     e
   end
 
-let sink ?(name = "profiler") t =
-  let emit _ep _seq ev =
-    match ev with
-    | T_activate (c, _) ->
-      let e = entry_of_cstr t c in
-      e.e_activations <- e.e_activations + 1
-    | T_schedule (c, _) ->
-      let e = entry_of_cstr t c in
-      e.e_scheduled <- e.e_scheduled + 1
-    | T_check (c, ok) ->
-      let e = entry_of_cstr t c in
-      e.e_checks <- e.e_checks + 1;
-      if not ok then e.e_check_failures <- e.e_check_failures + 1
-    | T_violation viol -> (
-      match viol.viol_cstr_kind with
-      | Some kind ->
-        let e = entry t kind in
-        e.e_violations <- e.e_violations + 1
-      | None -> ())
-    | T_quarantine (c, _) ->
-      let e = entry_of_cstr t c in
-      e.e_quarantines <- e.e_quarantines + 1
-    | T_assign _ | T_reset _ | T_restore _ | T_episode_start _
-    | T_episode_end _ ->
-      ()
-  in
-  { snk_name = name; snk_emit = emit }
-
 let entries t =
   Hashtbl.fold (fun _ e acc -> e :: acc) t.p_entries []
   |> List.sort (fun a b ->

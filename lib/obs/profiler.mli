@@ -1,6 +1,6 @@
 (** Per-constraint-kind profiler.
 
-    Attaching {!sink} to a network attributes constraint activity —
+    The board's sink attributes constraint activity —
     activations, agenda pushes, satisfaction checks (and how many
     failed), violations, quarantines — to the constraint's [c_kind].
     {!entries} ranks kinds by activation count, answering "which
@@ -23,12 +23,9 @@ type t
 
 val create : unit -> t
 
-(** The aggregating trace sink (default name ["profiler"]). *)
-val sink : ?name:string -> t -> 'a sink
-
 (** Find-or-create the entry for a constraint kind. Exposed (together
-    with {!entry_of_cstr}) so a fused sink can update entries from its
-    own event match — see [Board]. *)
+    with {!entry_of_cstr}) so the board's fused sink can update entries
+    from its own event match. *)
 val entry : t -> string -> entry
 
 (** Like {!entry} for a constraint's [c_kind], but cached by [c_id] so

@@ -1,19 +1,19 @@
-(* The provenance store: a trace sink that turns the event stream into
-   a bounded derivation DAG (the paper's dependency records, §4.2.4,
-   materialised per *assignment* rather than per current value, in the
-   spirit of a TMS justification database).
+(* The provenance store: turns a network's event stream, as the board's
+   fused sink feeds it, into a bounded derivation DAG (the paper's
+   dependency records, §4.2.4, materialised per *assignment* rather than
+   per current value, in the spirit of a TMS justification database).
 
    Every T_assign/T_reset becomes a causal span.  The antecedent edges
    are captured at emit time — the engine traces the assignment with
    [v_just] already updated, so [Dependency.direct_antecedents] read
-   inside the sink names exactly the arguments this value was inferred
+   inside the board's sink names exactly the arguments this value was inferred
    from, and the edges stay correct even after the variable is
    overwritten later.
 
    Cross-network stitching: spans only hold strings and ints (no 'a),
-   so every attached store enters a monomorphic reader under its
+   so every store enters a monomorphic reader under its
    network's name in a scope — an explicit value the caller passes to
-   every store it wants stitched together (a store attached without
+   every store it wants stitched together (a store created without
    one gets a scope of its own).  A span whose episode was caused by
    another network's episode (the parent_ref carried by
    T_episode_start) chains through the scope: [why] follows the
@@ -95,10 +95,7 @@ type frame = {
 type 'a t = {
   pv_net : 'a network;
   pv_pp : 'a -> string;
-  pv_capacity : int; (* a power of two *)
-  pv_sink_name : string;
   pv_scope : scope;
-  mutable pv_reader : reader option; (* this store's entry in [pv_scope] *)
   rg_id : int array; (* span id held in the slot; 0 = empty *)
   rg_episode : int array;
   rg_seq : int array;
@@ -127,6 +124,9 @@ type 'a t = {
    [max_episodes]. *)
 let max_episodes = 1024
 
+(* spans retained, oldest evicted first; a power of two *)
+let capacity = 8192
+
 (* fills the episode ring's empty slots; its id 0 is never an episode's *)
 let no_episode =
   { epi_net = ""; epi_id = 0; epi_label = ""; epi_parent = None;
@@ -148,12 +148,12 @@ let flag_dead = 8
 let flag_antmore = 16
 
 (* capacity is a power of two, so the ring slot is a mask, not a div *)
-let slot_of t id = id land (t.pv_capacity - 1)
+let slot_of id = id land (capacity - 1)
 
 let find_span t id =
   if id <= 0 then None
   else
-    let slot = slot_of t id in
+    let slot = slot_of id in
     if t.rg_id.(slot) <> id then None
     else
       let flags = t.rg_flags.(slot) in
@@ -206,7 +206,7 @@ let latest_span t path =
   | Some _ | None -> None
 
 let live_spans t =
-  let lo = max 1 (t.pv_next_id - t.pv_capacity) in
+  let lo = max 1 (t.pv_next_id - capacity) in
   let acc = ref [] in
   for id = t.pv_next_id - 1 downto lo do
     match find_span t id with
@@ -229,7 +229,7 @@ let evicted t = t.pv_evicted
 
 let spilled t = Hashtbl.length t.pv_ants
 
-(* ---------------- sink behaviour ---------------- *)
+(* ---------------- the board's feeds ---------------- *)
 
 (* The latest live span id of [arg], if [arg] is a recorded antecedent
    of [v]'s current justification; 0 otherwise. *)
@@ -253,11 +253,11 @@ let record_span t ep seq v ~value ~source ~ant0 ~ant1 ~more =
   let cross =
     match t.pv_frames with
     | f :: _ when f.fr_episode = ep -> f.fr_parent
-    | _ -> None (* sink attached mid-episode *)
+    | _ -> None (* board attached mid-episode *)
   in
   (* [slot] is masked into the ring and [vid] was range-checked by
      [ensure_var], so the unchecked accesses are in bounds *)
-  let slot = slot_of t id in
+  let slot = slot_of id in
   (match Array.unsafe_get t.rg_id slot with
   | 0 -> ()
   | evicted ->
@@ -281,15 +281,23 @@ let record_span t ep seq v ~value ~source ~ant0 ~ant1 ~more =
   Array.unsafe_set t.rg_cross slot cross;
   Array.unsafe_set t.pv_latest vid id
 
-let begin_frame t ep parent =
+let episode_started t id label parent =
   t.pv_frames <-
-    { fr_episode = ep; fr_parent = parent; fr_first = t.pv_next_id }
-    :: t.pv_frames
+    { fr_episode = id; fr_parent = parent; fr_first = t.pv_next_id }
+    :: t.pv_frames;
+  (* noting overwrites the slot of the episode [max_episodes] ids back:
+     eviction is the store itself *)
+  t.pv_epi.(id land (max_episodes - 1)) <-
+    { epi_net = t.pv_net.net_name; epi_id = id; epi_label = label;
+      epi_parent = parent; epi_outcome = None };
+  t.pv_last_epi <- id
 
 (* An episode that did not commit (rollback or tentative probe) leaves
    the network exactly as it found it; make the index agree by killing
    the episode's spans and restoring the displaced latest entries. *)
-let end_frame t ep outcome =
+let episode_ended t { es_id = ep; es_outcome = outcome; _ } =
+  let e = t.pv_epi.(ep land (max_episodes - 1)) in
+  if e.epi_id = ep then e.epi_outcome <- Some outcome;
   match t.pv_frames with
   | f :: rest when f.fr_episode = ep ->
     t.pv_frames <- rest;
@@ -300,25 +308,13 @@ let end_frame t ep outcome =
          latest entry is left pointing at an evicted id, which reads as
          "no recorded span" — a truncation, never a wrong answer. *)
       for id = t.pv_next_id - 1 downto f.fr_first do
-        let slot = slot_of t id in
+        let slot = slot_of id in
         if t.rg_id.(slot) = id && t.rg_episode.(slot) = ep then begin
           t.rg_flags.(slot) <- t.rg_flags.(slot) lor flag_dead;
           t.pv_latest.(t.rg_vid.(slot)) <- t.rg_prior.(slot)
         end
       done
   | _ -> () (* unbalanced (attached mid-episode): ignore *)
-
-(* Noting overwrites the slot of the episode [max_episodes] ids back:
-   eviction is the store itself. *)
-let note_episode t id label parent =
-  t.pv_epi.(id land (max_episodes - 1)) <-
-    { epi_net = t.pv_net.net_name; epi_id = id; epi_label = label;
-      epi_parent = parent; epi_outcome = None };
-  t.pv_last_epi <- id
-
-let finish_episode t id outcome =
-  let e = t.pv_epi.(id land (max_episodes - 1)) in
-  if e.epi_id = id then e.epi_outcome <- Some outcome
 
 (* The antecedents of an assignment propagated by [source], gathered in
    argument order by a plain walk over its arguments: the first two
@@ -348,46 +344,26 @@ let rec record_assign t ep seq v src source record a0 a1 = function
       record_span t ep seq v ~value:v.v_value ~source:src ~ant0:a0 ~ant1:a1
         ~more:(id :: ants_tail t v source record rest))
 
-let emit t ep seq ev =
-  match ev with
-  | T_episode_start (id, label, parent) ->
-    begin_frame t id parent;
-    note_episode t id label parent
-  | T_episode_end sp ->
-    end_frame t sp.es_id sp.es_outcome;
-    finish_episode t sp.es_id sp.es_outcome
-  | T_assign (v, _, src) -> (
-    (* [Dependency.direct_antecedents] fused with the latest-span
-       lookup *)
-    match v.v_just with
-    | Propagated { source; record } ->
-      record_assign t ep seq v src source record 0 0 source.c_args
-    | Default | User | Application | Update | Tentative ->
-      record_span t ep seq v ~value:v.v_value ~source:src ~ant0:0 ~ant1:0
-        ~more:[])
-  | T_reset (v, src) ->
-    record_span t ep seq v ~value:None ~source:src ~ant0:0 ~ant1:0 ~more:[]
-  | T_activate _ | T_schedule _ | T_check _ | T_violation _ | T_restore _
-  | T_quarantine _ ->
-    ()
+let assigned t ep seq v src =
+  (* [Dependency.direct_antecedents] fused with the latest-span lookup *)
+  match v.v_just with
+  | Propagated { source; record } ->
+    record_assign t ep seq v src source record 0 0 source.c_args
+  | Default | User | Application | Update | Tentative ->
+    record_span t ep seq v ~value:v.v_value ~source:src ~ant0:0 ~ant1:0
+      ~more:[]
 
-(* ---------------- attach / detach ---------------- *)
+let reset t ep seq v src =
+  record_span t ep seq v ~value:None ~source:src ~ant0:0 ~ant1:0 ~more:[]
 
-let default_sink_name = "provenance"
+(* ---------------- creation ---------------- *)
 
-let rec pow2_above n k = if k >= n then k else pow2_above n (k * 2)
-
-let attach ?(name = default_sink_name) ?(capacity = 8192)
-    ?(pp_value = fun _ -> "<opaque>") ?(scope = scope ()) net =
-  let capacity = pow2_above (max 16 capacity) 16 in
+let create ~pp_value ~scope net =
   let t =
     {
       pv_net = net;
       pv_pp = pp_value;
-      pv_capacity = capacity;
-      pv_sink_name = name;
       pv_scope = scope;
-      pv_reader = None;
       rg_id = Array.make capacity 0;
       rg_episode = Array.make capacity 0;
       rg_seq = Array.make capacity 0;
@@ -409,7 +385,6 @@ let attach ?(name = default_sink_name) ?(capacity = 8192)
       pv_evicted = 0;
     }
   in
-  Engine.add_sink net { snk_name = name; snk_emit = (fun ep seq ev -> emit t ep seq ev) };
   let rd =
     {
       rd_net = net.net_name;
@@ -421,19 +396,7 @@ let attach ?(name = default_sink_name) ?(capacity = 8192)
   in
   scope.sc_readers <-
     rd :: List.filter (fun r -> r.rd_net <> net.net_name) scope.sc_readers;
-  t.pv_reader <- Some rd;
   t
-
-(* Only this store's own entry leaves the scope: a same-named store
-   that replaced it stays. *)
-let detach t =
-  ignore (Engine.remove_sink t.pv_net t.pv_sink_name);
-  match t.pv_reader with
-  | Some rd ->
-    let sc = t.pv_scope in
-    sc.sc_readers <- List.filter (fun r -> r != rd) sc.sc_readers;
-    t.pv_reader <- None
-  | None -> ()
 
 (* ---------------- queries ---------------- *)
 

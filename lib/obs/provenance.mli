@@ -1,5 +1,5 @@
-(** Causal provenance: a trace sink maintaining a bounded derivation
-    DAG over assignments.
+(** Causal provenance: a bounded derivation DAG over assignments, kept
+    by every {!Board} from its one fused sink.
 
     Every [T_assign]/[T_reset] becomes a {e causal span} — episode,
     sequence number, variable, rendered value, justification, source
@@ -12,7 +12,7 @@
     kept but marked dead, and the per-variable latest index is reverted,
     so queries always agree with the live network.
 
-    Cross-network stitching: each attached store enters a monomorphic
+    Cross-network stitching: each store enters a monomorphic
     reader, keyed by network name, in a {!scope} — an explicit value
     shared by the stores its creator wants stitched together.  A span
     whose episode was caused by another network's episode (the
@@ -55,27 +55,40 @@ type episode = {
 type 'a t
 
 (** The stores that stitch with one another. Within a scope a network
-    name names one store: attaching a same-named network replaces the
-    earlier store's entry. *)
+    name names one store: a store created for a same-named network
+    replaces the earlier store's entry. *)
 type scope
 
 val scope : unit -> scope
 
-(** [attach ?name ?capacity ?pp_value ?scope net] — create a store,
-    subscribe it as a sink named [name] (default ["provenance"]) and
-    enter its reader under [net]'s name in [scope] for cross-network
-    queries. Without [scope] the store gets a scope of its own and
-    stitches only within itself. At most [capacity] (default 8192, min
-    16, rounded up to a power of two) spans are retained, oldest
-    evicted first. [pp_value] renders assigned values (default
-    ["<opaque>"]). *)
-val attach :
-  ?name:string -> ?capacity:int -> ?pp_value:('a -> string) -> ?scope:scope ->
+(** [create ~pp_value ~scope net] — an empty store for [net], its
+    reader entered under [net]'s name in [scope] for cross-network
+    queries. The newest {!capacity} spans are retained. [pp_value]
+    renders assigned values. {!Board.attach} creates the store and
+    feeds it; it is no sink of its own. *)
+val create :
+  pp_value:('a -> string) -> scope:scope ->
   'a Constraint_kernel.Types.network -> 'a t
 
-(** Unsubscribe the sink and take this store's own entry out of its
-    scope (an entry a same-named store put there stays). *)
-val detach : 'a t -> unit
+(** Spans retained, oldest evicted first: 8192. *)
+val capacity : int
+
+(** {2 Feeds} — the board's fused match calls these on the four events
+    the store records. *)
+
+val episode_started :
+  'a t -> int -> string -> Constraint_kernel.Types.parent_ref option -> unit
+
+val episode_ended : 'a t -> Constraint_kernel.Types.episode_span -> unit
+
+(** [assigned t ep seq v source] — [v] was just assigned in episode
+    [ep] at sequence number [seq]; [v]'s justification is the new
+    one. *)
+val assigned :
+  'a t -> int -> int -> 'a Constraint_kernel.Types.var -> string -> unit
+
+val reset :
+  'a t -> int -> int -> 'a Constraint_kernel.Types.var -> string -> unit
 
 (** Spans evicted so far by the capacity bound (chains reaching them
     truncate). *)

@@ -16,7 +16,6 @@
 open Constraint_kernel.Types
 
 type 'a t = {
-  r_name : string;
   r_cap : int; (* requested capacity: what reads are clamped to *)
   r_mask : int; (* array size - 1; size = next power of two >= r_cap *)
   mutable r_ep : int array; (* [||] until the first push *)
@@ -25,11 +24,11 @@ type 'a t = {
   mutable r_seen : int; (* total events ever pushed (evicted included) *)
 }
 
-let create ?(name = "ring") ~capacity () =
+let create ~capacity () =
   let cap = max 1 capacity in
   let size = ref 1 in
   while !size < cap do size := !size * 2 done;
-  { r_name = name; r_cap = cap; r_mask = !size - 1; r_ep = [||]; r_seq = [||];
+  { r_cap = cap; r_mask = !size - 1; r_ep = [||]; r_seq = [||];
     r_ev = [||]; r_seen = 0 }
 
 let push r ep seq ev =
@@ -44,8 +43,6 @@ let push r ep seq ev =
   Array.unsafe_set r.r_seq i seq;
   Array.unsafe_set r.r_ev i ev;
   r.r_seen <- r.r_seen + 1
-
-let sink r = { snk_name = r.r_name; snk_emit = (fun ep seq ev -> push r ep seq ev) }
 
 let length r = min r.r_cap r.r_seen
 

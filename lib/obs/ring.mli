@@ -9,13 +9,10 @@ open Constraint_kernel.Types
 
 type 'a t
 
-val create : ?name:string -> capacity:int -> unit -> 'a t
+val create : capacity:int -> unit -> 'a t
 
-(** The sink to attach with [Engine.add_sink] (named after the ring). *)
-val sink : 'a t -> 'a sink
-
-(** [push r ep seq ev] — feed one event directly (what {!sink} does);
-    allocation-free. *)
+(** [push r ep seq ev] — feed one event (the board's sink pushes every
+    event it sees); allocation-free. *)
 val push : 'a t -> int -> int -> 'a trace_event -> unit
 
 (** Events currently held, oldest first. *)

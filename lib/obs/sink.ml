@@ -1,9 +1,6 @@
 open Constraint_kernel
 open Types
 
-let null ?(name = "null") () =
-  { snk_name = name; snk_emit = (fun _ _ _ -> ()) }
-
 let logger ?(name = "logger") ppf =
   {
     snk_name = name;

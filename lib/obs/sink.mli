@@ -1,17 +1,15 @@
-(** Two stock trace sinks.
+(** A stock trace sink.
 
     A sink is one subscriber of a network's event stream
     ({!Constraint_kernel.Types.sink}, built with [Types.sink] and
     attached with [Engine.add_sink]); the kernel fans every trace event
     out to all attached sinks in registration order, each call wrapped
     in an exception trap so a broken sink degrades observability, never
-    propagation. The ready-made consumers live in {!Ring}, {!Metrics},
-    {!Jsonl} and {!Profiler}, bundled by {!Board}. *)
+    propagation. The ready-made consumers are {!Board}, which feeds
+    {!Ring}, {!Metrics}, {!Profiler}, the monitor and {!Provenance}
+    from one sink, and the {!Jsonl} and {!Tracing} exporters. *)
 
 open Constraint_kernel.Types
-
-(** A sink that discards everything (for overhead measurements). *)
-val null : ?name:string -> unit -> 'a sink
 
 (** Human-readable event logger: one line per event, prefixed with the
     episode id, rendered with [Editor.pp_trace_event]. *)

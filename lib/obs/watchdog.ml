@@ -9,7 +9,7 @@
    persists — so the alert log stays readable and bounded.
 
    A watchdog is an ordinary value held by whoever created it (a
-   monitored board, an SLO); there is no registry.  A health roll-up is
+   board, an SLO); there is no registry.  A health roll-up is
    computed by its reader over the watchdogs it already holds — the
    telemetry server over the boards it serves and its own SLOs. *)
 

@@ -9,7 +9,7 @@
     elsewhere — an SLO's burn-rate verdict per evaluation — through
     the same transition log.
 
-    There is no registry: a watchdog belongs to its monitored board or
+    There is no registry: a watchdog belongs to its board or
     SLO, and a health roll-up is computed over the watchdogs its reader
     holds (the telemetry server's [/healthz] over the boards it serves
     and its own SLOs). *)
@@ -43,7 +43,7 @@ type t
 
 (** [create rules] — alert log bounded at [log_capacity] (default 64)
     transitions. [name] (default ["watchdog"]) is fixed here and names
-    the alerts: a monitored board's is its network's name, an SLO's is
+    the alerts: a board's is its network's name, an SLO's is
     ["slo:<name>"]. *)
 val create : ?name:string -> ?log_capacity:int -> rule list -> t
 

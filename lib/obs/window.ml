@@ -116,18 +116,6 @@ let observe_span t sp =
   w.w_duration <- t.wt_clock () -. w.w_opened;
   maybe_rotate t
 
-(* The standalone sink; when the window rides the fused board sink the
-   board calls the note/observe entry points directly instead. *)
-let sink ?(name = "window") t =
-  let emit _ep _seq ev =
-    match (ev : _ trace_event) with
-    | T_violation _ -> note_violation t
-    | T_quarantine _ -> note_quarantine t
-    | T_episode_end sp -> observe_span t sp
-    | _ -> ()
-  in
-  { snk_name = name; snk_emit = emit }
-
 (* A live view whose duration runs to the latest episode, so reading it
    twice with nothing in between answers the same. *)
 let current t = t.wt_cur

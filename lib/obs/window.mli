@@ -48,12 +48,8 @@ val create :
   unit ->
   t
 
-(** Standalone sink (matches violation/quarantine/episode-end events).
-    Not needed when the window rides {!Board}'s fused sink. *)
-val sink : ?name:string -> t -> 'a sink
-
-(** Direct feeds, for fused sinks. [observe_span] also checks the
-    rotation condition. *)
+(** Direct feeds, for the board's fused sink. [observe_span] also
+    checks the rotation condition. *)
 val observe_span : t -> episode_span -> unit
 
 val note_violation : t -> unit

@@ -177,11 +177,10 @@ let render_metrics sv =
   Buffer.contents buf
 
 (* What this server answers health for: the watchdog of each served
-   monitored board, under its served name, then those of its own SLOs. *)
+   board, under its served name, then those of its own SLOs. *)
 let watchdogs sv served =
-  List.filter_map
-    (fun (Wstore.Served s) ->
-      Option.map (fun wd -> (s.name, wd)) (Obs.Board.watchdog s.board))
+  List.map
+    (fun (Wstore.Served s) -> (s.name, Obs.Board.watchdog s.board))
     served
   @ List.map
       (fun wd -> (Obs.Watchdog.name wd, wd))
@@ -442,7 +441,8 @@ let snapshot_handler rq =
   | Ok e -> (
     match Wstore.with_episode_lock (fun () -> Wstore.snapshot e) with
     | () -> Router.json (J.to_string (entry_obj e))
-    | exception Journal.Failed msg -> Router.json ~status:500 (err_json msg))
+    | exception (Journal.Failed msg | Wstore.Snapshot_failed msg) ->
+      Router.json ~status:500 (err_json msg))
 
 let drop_handler rq =
   match entry_for rq (param_id rq) with
@@ -451,7 +451,8 @@ let drop_handler rq =
     let id = Wstore.id e in
     match Wstore.drop ~id with
     | _ -> Router.json (J.to_string (J_obj [ ("dropped", J_str id) ]))
-    | exception Journal.Failed msg -> Router.json ~status:500 (err_json msg)
+    | exception (Journal.Failed msg | Wstore.Snapshot_failed msg) ->
+      Router.json ~status:500 (err_json msg)
 
 (* ---------------- the server ---------------- *)
 

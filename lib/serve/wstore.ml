@@ -150,7 +150,6 @@ type entry = {
   e_spec : string;
   e_net : Dval.t Types.network;
   e_board : Dval.t Obs.Board.t;
-  e_prov : Dval.t Obs.Provenance.t;
   e_journal : Journal.t option;
   e_dir : string option;
   e_snapshot_every : int;
@@ -168,7 +167,7 @@ let net e = e.e_net
 
 let board e = e.e_board
 
-let prov e = e.e_prov
+let prov e = Obs.Board.provenance e.e_board
 
 let acked e = e.e_acked
 
@@ -220,8 +219,28 @@ let list () =
   List.filter_map (fun s -> s.host) (slots ())
   |> List.sort (fun a b -> compare a.e_id b.e_id)
 
+(* One board under two names — the shell exposes its session net under
+   the net's own name and hosts it under an id — is one network: while
+   it is hosted, its read-only exposure is shadowed, so it is listed
+   once, under the hosted id, and feeds /events once.  Boards of
+   different value types compare through their metrics registries. *)
+let shadowed_locked { served = Served s; host; _ } =
+  host = None
+  && Hashtbl.fold
+       (fun _ other acc ->
+         acc
+         ||
+         match other with
+         | { host = Some _; served = Served h; _ } ->
+           Obs.Board.metrics h.board == Obs.Board.metrics s.board
+         | { host = None; _ } -> false)
+       registry false
+
 let served () =
-  List.map (fun s -> s.served) (slots ())
+  with_registry (fun () ->
+      Hashtbl.fold
+        (fun _ s acc -> if shadowed_locked s then acc else s.served :: acc)
+        registry [])
   |> List.sort (fun (Served a) (Served b) -> compare a.name b.name)
 
 (* The /events sink is attached only while someone is streaming: a
@@ -247,6 +266,14 @@ let slot_of ?host ?pp_value ~name ~board net =
   in
   { served = Served { name; net; board }; host; stream }
 
+(* Every visible slot's feed sink is on exactly while someone streams;
+   run after each registry change, since hosting or dropping a board
+   shadows or reveals its exposure. *)
+let sync_streams_locked streaming =
+  Hashtbl.iter
+    (fun _ s -> s.stream (streaming && not (shadowed_locked s)))
+    registry
+
 (* Withdrawal undoes what serving wired: the feed sink and a server's
    history sampling of the board. *)
 let withdraw_locked name =
@@ -255,13 +282,14 @@ let withdraw_locked name =
   | Some { served = Served s; stream; _ } ->
     stream false;
     Obs.Board.set_history s.board None;
-    Hashtbl.remove registry name
+    Hashtbl.remove registry name;
+    sync_streams_locked (Stream.active hub)
 
 let serve_locked name slot =
   withdraw_locked name;
   Hashtbl.replace registry name slot;
   (* a subscriber may already be streaming when the net appears *)
-  if Stream.active hub then slot.stream true
+  sync_streams_locked (Stream.active hub)
 
 let expose ?name ?pp_value ~board net =
   let name = Option.value name ~default:net.Types.net_name in
@@ -284,8 +312,7 @@ let unexpose name =
    its state. *)
 let () =
   Stream.set_on_transition hub (fun streaming ->
-      with_registry (fun () ->
-          Hashtbl.iter (fun _ s -> s.stream streaming) registry))
+      with_registry (fun () -> sync_streams_locked streaming))
 
 (* ---------------- durability configuration ---------------- *)
 
@@ -366,16 +393,26 @@ let snapshot_text e =
     (List.rev e.e_net.Types.net_vars);
   Buffer.contents buf
 
+exception Snapshot_failed of string
+
 (* Snapshot then truncate the journal.  Crash between the two is safe:
    the journal's sets are already in the snapshot, and re-entering an
    identical set is idempotent at the fixpoint.  [Journal.reset] syncs
-   the directory both share before it truncates. *)
+   the directory both share before it truncates.  A failed write leaves
+   the journal as it was: it still holds every set since the last
+   snapshot. *)
 let snapshot e =
   match e.e_dir with
   | None -> ()
   | Some dir ->
-    Stem.Persist.write_atomic ~fsync:true (snap_path dir e.e_id)
-      (snapshot_text e);
+    (match
+       Stem.Persist.write_atomic ~fsync:true (snap_path dir e.e_id)
+         (snapshot_text e)
+     with
+    | () -> ()
+    | exception Sys_error msg -> raise (Snapshot_failed msg)
+    | exception Unix.Unix_error (err, fn, _) ->
+      raise (Snapshot_failed (fn ^ ": " ^ Unix.error_message err)));
     e.e_since_snapshot <- 0;
     Option.iter Journal.reset e.e_journal
 
@@ -485,7 +522,8 @@ let apply_set ?trace e ~path ~value ~just =
           | () ->
             e.e_acked <- e.e_acked + 1;
             Ok ()
-          | exception Journal.Failed msg -> Error (Not_durable msg))))
+          | exception (Journal.Failed msg | Snapshot_failed msg) ->
+            Error (Not_durable msg))))
 
 let state e =
   List.rev_map
@@ -503,7 +541,6 @@ let state e =
 let release e =
   if e.e_owned then begin
     Option.iter Journal.close e.e_journal;
-    Obs.Provenance.detach e.e_prov;
     Obs.Board.detach e.e_net
   end
 
@@ -532,8 +569,7 @@ let make_entry ~id ~tenant ~spec ~net ~journal ~dir ~step_budget =
     e_tenant = tenant;
     e_spec = spec;
     e_net = net;
-    e_board = Obs.Board.attach ~monitor:true net;
-    e_prov = Obs.Provenance.attach ~pp_value net;
+    e_board = Obs.Board.attach ~pp_value net;
     e_journal = journal;
     e_dir = dir;
     e_snapshot_every = !durability.d_snapshot_every;
@@ -584,13 +620,13 @@ let create ?(tenant = "anon")
            write the spec-only snapshot before anyone can crash us *)
         match (match dir with Some _ -> snapshot e | None -> ()) with
         | () -> register e
-        | exception Journal.Failed msg ->
+        | exception (Journal.Failed msg | Snapshot_failed msg) ->
           release e;
           Error ("not durable: " ^ msg)))
 
 (* Adopt an externally-owned network (the shell session's): write API
    only, no durability, observability stays owned by the caller. *)
-let adopt ?(tenant = "anon") ~id ~net ~board ~prov () =
+let adopt ?(tenant = "anon") ~id ~net ~board () =
   if not (valid_id id) then
     Error "bad network id (want [A-Za-z0-9_-]{1,64})"
   else
@@ -601,7 +637,6 @@ let adopt ?(tenant = "anon") ~id ~net ~board ~prov () =
         e_spec = "";
         e_net = net;
         e_board = board;
-        e_prov = prov;
         e_journal = None;
         e_dir = None;
         e_snapshot_every = 0;
@@ -624,8 +659,9 @@ let drop ~id =
   with
   | None -> false
   | Some e ->
-    (* released even when the final snapshot's journal reset raises
-       [Journal.Failed], which then reaches the caller *)
+    (* released even when the final snapshot raises [Snapshot_failed]
+       or its journal reset [Journal.Failed], which then reaches the
+       caller *)
     Fun.protect
       ~finally:(fun () -> release e)
       (fun () ->
@@ -643,7 +679,7 @@ let close_all () =
     (fun id ->
       match drop ~id with
       | _ -> true
-      | exception Journal.Failed msg ->
+      | exception (Journal.Failed msg | Snapshot_failed msg) ->
         Printf.eprintf "stem: network %s not drained: %s\n%!" id msg;
         false)
     (List.map (fun e -> e.e_id) (list ()))
@@ -745,22 +781,26 @@ let recover ?(verify = false) ~dir ~id () =
           in
           (* the journal content is live again: checkpoint it into a
              fresh snapshot so the journal restarts empty *)
-          with_episode_lock (fun () -> snapshot e);
-          Result.map
-            (fun e ->
-              {
-                rc_entry = e;
-                rc_snapshot_sets =
-                  List.length
-                    (List.filter
-                       (fun (_, f) -> Obs.Jsonl.str f "t" = Some "wal_set")
-                       rest);
-                rc_journal_replayed = List.length records;
-                rc_warnings = List.rev !warnings;
-                rc_verified = verified;
-                rc_divergences = divergences;
-              })
-            (register e))
+          match with_episode_lock (fun () -> snapshot e) with
+          | exception (Journal.Failed msg | Snapshot_failed msg) ->
+            release e;
+            Error ("not durable: " ^ msg)
+          | () ->
+            Result.map
+              (fun e ->
+                {
+                  rc_entry = e;
+                  rc_snapshot_sets =
+                    List.length
+                      (List.filter
+                         (fun (_, f) -> Obs.Jsonl.str f "t" = Some "wal_set")
+                         rest);
+                  rc_journal_replayed = List.length records;
+                  rc_warnings = List.rev !warnings;
+                  rc_verified = verified;
+                  rc_divergences = divergences;
+                })
+              (register e))
       | _ ->
         Error
           (Printf.sprintf "snapshot line %d: expected a wal_spec record"

@@ -63,6 +63,7 @@ val net : entry -> Dval.t Types.network
 
 val board : entry -> Dval.t Obs.Board.t
 
+(** The board's provenance store. *)
 val prov : entry -> Dval.t Obs.Provenance.t
 
 val journal : entry -> Journal.t option
@@ -80,7 +81,9 @@ val list : unit -> entry list
     One process-global table lists every network the telemetry server
     publishes: each hosted entry (served from {!create}, {!adopt} or
     {!recover} until {!drop}) and each network exposed read-only with
-    {!expose}. Names are unique across both. *)
+    {!expose}. Names are unique across both. A board exposed read-only
+    and also hosted is listed once, under its hosted id, while it is
+    hosted. *)
 
 (** A served network with its value type hidden. Its [/events] feed
     sink is attached only while the {!hub} has a subscriber. *)
@@ -92,7 +95,8 @@ type served =
     }
       -> served
 
-(** Every served network, sorted by name. *)
+(** Every served network, sorted by name; an exposure shadowed by the
+    hosting of its board is left out. *)
 val served : unit -> served list
 
 (** The [/events] hub every served network publishes into. *)
@@ -134,7 +138,8 @@ type set_error =
           counts it as a strike *)
   | Not_durable of string
       (** the journal failed an fsync ({!Journal.Failed}), now or
-          earlier: the set is not acknowledged *)
+          earlier, or the snapshot this set triggered could not be
+          written ({!Snapshot_failed}): the set is not acknowledged *)
 
 val set_error_message : set_error -> string
 
@@ -170,17 +175,25 @@ val untrace : Obs.Tracing.t -> unit
     sorted by path. *)
 val state : entry -> (string * string option * string) list
 
+(** Raised by {!snapshot} when the snapshot file cannot be written
+    (the write, its fsync or the rename fails), with the error. The
+    journal is not poisoned and not truncated: it still holds every
+    set since the last snapshot. *)
+exception Snapshot_failed of string
+
 (** Force a snapshot now (then truncate the journal). No-op without a
     data dir. Call under {!with_episode_lock} only if you already hold
-    it — this function takes no lock itself. *)
+    it — this function takes no lock itself. Raises {!Snapshot_failed},
+    or {!Journal.Failed} when the journal reset fails. *)
 val snapshot : entry -> unit
 
 (** {1 Lifecycle} *)
 
 (** [create ~id ~spec ()] — build, apply initial sets, write the
     first snapshot (when durability is configured), host and serve.
-    [Error] on bad id, duplicate id, spec parse errors (line-numbered)
-    or a violated initial set. *)
+    [Error] on bad id, duplicate id, spec parse errors (line-numbered),
+    a violated initial set, or a journal or first snapshot that fails
+    (["not durable: …"]). *)
 val create :
   ?tenant:string ->
   ?step_budget:int ->
@@ -190,22 +203,22 @@ val create :
   (entry, string) result
 
 (** Host an externally-owned network (the shell session's): write API
-    only, no durability; observability objects stay owned by the
-    caller and are not detached on {!drop}. *)
+    only, no durability; the board stays owned by the caller and is
+    not detached on {!drop}. *)
 val adopt :
   ?tenant:string ->
   id:string ->
   net:Dval.t Types.network ->
   board:Dval.t Obs.Board.t ->
-  prov:Dval.t Obs.Provenance.t ->
   unit ->
   (entry, string) result
 
 (** Final snapshot, journal flush+close, observability detached (for
     owned entries), withdrawn from the registry. On-disk files remain,
     so [drop] then {!recover} round-trips. [false] if the id is not
-    hosted. Raises {!Journal.Failed} if the final snapshot's journal
-    reset fails its fsync; the entry is withdrawn and released anyway. *)
+    hosted. Raises {!Snapshot_failed} if the final snapshot cannot be
+    written, or {!Journal.Failed} if its journal reset fails its fsync;
+    the entry is withdrawn and released anyway. *)
 val drop : id:string -> bool
 
 (** {!drop} every hosted network (graceful drain); returns the ids
@@ -232,7 +245,8 @@ type recovery = {
     final record (warning, never a failure). [~verify] runs the
     [Obs.Replay.diff_live] differential check over the from-creation
     recovery trace. The recovered network is hosted and served again,
-    and its journal checkpointed into a fresh snapshot. *)
+    and its journal checkpointed into a fresh snapshot; a checkpoint
+    that fails answers [Error "not durable: …"]. *)
 val recover :
   ?verify:bool -> dir:string -> id:string -> unit -> (recovery, string) result
 

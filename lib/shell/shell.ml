@@ -8,22 +8,20 @@
 
 open Constraint_kernel
 
-(* A shell session is an environment plus its observability board: the
-   board's ring/metrics/profiler sinks are attached for the session's
-   lifetime, and an optional JSONL exporter can be toggled per file. *)
+(* A shell session is an environment plus its board, attached for the
+   session's lifetime, and an optional JSONL exporter toggled per
+   file. *)
 type session = {
   ss_env : Stem.Design.env;
   ss_board : Dval.t Obs.Board.t;
-  ss_prov : Dval.t Obs.Provenance.t;
   mutable ss_jsonl : (string * out_channel) option;
   mutable ss_serve : Serve.t option;
   mutable ss_history : Obs.Tsdb.t option;  (* opened by [history DIR] *)
 }
 
 let session env =
-  { ss_env = env; ss_board = Obs.Board.attach ~monitor:true (Stem.Env.cnet env);
-    ss_prov =
-      Obs.Provenance.attach ~pp_value:Dval.to_string (Stem.Env.cnet env);
+  { ss_env = env;
+    ss_board = Obs.Board.attach ~pp_value:Dval.to_string (Stem.Env.cnet env);
     ss_jsonl = None; ss_serve = None; ss_history = None }
 
 let serve_off ss =
@@ -144,6 +142,7 @@ let command ss words =
   let cnet = Stem.Env.cnet ss.ss_env in
   let name = cnet.Types.net_name in
   let boards = [ Obs.Answer.Named (name, ss.ss_board) ] in
+  let prov = Obs.Board.provenance ss.ss_board in
   match words with
   | [] -> ()
   | [ "help" ] ->
@@ -267,25 +266,18 @@ let command ss words =
     Obs.Board.checkpoint ss.ss_board;
     answer (Obs.Answer.health name ss.ss_board)
   | "window" :: rest ->
-    Option.iter
-      (fun w -> rows last rest (Obs.Answer.windows name w))
-      (Obs.Board.window ss.ss_board)
+    rows last rest (Obs.Answer.windows name (Obs.Board.window ss.ss_board))
   | [ "exemplars" ] ->
     answer (Obs.Answer.exemplars boards)
   | [ "exemplars"; n ] ->
-    let exs =
-      Option.fold ~none:[] ~some:Obs.Sampler.exemplars
-        (Obs.Board.sampler ss.ss_board)
-    in
+    let exs = Obs.Sampler.exemplars (Obs.Board.sampler ss.ss_board) in
     (match int_of_string_opt n with
     | Some i when i >= 1 && i <= List.length exs ->
       answer (Obs.Answer.exemplar name (List.nth exs (i - 1)))
     | _ -> Fmt.pr "  no exemplar #%s (have %d)@." n (List.length exs))
   | [ "alerts" ] ->
     answer
-      (Obs.Answer.alerts
-         (Option.to_list
-            (Option.map (fun wd -> (name, wd)) (Obs.Board.watchdog ss.ss_board))))
+      (Obs.Answer.alerts [ (name, Obs.Board.watchdog ss.ss_board) ])
   | [ "dot"; file ] ->
     let dot =
       Obs.Topo.to_dot
@@ -303,16 +295,16 @@ let command ss words =
   | [ "topo" ] ->
     answer (Obs.Answer.topo cnet)
   | [ "why"; path ] ->
-    with_var cnet path (fun v -> answer (Obs.Answer.why ss.ss_prov (Var.path v)))
+    with_var cnet path (fun v -> answer (Obs.Answer.why prov (Var.path v)))
   | [ "blame"; path ] ->
     with_var cnet path (fun v ->
-        answer (Obs.Answer.blame ss.ss_prov (Var.path v)))
-  | [ "critical" ] -> answer (Obs.Answer.critical ss.ss_prov None)
+        answer (Obs.Answer.blame prov (Var.path v)))
+  | [ "critical" ] -> answer (Obs.Answer.critical prov None)
   | [ "critical"; e ] when int_of_string_opt e <> None ->
-    answer (Obs.Answer.critical ss.ss_prov (int_of_string_opt e))
+    answer (Obs.Answer.critical prov (int_of_string_opt e))
   | "critical" :: _ -> Fmt.pr "  episode id must be an integer@."
   | [ "tracetree" ] ->
-    answer (Obs.Answer.episodes ss.ss_prov)
+    answer (Obs.Answer.episodes prov)
   | "replay" :: file :: rest ->
     (match Obs.Replay.of_file file with
     | rp ->
@@ -360,8 +352,7 @@ let command ss words =
   | "host" :: id :: rest ->
     (let tenant = match rest with [ t ] -> Some t | _ -> None in
      match
-       Serve.Wstore.adopt ?tenant ~id ~net:cnet ~board:ss.ss_board
-         ~prov:ss.ss_prov ()
+       Serve.Wstore.adopt ?tenant ~id ~net:cnet ~board:ss.ss_board ()
      with
      | Ok e ->
        Fmt.pr "  hosted as %S for tenant %S (POST /nets/%s/set)@."
@@ -463,7 +454,6 @@ let close ss =
       if Serve.Wstore.net e == Stem.Env.cnet ss.ss_env then
         ignore (Serve.Wstore.drop ~id:(Serve.Wstore.id e)))
     (Serve.Wstore.list ());
-  Obs.Provenance.detach ss.ss_prov;
   Obs.Board.detach (Stem.Env.cnet ss.ss_env)
 
 let run env =

@@ -124,7 +124,6 @@ and structure = {
 }
 
 and dependent = {
-  dep_id : int;
   (* erase cached data; [key] as in the selective [#changed:key]
      broadcast — [None] means everything changed *)
   dep_erase : key:string option -> unit;

@@ -5,36 +5,39 @@ type 'a t = {
   vw_compute : cell_class -> 'a;
   mutable vw_cache : 'a option;
   mutable vw_recomputations : int;
-  vw_dep_id : int;
+  vw_dep : dependent; (* its entry in the model's dependents *)
 }
 
-let next_dep_id = ref 0
+(* A dependent is found again by identity: each registration allocates
+   its own record. *)
+let remove_dependent cell dep =
+  cell.cc_dependents <- List.filter (fun d -> d != dep) cell.cc_dependents
 
 let add_dependent cell ~erase =
-  incr next_dep_id;
-  let dep = { dep_id = !next_dep_id; dep_erase = erase } in
+  let dep = { dep_erase = erase } in
   cell.cc_dependents <- dep :: cell.cc_dependents;
-  fun () ->
-    cell.cc_dependents <-
-      List.filter (fun d -> d.dep_id <> dep.dep_id) cell.cc_dependents
+  fun () -> remove_dependent cell dep
 
 let make_keyed cell ~keys ~compute =
-  incr next_dep_id;
-  let view =
+  let rec view =
     {
       vw_model = cell;
       vw_compute = compute;
       vw_cache = None;
       vw_recomputations = 0;
-      vw_dep_id = !next_dep_id;
+      vw_dep = dep;
+    }
+  and dep =
+    {
+      dep_erase =
+        (fun ~key ->
+          match key with
+          | None -> view.vw_cache <- None
+          | Some k ->
+            if keys = [] || List.mem k keys then view.vw_cache <- None);
     }
   in
-  let erase ~key =
-    match key with
-    | None -> view.vw_cache <- None
-    | Some k -> if keys = [] || List.mem k keys then view.vw_cache <- None
-  in
-  cell.cc_dependents <- { dep_id = view.vw_dep_id; dep_erase = erase } :: cell.cc_dependents;
+  cell.cc_dependents <- dep :: cell.cc_dependents;
   view
 
 let make cell ~compute = make_keyed cell ~keys:[] ~compute
@@ -52,9 +55,7 @@ let is_erased view = view.vw_cache = None
 
 let recomputations view = view.vw_recomputations
 
-let detach view =
-  view.vw_model.cc_dependents <-
-    List.filter (fun d -> d.dep_id <> view.vw_dep_id) view.vw_model.cc_dependents
+let detach view = remove_dependent view.vw_model view.vw_dep
 
 (* Broadcast a change to a cell's dependents and up the design hierarchy
    (§6.5.2).  The recursion is guarded against cycles in the containment

@@ -230,6 +230,92 @@ let test_unsynced_set_not_acked () =
         (Serve.Wstore.find ~id:"nosync" = None
         && Serve.Wstore.find ~id:"nosync2" = None))
 
+(* A snapshot that cannot be written is a declared failure, answered
+   like a journal failure, and the one worker serving it lives on.
+   [<id>.snap] is a non-empty directory, so the snapshot's rename fails
+   (EISDIR) even as root. *)
+let test_snapshot_failure_answered () =
+  with_dir (fun d ->
+      Serve.Wstore.configure ~dir:d ~fsync:Serve.Journal.Never
+        ~snapshot_every:1 ();
+      let snap id = Filename.concat d (id ^ ".snap") in
+      let block id =
+        if Sys.file_exists (snap id) then Sys.remove (snap id);
+        Sys.mkdir (snap id) 0o755;
+        write_file (Filename.concat (snap id) "x") "x"
+      and unblock id =
+        if Sys.file_exists (snap id) && Sys.is_directory (snap id) then begin
+          Sys.remove (Filename.concat (snap id) "x");
+          Sys.rmdir (snap id)
+        end
+      in
+      let sv = Serve.start ~port:0 ~workers:1 () in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter
+            (fun e ->
+              try ignore (Serve.Wstore.drop ~id:(Serve.Wstore.id e))
+              with Serve.Wstore.Snapshot_failed _ -> ())
+            (Serve.Wstore.list ());
+          Serve.stop sv;
+          List.iter unblock [ "blocked"; "fresh" ];
+          Serve.Wstore.configure ~snapshot_every:256 ())
+        (fun () ->
+          let port = Serve.port sv in
+          let post path body =
+            match Serve.Client.post ~port ~body path with
+            | Ok r -> r
+            | Error e -> Alcotest.failf "POST %s: %s" path e
+          in
+          let r = post "/nets?id=blocked" "var a.x\nvar a.y\neq a.x a.y\n" in
+          Alcotest.(check int) "created" 201 r.Serve.Client.rs_status;
+          block "blocked";
+          let r = post "/nets/blocked/set" "{\"var\":\"a.x\",\"value\":\"3\"}\n" in
+          Alcotest.(check int) "the set answers 500" 500 r.Serve.Client.rs_status;
+          Alcotest.(check bool) "not durable, not acknowledged" true
+            (contains ~sub:"not durable" r.Serve.Client.rs_body
+            && contains ~sub:"\"acked\":0" r.Serve.Client.rs_body);
+          Alcotest.(check int) "a forced snapshot answers 500" 500
+            (post "/nets/blocked/snapshot" "").Serve.Client.rs_status;
+          Alcotest.(check int) "the journal is not poisoned" 1
+            (Serve.Journal.appended
+               (Option.get
+                  (Serve.Wstore.journal
+                     (Option.get (Serve.Wstore.find ~id:"blocked")))));
+          block "fresh";
+          let r = post "/nets?id=fresh" "var a.x\n" in
+          Alcotest.(check bool) "a create over it answers an error" true
+            (r.Serve.Client.rs_status >= 400
+            && contains ~sub:"not durable" r.Serve.Client.rs_body);
+          Alcotest.(check bool) "and hosts nothing" true
+            (Serve.Wstore.find ~id:"fresh" = None);
+          Alcotest.(check int) "a drop answers 500" 500
+            (post "/nets/blocked/drop" "").Serve.Client.rs_status;
+          match Serve.Client.get ~port "/nets" with
+          | Ok r -> Alcotest.(check int) "the worker still answers" 200 r.rs_status
+          | Error e -> Alcotest.failf "GET /nets: %s" e))
+
+(* A hosted net carries one observer: an untraced net with no /events
+   subscriber has exactly one sink, its board. *)
+let test_hosted_net_one_sink () =
+  with_dir (fun d ->
+      Serve.Wstore.configure ~dir:d ~fsync:Serve.Journal.Never ();
+      let e =
+        match
+          Serve.Wstore.create ~id:"onesink"
+            ~spec:"var a.x = 1\nvar a.y\neq a.x a.y\n" ()
+        with
+        | Ok e -> e
+        | Error msg -> Alcotest.failf "create: %s" msg
+      in
+      Fun.protect
+        ~finally:(fun () -> ignore (Serve.Wstore.drop ~id:"onesink"))
+        (fun () ->
+          Alcotest.(check (list string)) "the board alone" [ "board" ]
+            (List.map
+               (fun s -> s.Constraint_kernel.Types.snk_name)
+               (Constraint_kernel.Engine.sinks (Serve.Wstore.net e)))))
+
 (* ---------------- wstore recovery ---------------- *)
 
 let fixture_spec =
@@ -970,7 +1056,7 @@ let test_health_names_the_served_name () =
   let net = Constraint_kernel.Engine.create_network ~name:"inner" () in
   let x = ivar net "x" in
   let board =
-    Obs.Board.attach ~monitor:true ~window_width:(Obs.Window.Episodes 1)
+    Obs.Board.attach ~window_width:(Obs.Window.Episodes 1)
       ~rules:[ Obs.Watchdog.rule ~name:"always" (fun _ -> Some "always") ]
       net
   in
@@ -995,8 +1081,8 @@ let test_health_names_the_served_name () =
         (List.mem "outer" alerts && not (List.mem "inner" alerts)))
 
 (* Two same-named design nets, each dual-bridged to a same-named
-   floorplan, each pair with its own provenance scope and monitored
-   boards.  Detaching the first pair leaves the second's /healthz row
+   floorplan, each pair's boards sharing a provenance scope of their
+   own.  Detaching the first pair leaves the second's /healthz row
    and its cross-network [why] intact. *)
 let test_same_named_nets_detach_alone () =
   let pair () =
@@ -1004,11 +1090,11 @@ let test_same_named_nets_detach_alone () =
     let floorplan = Stem.Env.create ~name:"twin-floorplan" () in
     let dnet = design.Stem.Design.env_cnet in
     let fnet = floorplan.Stem.Design.env_cnet in
-    let board = Obs.Board.attach ~monitor:true dnet in
-    ignore (Obs.Board.attach ~monitor:true fnet);
     let scope = Obs.Provenance.scope () in
-    let dprov = Obs.Provenance.attach ~pp_value:Dval.to_string ~scope dnet in
-    let fprov = Obs.Provenance.attach ~pp_value:Dval.to_string ~scope fnet in
+    let board = Obs.Board.attach ~pp_value:Dval.to_string ~scope dnet in
+    let fprov =
+      Obs.Board.provenance (Obs.Board.attach ~pp_value:Dval.to_string ~scope fnet)
+    in
     let a = Dclib.variable dnet ~owner:"alu/a" ~name:"bitWidth" () in
     let b = Dclib.variable dnet ~owner:"alu/sum" ~name:"bitWidth" () in
     ignore (Dclib.equality dnet [ a; b ]);
@@ -1021,20 +1107,18 @@ let test_same_named_nets_detach_alone () =
     (match Constraint_kernel.Engine.set dnet a (Dval.Int 8) with
     | Ok () -> ()
     | Error _ -> Alcotest.fail "designer entry rejected");
-    (dnet, fnet, board, dprov, fprov)
+    (dnet, fnet, board, fprov)
   in
-  let dnet1, fnet1, _, dprov1, fprov1 = pair () in
-  let dnet2, fnet2, board2, dprov2, fprov2 = pair () in
+  let dnet1, fnet1, _, _ = pair () in
+  let dnet2, fnet2, board2, fprov2 = pair () in
   Serve.expose ~board:board2 dnet2;
   let sv = Serve.start ~port:0 () in
   Fun.protect
     ~finally:(fun () ->
       Serve.stop sv;
       ignore (Serve.unexpose "twin-design");
-      List.iter Obs.Provenance.detach [ dprov2; fprov2 ];
       List.iter Obs.Board.detach [ dnet2; fnet2 ])
     (fun () ->
-      List.iter Obs.Provenance.detach [ dprov1; fprov1 ];
       List.iter Obs.Board.detach [ dnet1; fnet1 ];
       let _, rows, _ = healthz ~port:(Serve.port sv) in
       Alcotest.(check bool) "the second's row is intact" true
@@ -1219,6 +1303,10 @@ let suite =
         test_journal_write_failure;
       Alcotest.test_case "unwritten set is not acknowledged" `Quick
         test_unwritten_set_not_acked;
+      Alcotest.test_case "snapshot failure is answered" `Quick
+        test_snapshot_failure_answered;
+      Alcotest.test_case "a hosted net has one sink" `Quick
+        test_hosted_net_one_sink;
       Alcotest.test_case "unsynced set is not acknowledged" `Quick
         test_unsynced_set_not_acked;
       Alcotest.test_case "recover bit-identical" `Quick

@@ -454,13 +454,13 @@ let test_board_samples_on_window_tick () =
   with_dir (fun d ->
       let ts = Obs.Tsdb.open_ d in
       let board =
-        Obs.Board.attach ~monitor:true ~window_width:(Obs.Window.Episodes 2)
+        Obs.Board.attach ~window_width:(Obs.Window.Episodes 2)
           (Constraint_kernel.Engine.create_network ~name:"net1" ())
       in
       Obs.Board.set_history ~prefix:"net1" board (Some ts);
       Alcotest.(check bool) "history wired" true
         (Obs.Board.history board <> None);
-      let w = Option.get (Obs.Board.window board) in
+      let w = Obs.Board.window board in
       for i = 1 to 6 do
         Obs.Window.observe_span w (span ~id:i ~us:100. ())
       done;
@@ -507,10 +507,7 @@ let test_serve_history_endpoints () =
       let v =
         Var.create net ~owner:"s" ~name:"a" ~equal:Int.equal ~pp:Fmt.int ()
       in
-      let board =
-        Obs.Board.attach ~monitor:true
-          ~window_width:(Obs.Window.Episodes 2) net
-      in
+      let board = Obs.Board.attach ~window_width:(Obs.Window.Episodes 2) net in
       Serve.expose ~board net;
       let ts = Obs.Tsdb.open_ d in
       let ad = Serve.Admission.create () in

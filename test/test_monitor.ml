@@ -1,7 +1,7 @@
 (* The continuous-monitoring layer: rolling windows (rotation,
    bounded history, rates and quantiles), the tail sampler (slow top-K,
    violating/head promotion, truncation, bounded store), watchdog rule
-   transitions and watchdog naming on monitored boards, and the topology
+   transitions and watchdog naming on boards, and the topology
    export (structural stats, 2-core cycle detection, DOT structure). *)
 
 open Constraint_kernel
@@ -125,15 +125,14 @@ let test_window_seconds_width () =
       s.Obs.Window.w_episodes
   | None -> Alcotest.fail "no completed window"
 
-let test_window_standalone_sink () =
+let test_window_fed_by_the_board () =
   let net = mknet () in
   let a, _, _, _, _ = chain net in
-  let w = Obs.Window.create ~width:(Obs.Window.Episodes 64) () in
-  Engine.add_sink net (Obs.Window.sink w);
+  let w = Obs.Board.window (Obs.Board.attach net) in
   ignore (Engine.set net a 1);
   ignore (Engine.set net a 2);
   let cur = Obs.Window.current w in
-  Alcotest.(check int) "episodes observed via the sink" 2
+  Alcotest.(check int) "episodes observed via the board's sink" 2
     cur.Obs.Window.w_episodes;
   Alcotest.(check int) "both committed" 2 cur.Obs.Window.w_committed;
   Alcotest.(check bool) "latency histogram fed" true
@@ -373,7 +372,7 @@ let test_watchdog_stock_rules () =
     [ ("sink_errors>0", "2 sink error(s)") ]
     (Obs.Watchdog.firing wd)
 
-(* ---------------- the monitored board, end to end ---------------- *)
+(* ---------------- the board's monitor, end to end ---------------- *)
 
 let test_board_monitor_end_to_end () =
   let net = mknet ~name:"mon-e2e" () in
@@ -383,26 +382,16 @@ let test_board_monitor_end_to_end () =
   let pred = function [ Some x ] -> x <= 100 | _ -> true in
   let _ = Clib.predicate ~kind:"limit" ~pred net [ guard ] in
   let b =
-    Obs.Board.attach ~monitor:true ~window_width:(Obs.Window.Episodes 2) net
+    Obs.Board.attach ~window_width:(Obs.Window.Episodes 2) net
   in
-  Alcotest.(check bool) "board reports monitoring" true
-    (Obs.Board.monitored b);
-  let wd =
-    match Obs.Board.watchdog b with
-    | Some wd -> wd
-    | None -> Alcotest.fail "no watchdog on a monitored board"
-  in
+  let wd = Obs.Board.watchdog b in
   Alcotest.(check string) "watchdog named after the net" "mon-e2e"
     (Obs.Watchdog.name wd);
   ignore (Engine.set net a 1);
   ignore (Engine.set net a 2);
   ignore (Engine.set net a 300) (* violates the predicate, rolls back *);
   ignore (Engine.set net a 3);
-  let w =
-    match Obs.Board.window b with
-    | Some w -> w
-    | None -> Alcotest.fail "no window on a monitored board"
-  in
+  let w = Obs.Board.window b in
   Alcotest.(check int) "two windows closed (width 2, 4 episodes)" 2
     (Obs.Window.completed_count w);
   let closed = Obs.Window.completed w in
@@ -419,11 +408,7 @@ let test_board_monitor_end_to_end () =
        (fun acc s -> acc + s.Obs.Window.w_violations)
        0 closed);
   (* the violating episode was promoted with its full trace *)
-  let sam =
-    match Obs.Board.sampler b with
-    | Some s -> s
-    | None -> Alcotest.fail "no sampler"
-  in
+  let sam = Obs.Board.sampler b in
   let violating =
     List.filter
       (fun ex -> List.mem Obs.Sampler.Violating ex.Obs.Sampler.ex_reasons)
@@ -571,8 +556,8 @@ let suite =
         test_window_history_bounded;
       Alcotest.test_case "window seconds width" `Quick
         test_window_seconds_width;
-      Alcotest.test_case "window standalone sink" `Quick
-        test_window_standalone_sink;
+      Alcotest.test_case "window fed by the board" `Quick
+        test_window_fed_by_the_board;
       Alcotest.test_case "sampler slow top-k" `Quick test_sampler_slow_topk;
       Alcotest.test_case "sampler events and reasons" `Quick
         test_sampler_events_and_reasons;

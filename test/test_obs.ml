@@ -20,6 +20,9 @@ let chain net =
 
 let ok = function Ok () -> true | Error _ -> false
 
+(* A sink feeding one ring, as the board's sink does. *)
+let ring_sink ring = Types.{ snk_name = "ring"; snk_emit = Obs.Ring.push ring }
+
 (* ---------------- fan-out ---------------- *)
 
 let test_fan_out_order () =
@@ -109,7 +112,7 @@ let test_episode_ids_consistent () =
   let net = mknet () in
   let a, _, _, _, _ = chain net in
   let ring = Obs.Ring.create ~capacity:4096 () in
-  Engine.add_sink net (Obs.Ring.sink ring);
+  Engine.add_sink net (ring_sink ring);
   ignore (Engine.set net a 1);
   ignore (Engine.set net a 2);
   ignore (Engine.explain_set net a 3);
@@ -155,7 +158,7 @@ let test_rolled_back_span_on_fault () =
   let a, _, _, _, bc = chain net in
   ignore (Engine.set net a 1);
   let ring = Obs.Ring.create ~capacity:1024 () in
-  Engine.add_sink net (Obs.Ring.sink ring);
+  Engine.add_sink net (ring_sink ring);
   let inj = Fault.wrap ~mode:(Fault.Throw_on [ 1 ]) bc in
   Alcotest.(check bool) "faulted set fails" false (ok (Engine.set net a 2));
   Fault.restore inj;
@@ -174,7 +177,7 @@ let test_ring_eviction () =
   let net = mknet () in
   let a, _, _, _, _ = chain net in
   let ring = Obs.Ring.create ~capacity:8 () in
-  Engine.add_sink net (Obs.Ring.sink ring);
+  Engine.add_sink net (ring_sink ring);
   for i = 1 to 10 do
     ignore (Engine.set net a i)
   done;
@@ -216,7 +219,7 @@ let test_ring_wrap_mid_episode () =
          match te.Types.te_event with
          | Types.T_assign _ when not !installed ->
            installed := true;
-           Engine.add_sink net (Obs.Ring.sink ring)
+           Engine.add_sink net (ring_sink ring)
          | _ -> ()));
   ignore (Engine.set net a 1);
   Alcotest.(check bool) "sink installed mid-episode" true !installed;
@@ -274,8 +277,7 @@ let test_ring_wrap_mid_episode () =
 let test_metrics_agree_with_stats () =
   let net = mknet () in
   let a, _, _, _, _ = chain net in
-  let m = Obs.Metrics.create () in
-  Engine.add_sink net (Obs.Metrics.kernel_sink m);
+  let m = Obs.Board.metrics (Obs.Board.attach net) in
   (* the constraint-attach episodes above ran unobserved *)
   Engine.reset_stats net;
   ignore (Engine.set net a 1);
@@ -382,8 +384,7 @@ let test_profiler_hotspots () =
         List.for_all (function Some x -> x < 100 | None -> true) vs)
       net [ c ]
   in
-  let p = Obs.Profiler.create () in
-  Engine.add_sink net (Obs.Profiler.sink p);
+  let p = Obs.Board.profiler (Obs.Board.attach net) in
   for i = 1 to 5 do
     ignore (Engine.set net a i)
   done;
@@ -553,7 +554,7 @@ let test_answer_text () =
 let test_board_bundle () =
   let net = mknet () in
   let a, _, _, _, _ = chain net in
-  let b = Obs.Board.attach ~ring_capacity:64 net in
+  let b = Obs.Board.attach net in
   ignore (Engine.set net a 1);
   ignore (Engine.set net a 2);
   Alcotest.(check int) "one fused subscription" 1
@@ -576,12 +577,16 @@ let test_board_bundle () =
 
 let pnet name = Engine.create_network ~name ()
 
+(* The provenance store of a fresh board on [net]. *)
+let prov ?pp_value ?scope net =
+  Obs.Board.provenance (Obs.Board.attach ?pp_value ?scope net)
+
 (* Single network: the derivation chain of a propagated value, forward
    blame, and the critical path of the episode. *)
 let test_provenance_queries () =
   let net = pnet "prov-q" in
   let a, _, _, _, _ = chain net in
-  let p = Obs.Provenance.attach ~pp_value:string_of_int net in
+  let p = prov ~pp_value:string_of_int net in
   Alcotest.(check bool) "set ok" true (ok (Engine.set net a 7));
   let open Obs.Provenance in
   (match latest_span p "o.b" with
@@ -615,7 +620,7 @@ let test_provenance_queries () =
     Alcotest.(check string) "middle hop" "o.b" s2.sp_var;
     Alcotest.(check string) "newest last" "o.c" s3.sp_var
   | l -> Alcotest.failf "expected a 3-span critical path, got %d" (List.length l));
-  detach p
+  Obs.Board.detach net
 
 (* A rolled-back episode must leave queries agreeing with the live
    network: spans survive but are dead, and the per-variable latest
@@ -623,7 +628,7 @@ let test_provenance_queries () =
 let test_provenance_rollback () =
   let net = pnet "prov-rb" in
   let a, _, c, _, _ = chain net in
-  let p = Obs.Provenance.attach ~pp_value:string_of_int net in
+  let p = prov ~pp_value:string_of_int net in
   Alcotest.(check bool) "pin via a" true (ok (Engine.set net a 1));
   (* conflicting user entry on c: propagation cannot overwrite the user
      value on a, so the episode rolls back *)
@@ -654,25 +659,29 @@ let test_provenance_rollback () =
     (List.exists
        (fun s -> s.ws_span.sp_just = "user" && s.ws_span.sp_var = "o.a")
        (why p "o.c"));
-  detach p
+  Obs.Board.detach net
 
+(* Three spans a set, so [capacity / 2] sets wrap the span ring. *)
 let test_provenance_eviction () =
   let net = pnet "prov-evict" in
   let a, _, _, _, _ = chain net in
-  let p = Obs.Provenance.attach ~capacity:16 ~pp_value:string_of_int net in
-  for i = 1 to 40 do
+  let p = prov ~pp_value:string_of_int net in
+  let sets = Obs.Provenance.capacity / 2 in
+  for i = 1 to sets do
     ignore (Engine.set net a i)
   done;
   let open Obs.Provenance in
   Alcotest.(check bool) "evictions counted" true (evicted p > 0);
   Alcotest.(check bool) "live spans bounded" true
-    (List.length (live_spans p) <= 16);
+    (List.length (live_spans p) <= capacity);
   (match latest_span p "o.c" with
-  | Some sp -> Alcotest.(check (option string)) "newest kept" (Some "40") sp.sp_value
+  | Some sp ->
+    Alcotest.(check (option string)) "newest kept"
+      (Some (string_of_int sets)) sp.sp_value
   | None -> Alcotest.fail "latest evicted");
   (* chains into evicted history truncate instead of failing *)
   Alcotest.(check bool) "why still answers" true (why p "o.c" <> []);
-  detach p
+  Obs.Board.detach net
 
 (* An integer sum over [inputs] into [result]: a functional constraint
    of arity [1 + List.length inputs]. *)
@@ -681,15 +690,13 @@ let isum net ~result inputs =
     (Clib.functional net ~kind:"sum" ~result inputs ~f:(fun xs ->
          Some (List.fold_left ( + ) 0 xs)))
 
-(* The store's bookkeeping is O(1) per episode: a monitored, provenance-
-   tracked net allocates as much per episode long after its episode log
+(* The store's bookkeeping is O(1) per episode: a board's net allocates as much per episode long after its episode log
    filled (1,024 episodes) as before. *)
 let test_provenance_steady_allocation () =
   let net = pnet "prov-steady" in
   let x = ivar net "x" and y = ivar net "y" in
   ignore (isum net ~result:y [ x ]);
-  ignore (Obs.Board.attach ~monitor:true net);
-  let p = Obs.Provenance.attach ~pp_value:string_of_int net in
+  ignore (Obs.Board.attach ~pp_value:string_of_int net);
   let words = Array.make 2817 0. in
   for i = 1 to 2816 do
     let w0 = Gc.minor_words () in
@@ -706,7 +713,6 @@ let test_provenance_steady_allocation () =
   let early = per_episode 257 768 and late = per_episode 2305 2816 in
   if Float.abs (late -. early) > 0.1 *. early then
     Alcotest.failf "%.0f words per episode late against %.0f early" late early;
-  Obs.Provenance.detach p;
   Obs.Board.detach net
 
 (* The episode log keeps exactly the newest 1,024 episodes, oldest
@@ -725,7 +731,7 @@ let test_provenance_episode_log () =
          match te.Types.te_event with
          | Types.T_episode_end sp -> ends := (sp.es_id, sp.es_outcome) :: !ends
          | _ -> ()));
-  let p = Obs.Provenance.attach net in
+  let p = prov net in
   for i = 1 to 3000 do
     ignore (Engine.set net x (if i mod 7 = 0 then 20_000 + i else i))
   done;
@@ -741,7 +747,7 @@ let test_provenance_episode_log () =
   Alcotest.(check (list int)) "the newest 1,024 ids, oldest first"
     (List.map fst expected) (List.map fst got);
   Alcotest.(check bool) "each with its outcome" true (expected = got);
-  Obs.Provenance.detach p
+  Obs.Board.detach net
 
 (* [why] through a sum names every input's span: two antecedents ride in
    the span ring, three or more spill out of it. *)
@@ -751,7 +757,7 @@ let test_provenance_sum_antecedents () =
   let s2 = ivar net "s2" and s3 = ivar net "s3" in
   ignore (isum net ~result:s2 [ a; b ]);
   ignore (isum net ~result:s3 [ a; b; c ]);
-  let p = Obs.Provenance.attach ~pp_value:string_of_int net in
+  let p = prov ~pp_value:string_of_int net in
   List.iter
     (fun (v, n) -> Alcotest.(check bool) "set" true (ok (Engine.set net v n)))
     [ (a, 1); (b, 2); (c, 3) ];
@@ -773,28 +779,26 @@ let test_provenance_sum_antecedents () =
     (named "o.s2");
   Alcotest.(check (list string)) "why s3 names all three inputs"
     [ "o.a"; "o.b"; "o.c" ] (named "o.s3");
-  detach p
+  Obs.Board.detach net
 
 (* Evicting a span whose antecedents spilled drops the spilled entry
-   too: the side table never outgrows the ring. *)
+   too: the side table never outgrows the ring.  Two spans a set, so
+   [capacity] sets wrap the span ring. *)
 let test_provenance_spill_eviction () =
   let net = pnet "prov-spill" in
   let a = ivar net "a" and b = ivar net "b" and c = ivar net "c" in
   let s = ivar net "s" in
   ignore (isum net ~result:s [ a; b; c ]);
-  let p = Obs.Provenance.attach ~capacity:16 ~pp_value:string_of_int net in
+  let p = prov ~pp_value:string_of_int net in
   ignore (Engine.set net b 0);
   ignore (Engine.set net c 0);
   let retained_spilled () =
-    let n = ref 0 in
-    for id = 1 to 200 do
-      match Obs.Provenance.find_span p id with
-      | Some sp when List.length sp.sp_antecedents >= 3 -> incr n
-      | _ -> ()
-    done;
-    !n
+    List.length
+      (List.filter
+         (fun sp -> List.length sp.Obs.Provenance.sp_antecedents >= 3)
+         (Obs.Provenance.live_spans p))
   in
-  for i = 1 to 40 do
+  for i = 1 to Obs.Provenance.capacity do
     ignore (Engine.set net a i)
   done;
   Alcotest.(check bool) "spans were evicted" true (Obs.Provenance.evicted p > 0);
@@ -804,26 +808,19 @@ let test_provenance_spill_eviction () =
   Alcotest.(check int) "one entry per retained spilled span"
     (retained_spilled ()) (Obs.Provenance.spilled p);
   Alcotest.(check bool) "bounded by the ring" true
-    (Obs.Provenance.spilled p <= 8);
-  Obs.Provenance.detach p
+    (Obs.Provenance.spilled p <= Obs.Provenance.capacity / 2);
+  Obs.Board.detach net
 
-(* The acceptance property: a [why] on a variable whose value arrived
-   over a dual bridge walks the derivation across both networks of one
-   provenance scope back to the original designer entry, and the
-   episode forest nests the remote episode under its cross-network
-   parent.  A store outside the scope stitches only within itself. *)
-let test_provenance_why_cross_network () =
+(* A design net whose [alu/sum] width crosses a dual bridge into a
+   floorplan net, with a board on each: [scope net] is the provenance
+   scope for [net]'s board.  The designer entry sets 16. *)
+let bridged_pair scope =
   let design = Stem.Env.create ~name:"design" () in
   let floorplan = Stem.Env.create ~name:"floorplan" () in
   let dnet = design.Stem.Design.env_cnet in
   let fnet = floorplan.Stem.Design.env_cnet in
-  let scope = Obs.Provenance.scope () in
-  let dprov = Obs.Provenance.attach ~pp_value:Dval.to_string ~scope dnet in
-  let fprov = Obs.Provenance.attach ~pp_value:Dval.to_string ~scope fnet in
-  let alone =
-    Obs.Provenance.attach ~name:"provenance-alone" ~pp_value:Dval.to_string
-      fnet
-  in
+  let dprov = prov ~pp_value:Dval.to_string ?scope:(scope dnet) dnet in
+  let fprov = prov ~pp_value:Dval.to_string ?scope:(scope fnet) fnet in
   let a = Dclib.variable dnet ~owner:"alu/a" ~name:"bitWidth" () in
   let b = Dclib.variable dnet ~owner:"alu/sum" ~name:"bitWidth" () in
   ignore (Dclib.equality dnet [ a; b ]);
@@ -837,6 +834,18 @@ let test_provenance_why_cross_network () =
     (match Engine.set dnet a (Dval.Int 16) with Ok () -> true | Error _ -> false);
   Alcotest.(check bool) "value crossed the bridge" true
     (Var.value tracks = Some (Dval.Int 16));
+  (dnet, fnet, dprov, fprov)
+
+(* The acceptance property: a [why] on a variable whose value arrived
+   over a dual bridge walks the derivation across both networks of one
+   provenance scope back to the original designer entry, and the
+   episode forest nests the remote episode under its cross-network
+   parent.  A store outside the scope stitches only within itself. *)
+let test_provenance_why_cross_network () =
+  let scope = Obs.Provenance.scope () in
+  let dnet, fnet, dprov, fprov = bridged_pair (fun _ -> Some scope) in
+  (* the second pair's floorplan store has a scope of its own *)
+  let dnet2, fnet2, _, alone = bridged_pair (fun _ -> None) in
   let open Obs.Provenance in
   let chain = why fprov "chan0.tracks" in
   let nets =
@@ -873,9 +882,7 @@ let test_provenance_why_cross_network () =
     (List.exists crosses (episode_forest dprov));
   Alcotest.(check bool) "an unscoped forest does not" false
     (List.exists crosses (episode_forest alone));
-  detach dprov;
-  detach fprov;
-  detach alone
+  List.iter Obs.Board.detach [ dnet; fnet; dnet2; fnet2 ]
 
 (* ---------------- replay ---------------- *)
 

@@ -363,7 +363,7 @@ let test_http_pipelining () =
 let with_server f =
   let net = mknet ~name:"srv-live" () in
   let vars = chain net in
-  let board = Obs.Board.attach ~monitor:true net in
+  let board = Obs.Board.attach net in
   Serve.expose ~board net;
   let sv = Serve.start ~port:0 () in
   Fun.protect

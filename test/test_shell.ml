@@ -190,7 +190,7 @@ let capture ss line =
     (fun () -> ignore (Shell.execute ss line));
   Buffer.contents buf
 
-(* A monitored session net with a provenance store, served (shell
+(* A session net with its board, served (shell
    [serve], with the session's history store) and hosted (shell [host]),
    after a fixed edit mix with a rolled-back episode: every HTTP body is
    [Jsonl.to_string] of an answer, and every shell command prints
@@ -232,10 +232,9 @@ let test_surfaces_agree () =
               (Serve.Wstore.served ())
           in
           let mine = [ Obs.Answer.Named (net, board) ] in
-          let wd (name, b) = Option.map (fun w -> (name, w)) (Obs.Board.watchdog b) in
           let watchdogs =
-            List.filter_map
-              (fun (Serve.Wstore.Served s) -> wd (s.name, s.board))
+            List.map
+              (fun (Serve.Wstore.Served s) -> (s.name, Obs.Board.watchdog s.board))
               (Serve.Wstore.served ())
           in
           let body meth path =
@@ -255,6 +254,19 @@ let test_surfaces_agree () =
             (contains (json (Obs.Answer.spans mine)) "\"outcome\":\"rolled_back\"");
           (* HTTP bodies *)
           check "GET /spans" (json (Obs.Answer.spans served)) (body `Get "/spans");
+          (match Strict_json.parse_json (body `Get "/spans") with
+          | Strict_json.Arr rows ->
+            Alcotest.(check (list string)) "served once, under the hosted id"
+              [ "agree"; "agree"; "agree" ]
+              (List.map
+                 (function
+                   | Strict_json.Obj kvs -> (
+                     match List.assoc_opt "net" kvs with
+                     | Some (Strict_json.Str n) -> n
+                     | _ -> "?")
+                   | _ -> "?")
+                 rows)
+          | _ -> Alcotest.fail "/spans is not an array");
           check "GET /exemplars"
             (json (Obs.Answer.exemplars served))
             (body `Get "/exemplars");
@@ -286,7 +298,7 @@ let test_surfaces_agree () =
           check "shell spans" (text (Obs.Answer.spans mine)) (sh "spans");
           check "shell exemplars" (text (Obs.Answer.exemplars mine)) (sh "exemplars");
           check "shell alerts"
-            (text (Obs.Answer.alerts (Option.to_list (wd (net, board)))))
+            (text (Obs.Answer.alerts [ (net, Obs.Board.watchdog board) ]))
             (sh "alerts");
           check "shell why" (text (Obs.Answer.why prov var)) (sh ("why " ^ var));
           check "shell blame"
