@@ -50,6 +50,7 @@ let make net ~kind ?label ?(activation = wake_all) ?(fires_on_reset = false)
       c_strength = strength;
       c_failures = 0;
       c_quarantined = None;
+      c_all_args_just = Default;
     }
   in
   net.net_next_cstr_id <- net.net_next_cstr_id + 1;

@@ -592,6 +592,18 @@ let install ctx v x ~just ~source_label =
       (violation ~var:v ~exn:e
          (Printf.sprintf "exception in on-change hook of %s" v.v_path))
 
+(* The justification of an assignment by [source]: the constraint's
+   shared [All_arguments] record, built on first use, or a fresh one for
+   any other dependency record. *)
+let propagated source record =
+  match record, source.c_all_args_just with
+  | All_arguments, (Propagated _ as j) -> j
+  | All_arguments, _ ->
+    let j = Propagated { source; record = All_arguments } in
+    source.c_all_args_just <- j;
+    j
+  | (Single_var _ | Some_vars _ | Opaque), _ -> Propagated { source; record }
+
 let set_by_constraint ctx v x ~source ~record =
   match v.v_value with
   | Some cur when v.v_equal cur x ->
@@ -644,8 +656,7 @@ let set_by_constraint ctx v x ~source ~record =
              (Printf.sprintf "cannot overwrite %s: %s" (Var.path v) why))
       | Ok Accept -> (
         match
-          install ctx v x
-            ~just:(Propagated { source; record })
+          install ctx v x ~just:(propagated source record)
             ~source_label:source.c_source_label
         with
         | Ok () -> propagate_changed ctx v source.c_id

@@ -303,6 +303,11 @@ and 'a cstr = {
      broken inference procedure degrades its own cell instead of
      wedging the whole network.  [None] = healthy. *)
   mutable c_quarantined : string option;
+  (* [Propagated { source = c; record = All_arguments }], built on the
+     constraint's first such assignment and shared by every later one,
+     so a functional step allocates no justification.  [Default] until
+     then. *)
+  mutable c_all_args_just : 'a justification;
 }
 
 (* The undo trail of an episode, newest entry first: each entry is a

@@ -44,7 +44,7 @@ let exemplar_fields net (ex : _ Sampler.exemplar) =
     );
     ("outcome", J_str (outcome_string ex.ex_span.es_outcome));
     ("latency_us", us (Types.span_total ex.ex_span));
-    ("events", J_int (List.length ex.ex_events));
+    ("events", J_int ex.ex_length);
     ("truncated", J_bool ex.ex_truncated);
   ]
 
@@ -67,7 +67,7 @@ let exemplar net ex =
   in
   J_obj
     (exemplar_fields net ex
-    @ [ ("trace", J_arr (List.map event ex.Sampler.ex_events)) ])
+    @ [ ("trace", J_arr (List.map event (Sampler.events ex))) ])
 
 (* ---------------- windows, watchdogs, health ---------------- *)
 

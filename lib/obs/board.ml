@@ -5,6 +5,17 @@
 
 open Constraint_kernel
 
+(* Long-horizon history: where to sample, and every series resolved
+   once for this board and prefix — per instrument its series (a
+   histogram's three quantile series), rebuilt only when the registry
+   grows. *)
+type history = {
+  hi_ts : Tsdb.t;
+  hi_name : string -> string; (* the prefix applied *)
+  mutable hi_items : (Metrics.item * Tsdb.handle array) array;
+  hi_window : Tsdb.handle array;
+}
+
 type 'a t = {
   b_ring : 'a Ring.t;
   b_metrics : Metrics.t;
@@ -19,7 +30,7 @@ type 'a t = {
   (* long-horizon history sink; sampled at each window rotation (a
      ref cell: the rotation callback closes over it before the board
      record exists) *)
-  b_history : (Tsdb.t * string) option ref;
+  b_history : history option ref;
 }
 
 let sink_name = "board"
@@ -76,39 +87,60 @@ let register_gc_gauges metrics w =
   sample ();
   Window.on_rotate w (fun _ -> sample ())
 
+let window_series =
+  [| "window.episodes"; "window.committed"; "window.violations";
+     "window.episode_rate"; "window.violation_rate"; "window.p50_us";
+     "window.p95_us"; "window.p99_us" |]
+
+let item_series ts name it =
+  let n = name (Metrics.item_name it) in
+  Array.map (Tsdb.handle ts)
+    (match it with
+    | Metrics.Counter _ | Metrics.Gauge _ -> [| n |]
+    | Metrics.Histogram _ -> [| n ^ ".p50"; n ^ ".p95"; n ^ ".p99" |])
+
+let history ts prefix =
+  let name n = if prefix = "" then n else prefix ^ "." ^ n in
+  { hi_ts = ts; hi_name = name; hi_items = [||];
+    hi_window = Array.map (fun n -> Tsdb.handle ts (name n)) window_series }
+
 (* One window tick's worth of history samples: every registered
    instrument (counters as running totals, gauges at their last value,
    histograms as p50/p95/p99) plus the completed window's own derived
-   rates.  The sample timestamp is the window's close time, derived
-   from the window's clock so test clocks yield deterministic
-   series. *)
-let sample_history metrics ts prefix (snap : Window.snapshot) =
+   rates, appended as one batch.  The sample timestamp is the window's
+   close time, derived from the window's clock so test clocks yield
+   deterministic series. *)
+let sample_history metrics h (snap : Window.snapshot) =
+  if Array.length h.hi_items <> Metrics.item_count metrics then
+    h.hi_items <-
+      Array.of_list
+        (List.map (fun it -> (it, item_series h.hi_ts h.hi_name it))
+           (Metrics.items metrics));
   let now = snap.Window.w_opened +. snap.Window.w_duration in
-  let name n = if prefix = "" then n else prefix ^ "." ^ n in
-  let put n v = Tsdb.append ts ~series:(name n) ~t:now ~v in
-  List.iter
-    (fun it ->
-      let n = Metrics.item_name it in
-      match it with
-      | Metrics.Counter c -> put n (float_of_int (Metrics.count c))
-      | Metrics.Gauge g -> put n (Metrics.gauge_last g)
-      | Metrics.Histogram h ->
-        if Metrics.samples h > 0 then begin
-          put (n ^ ".p50") (Metrics.quantile h 0.5);
-          put (n ^ ".p95") (Metrics.quantile h 0.95);
-          put (n ^ ".p99") (Metrics.quantile h 0.99)
-        end)
-    (Metrics.items metrics);
-  put "window.episodes" (float_of_int snap.Window.w_episodes);
-  put "window.committed" (float_of_int snap.Window.w_committed);
-  put "window.violations" (float_of_int snap.Window.w_violations);
-  put "window.episode_rate" (Window.episode_rate snap);
-  put "window.violation_rate" (Window.violation_rate snap);
-  if snap.Window.w_episodes > 0 then begin
-    put "window.p50_us" (Window.p50 snap);
-    put "window.p95_us" (Window.p95 snap);
-    put "window.p99_us" (Window.p99 snap)
-  end
+  Tsdb.append_batch h.hi_ts ~t:now (fun put ->
+      Array.iter
+        (fun (it, names) ->
+          match it with
+          | Metrics.Counter c -> put names.(0) (float_of_int (Metrics.count c))
+          | Metrics.Gauge g -> put names.(0) (Metrics.gauge_last g)
+          | Metrics.Histogram hg ->
+            if Metrics.samples hg > 0 then begin
+              put names.(0) (Metrics.quantile hg 0.5);
+              put names.(1) (Metrics.quantile hg 0.95);
+              put names.(2) (Metrics.quantile hg 0.99)
+            end)
+        h.hi_items;
+      let w = h.hi_window in
+      put w.(0) (float_of_int snap.Window.w_episodes);
+      put w.(1) (float_of_int snap.Window.w_committed);
+      put w.(2) (float_of_int snap.Window.w_violations);
+      put w.(3) (Window.episode_rate snap);
+      put w.(4) (Window.violation_rate snap);
+      if snap.Window.w_episodes > 0 then begin
+        put w.(5) (Window.p50 snap);
+        put w.(6) (Window.p95 snap);
+        put w.(7) (Window.p99 snap)
+      end)
 
 (* The consumers are fused into one subscription: a single closure
    call, exception trap and event match per trace event instead of one
@@ -201,7 +233,7 @@ let attach ?(window_width = Window.Episodes 32)
      repeated enable/disable cannot stack rotation callbacks *)
   Window.on_rotate w (fun snap ->
       match !history with
-      | Some (ts, prefix) -> sample_history metrics ts prefix snap
+      | Some h -> sample_history metrics h snap
       | None -> ());
   let b =
     {
@@ -228,9 +260,9 @@ let profiler b = b.b_profiler
 let provenance b = b.b_prov
 
 let set_history ?(prefix = "") b ts =
-  b.b_history := Option.map (fun t -> (t, prefix)) ts
+  b.b_history := Option.map (fun ts -> history ts prefix) ts
 
-let history b = Option.map fst !(b.b_history)
+let history b = Option.map (fun h -> h.hi_ts) !(b.b_history)
 
 let window b = b.b_window
 

@@ -1,17 +1,25 @@
 (* A small metrics registry: named counters, gauges and fixed-bucket
    histograms, plus the kernel instruments a board aggregates a
    network's trace events into.  All instruments are O(1) per observation and
-   allocation-free after creation. *)
+   allocation-free after creation: their float state lives in all-float
+   records, which OCaml stores flat, so an update boxes nothing. *)
 
 open Constraint_kernel.Types
 
 type counter = { c_name : string; mutable c_count : int }
 
+type gauge_floats = { mutable g_last : float; mutable g_max : float }
+
 type gauge = {
   g_name : string;
-  mutable g_last : float;
-  mutable g_max : float;
+  g_f : gauge_floats;
   mutable g_samples : int;
+}
+
+type histogram_floats = {
+  mutable h_sum : float;
+  mutable h_min : float;
+  mutable h_max : float;
 }
 
 type histogram = {
@@ -19,9 +27,7 @@ type histogram = {
   h_bounds : float array; (* inclusive upper bounds, ascending *)
   h_counts : int array; (* length = Array.length h_bounds + 1 (overflow) *)
   mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
+  h_f : histogram_floats;
 }
 
 type item = Counter of counter | Gauge of gauge | Histogram of histogram
@@ -50,6 +56,8 @@ let find t name = Hashtbl.find_opt t.m_items name
 let items t =
   List.rev_map (fun n -> Hashtbl.find t.m_items n) t.m_order
 
+let item_count t = Hashtbl.length t.m_items
+
 (* ---------------- counters ---------------- *)
 
 let counter t name =
@@ -75,13 +83,16 @@ let gauge t name =
   | Some (Gauge g) -> g
   | Some _ -> invalid_arg (Printf.sprintf "Metrics: %S is not a gauge" name)
   | None ->
-    let g = { g_name = name; g_last = 0.; g_max = neg_infinity; g_samples = 0 } in
+    let g =
+      { g_name = name; g_f = { g_last = 0.; g_max = neg_infinity };
+        g_samples = 0 }
+    in
     register t (Gauge g);
     g
 
 let set_gauge g x =
-  g.g_last <- x;
-  if x > g.g_max then g.g_max <- x;
+  g.g_f.g_last <- x;
+  if x > g.g_f.g_max then g.g_f.g_max <- x;
   g.g_samples <- g.g_samples + 1
 
 (* ---------------- histograms ---------------- *)
@@ -104,9 +115,7 @@ let histogram_standalone ?(bounds = default_time_bounds) name =
     h_bounds = bounds;
     h_counts = Array.make (Array.length bounds + 1) 0;
     h_count = 0;
-    h_sum = 0.;
-    h_min = infinity;
-    h_max = neg_infinity;
+    h_f = { h_sum = 0.; h_min = infinity; h_max = neg_infinity };
   }
 
 let histogram ?(bounds = default_time_bounds) t name =
@@ -114,31 +123,25 @@ let histogram ?(bounds = default_time_bounds) t name =
   | Some (Histogram h) -> h
   | Some _ -> invalid_arg (Printf.sprintf "Metrics: %S is not a histogram" name)
   | None ->
-    let h =
-      {
-        h_name = name;
-        h_bounds = bounds;
-        h_counts = Array.make (Array.length bounds + 1) 0;
-        h_count = 0;
-        h_sum = 0.;
-        h_min = infinity;
-        h_max = neg_infinity;
-      }
-    in
+    let h = histogram_standalone ~bounds name in
     register t (Histogram h);
     h
 
-let observe h x =
+(* Inlined, and a loop rather than a local recursive function, so the
+   observed float is never boxed to make the call. *)
+let[@inline] observe h x =
   let n = Array.length h.h_bounds in
-  let rec bucket i = if i >= n || x <= h.h_bounds.(i) then i else bucket (i + 1) in
-  let i = bucket 0 in
+  let i = ref 0 in
+  while !i < n && not (x <= Array.unsafe_get h.h_bounds !i) do i := !i + 1 done;
+  let i = !i in
   h.h_counts.(i) <- h.h_counts.(i) + 1;
   h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. x;
-  if x < h.h_min then h.h_min <- x;
-  if x > h.h_max then h.h_max <- x
+  let f = h.h_f in
+  f.h_sum <- f.h_sum +. x;
+  if x < f.h_min then f.h_min <- x;
+  if x > f.h_max then f.h_max <- x
 
-let mean h = if h.h_count = 0 then 0. else h.h_sum /. float_of_int h.h_count
+let mean h = if h.h_count = 0 then 0. else h.h_f.h_sum /. float_of_int h.h_count
 
 (* Approximate quantile: find the bucket holding the q-th observation
    and interpolate linearly inside it (bounded by observed min/max). *)
@@ -146,17 +149,18 @@ let quantile h q =
   if h.h_count = 0 then 0.
   else begin
     let q = Float.max 0. (Float.min 1. q) in
+    let { h_min; h_max; _ } = h.h_f in
     let rank = q *. float_of_int h.h_count in
     let n = Array.length h.h_bounds in
     let rec go i acc =
-      if i > n then h.h_max
+      if i > n then h_max
       else
         let acc' = acc + h.h_counts.(i) in
         if float_of_int acc' >= rank then begin
-          let lo = if i = 0 then h.h_min else h.h_bounds.(i - 1) in
-          let hi = if i = n then h.h_max else h.h_bounds.(i) in
-          let lo = Float.min (Float.max lo h.h_min) h.h_max
-          and hi = Float.max (Float.min hi h.h_max) h.h_min in
+          let lo = if i = 0 then h_min else h.h_bounds.(i - 1) in
+          let hi = if i = n then h_max else h.h_bounds.(i) in
+          let lo = Float.min (Float.max lo h_min) h_max
+          and hi = Float.max (Float.min hi h_max) h_min in
           (* an empty bucket can only satisfy the rank test at its lower
              boundary (rank = acc), so that boundary is the answer *)
           if h.h_counts.(i) = 0 then Float.min lo hi
@@ -282,7 +286,7 @@ let render_prometheus_series ?namespace ?(labels = []) buf it =
   let fam, _ = prometheus_family ?namespace it in
   match it with
   | Counter c -> add_series buf fam labels (string_of_int c.c_count)
-  | Gauge g -> add_series buf fam labels (prom_float g.g_last)
+  | Gauge g -> add_series buf fam labels (prom_float g.g_f.g_last)
   | Histogram h ->
     let acc = ref 0 in
     Array.iteri
@@ -295,7 +299,7 @@ let render_prometheus_series ?namespace ?(labels = []) buf it =
     add_series buf (fam ^ "_bucket")
       (labels @ [ ("le", "+Inf") ])
       (string_of_int h.h_count);
-    add_series buf (fam ^ "_sum") labels (prom_float h.h_sum);
+    add_series buf (fam ^ "_sum") labels (prom_float h.h_f.h_sum);
     add_series buf (fam ^ "_count") labels (string_of_int h.h_count)
 
 let add_family_header buf ~fam ~ty ~help =
@@ -405,6 +409,6 @@ let observe_span ks sp =
 
 let samples h = h.h_count
 
-let gauge_last g = g.g_last
+let gauge_last g = g.g_f.g_last
 
-let gauge_max g = g.g_max
+let gauge_max g = g.g_f.g_max

@@ -67,6 +67,9 @@ val find : t -> string -> item option
 (** Instruments in creation order. *)
 val items : t -> item list
 
+(** Number of registered instruments. *)
+val item_count : t -> int
+
 (** The name an instrument was registered under. *)
 val item_name : item -> string
 

@@ -44,7 +44,7 @@ type episode = {
   epi_id : int;
   epi_label : string;
   epi_parent : parent_ref option;
-  mutable epi_outcome : episode_outcome option; (* None while open *)
+  epi_outcome : episode_outcome option; (* None while open *)
 }
 
 (* ---------------- the stitching scope ---------------- *)
@@ -96,23 +96,28 @@ type 'a t = {
   pv_net : 'a network;
   pv_pp : 'a -> string;
   pv_scope : scope;
-  rg_id : int array; (* span id held in the slot; 0 = empty *)
   rg_episode : int array;
   rg_seq : int array;
   rg_vid : int array; (* variable id; the variable is [pv_vars.(vid)] *)
-  rg_value : 'a option array; (* raw value; None for a reset *)
-  rg_flags : int array; (* just tag (bits 0-2) | dead | antmore *)
+  (* raw value, when [flag_value] is set (not for a reset); empty
+     until the first assignment *)
+  mutable rg_value : 'a array;
+  rg_flags : int array; (* just tag (bits 0-2) | dead | antmore | ... *)
   rg_source : string array;
   rg_ant0 : int array; (* first antecedent span id; 0 = none *)
   rg_ant1 : int array; (* second antecedent span id; 0 = none *)
   rg_prior : int array; (* latest-span id this assignment displaced *)
-  rg_cross : parent_ref option array;
+  rg_cross : parent_ref option array; (* read only under [flag_cross] *)
   pv_ants : (int, int list) Hashtbl.t; (* span id -> antecedents, arity >= 3 *)
   mutable pv_latest : int array; (* v_id -> latest live span id, 0 = none *)
   mutable pv_vars : 'a var array; (* v_id -> the variable, once seen *)
   mutable pv_next_id : int;
   mutable pv_frames : frame list; (* innermost first *)
-  pv_epi : episode array; (* episode ring, slot [id land (max_episodes-1)] *)
+  (* the episode ring, in columns: slot [id land (max_episodes-1)] *)
+  ep_id : int array; (* 0 = empty *)
+  ep_label : string array;
+  ep_parent : parent_ref option array;
+  ep_outcome : int array; (* -1 while open, else the outcome's index *)
   mutable pv_last_epi : int; (* newest episode id noted; 0 = none *)
   mutable pv_evicted : int;
 }
@@ -127,10 +132,14 @@ let max_episodes = 1024
 (* spans retained, oldest evicted first; a power of two *)
 let capacity = 8192
 
-(* fills the episode ring's empty slots; its id 0 is never an episode's *)
-let no_episode =
-  { epi_net = ""; epi_id = 0; epi_label = ""; epi_parent = None;
-    epi_outcome = None }
+let outcomes = [| E_committed; E_rolled_back; E_probe_ok; E_probe_rejected |]
+
+let outcome_index o =
+  match o with
+  | E_committed -> 0
+  | E_rolled_back -> 1
+  | E_probe_ok -> 2
+  | E_probe_rejected -> 3
 
 let just_names =
   [| "default"; "user"; "application"; "update"; "tentative"; "propagated" |]
@@ -147,6 +156,14 @@ let flag_dead = 8
 
 let flag_antmore = 16
 
+let flag_value = 32
+
+let flag_cross = 64
+
+(* Span ids are sequential and each is written to its slot, so the ring
+   holds exactly the newest [capacity] ids. *)
+let held t id = id >= 1 && id < t.pv_next_id && id >= t.pv_next_id - capacity
+
 (* capacity is a power of two, so the ring slot is a mask, not a div *)
 let slot_of id = id land (capacity - 1)
 
@@ -154,7 +171,7 @@ let find_span t id =
   if id <= 0 then None
   else
     let slot = slot_of id in
-    if t.rg_id.(slot) <> id then None
+    if not (held t id) then None
     else
       let flags = t.rg_flags.(slot) in
       Some
@@ -164,7 +181,10 @@ let find_span t id =
           sp_episode = t.rg_episode.(slot);
           sp_seq = t.rg_seq.(slot);
           sp_var = Var.path t.pv_vars.(t.rg_vid.(slot));
-          sp_value = Option.map t.pv_pp t.rg_value.(slot);
+          sp_value =
+            (if flags land flag_value <> 0 then
+               Some (t.pv_pp t.rg_value.(slot))
+             else None);
           sp_just = just_names.(flags land 7);
           sp_source = t.rg_source.(slot);
           sp_antecedents =
@@ -177,7 +197,8 @@ let find_span t id =
                | 0, _ -> []
                | a, 0 -> [ a ]
                | a, b -> [ a; b ]);
-          sp_cross = t.rg_cross.(slot);
+          sp_cross =
+            (if flags land flag_cross <> 0 then t.rg_cross.(slot) else None);
           sp_dead = flags land flag_dead <> 0;
         }
 
@@ -220,8 +241,21 @@ let episodes t =
   let rec collect id acc =
     if id <= 0 || id <= t.pv_last_epi - max_episodes then acc
     else
-      let e = t.pv_epi.(id land (max_episodes - 1)) in
-      collect (id - 1) (if e.epi_id = id then e :: acc else acc)
+      let i = id land (max_episodes - 1) in
+      collect (id - 1)
+        (if t.ep_id.(i) = id then
+           {
+             epi_net = t.pv_net.net_name;
+             epi_id = id;
+             epi_label = t.ep_label.(i);
+             epi_parent = t.ep_parent.(i);
+             epi_outcome =
+               (match t.ep_outcome.(i) with
+               | -1 -> None
+               | o -> Some outcomes.(o));
+           }
+           :: acc
+         else acc)
   in
   collect t.pv_last_epi []
 
@@ -258,27 +292,38 @@ let record_span t ep seq v ~value ~source ~ant0 ~ant1 ~more =
   (* [slot] is masked into the ring and [vid] was range-checked by
      [ensure_var], so the unchecked accesses are in bounds *)
   let slot = slot_of id in
-  (match Array.unsafe_get t.rg_id slot with
-  | 0 -> ()
-  | evicted ->
+  if id > capacity then begin
     t.pv_evicted <- t.pv_evicted + 1;
     if Array.unsafe_get t.rg_flags slot land flag_antmore <> 0 then
-      Hashtbl.remove t.pv_ants evicted);
-  Array.unsafe_set t.rg_id slot id;
+      Hashtbl.remove t.pv_ants (id - capacity)
+  end;
   Array.unsafe_set t.rg_episode slot ep;
   Array.unsafe_set t.rg_seq slot seq;
   Array.unsafe_set t.rg_vid slot vid;
-  Array.unsafe_set t.rg_value slot value;
   Array.unsafe_set t.rg_source slot source;
   Array.unsafe_set t.rg_ant0 slot ant0;
   Array.unsafe_set t.rg_ant1 slot ant1;
   Array.unsafe_set t.rg_prior slot (Array.unsafe_get t.pv_latest vid);
+  let flags =
+    match value with
+    | Some x ->
+      if Array.length t.rg_value = 0 then t.rg_value <- Array.make capacity x
+      else Array.unsafe_set t.rg_value slot x;
+      just_tag v.v_just lor flag_value
+    | None -> just_tag v.v_just
+  in
+  let flags =
+    match cross with
+    | None -> flags
+    | Some _ ->
+      Array.unsafe_set t.rg_cross slot cross;
+      flags lor flag_cross
+  in
   (match more with
-  | [] -> Array.unsafe_set t.rg_flags slot (just_tag v.v_just)
+  | [] -> Array.unsafe_set t.rg_flags slot flags
   | more ->
-    Array.unsafe_set t.rg_flags slot (just_tag v.v_just lor flag_antmore);
+    Array.unsafe_set t.rg_flags slot (flags lor flag_antmore);
     Hashtbl.replace t.pv_ants id (ant0 :: ant1 :: more));
-  Array.unsafe_set t.rg_cross slot cross;
   Array.unsafe_set t.pv_latest vid id
 
 let episode_started t id label parent =
@@ -287,17 +332,19 @@ let episode_started t id label parent =
     :: t.pv_frames;
   (* noting overwrites the slot of the episode [max_episodes] ids back:
      eviction is the store itself *)
-  t.pv_epi.(id land (max_episodes - 1)) <-
-    { epi_net = t.pv_net.net_name; epi_id = id; epi_label = label;
-      epi_parent = parent; epi_outcome = None };
+  let i = id land (max_episodes - 1) in
+  t.ep_id.(i) <- id;
+  t.ep_label.(i) <- label;
+  t.ep_parent.(i) <- parent;
+  t.ep_outcome.(i) <- -1;
   t.pv_last_epi <- id
 
 (* An episode that did not commit (rollback or tentative probe) leaves
    the network exactly as it found it; make the index agree by killing
    the episode's spans and restoring the displaced latest entries. *)
 let episode_ended t { es_id = ep; es_outcome = outcome; _ } =
-  let e = t.pv_epi.(ep land (max_episodes - 1)) in
-  if e.epi_id = ep then e.epi_outcome <- Some outcome;
+  let i = ep land (max_episodes - 1) in
+  if t.ep_id.(i) = ep then t.ep_outcome.(i) <- outcome_index outcome;
   match t.pv_frames with
   | f :: rest when f.fr_episode = ep ->
     t.pv_frames <- rest;
@@ -309,7 +356,7 @@ let episode_ended t { es_id = ep; es_outcome = outcome; _ } =
          "no recorded span" — a truncation, never a wrong answer. *)
       for id = t.pv_next_id - 1 downto f.fr_first do
         let slot = slot_of id in
-        if t.rg_id.(slot) = id && t.rg_episode.(slot) = ep then begin
+        if held t id && t.rg_episode.(slot) = ep then begin
           t.rg_flags.(slot) <- t.rg_flags.(slot) lor flag_dead;
           t.pv_latest.(t.rg_vid.(slot)) <- t.rg_prior.(slot)
         end
@@ -329,10 +376,9 @@ let rec ants_tail t v source record = function
 
 let rec record_assign t ep seq v src source record a0 a1 = function
   | [] ->
-    (* the engine assigns before tracing, so [v.v_value] here is the
-       very [Some x] box it just stored — share it rather than boxing
-       the event payload again (options are immutable; the span records
-       the assigned value either way) *)
+    (* the engine assigns before tracing, so [v.v_value] here is
+       [Some x] with the value it just stored; the span keeps [x]
+       itself, so the option box can die young *)
     record_span t ep seq v ~value:v.v_value ~source:src ~ant0:a0 ~ant1:a1
       ~more:[]
   | arg :: rest -> (
@@ -364,11 +410,10 @@ let create ~pp_value ~scope net =
       pv_net = net;
       pv_pp = pp_value;
       pv_scope = scope;
-      rg_id = Array.make capacity 0;
       rg_episode = Array.make capacity 0;
       rg_seq = Array.make capacity 0;
       rg_vid = Array.make capacity 0;
-      rg_value = Array.make capacity None;
+      rg_value = [||];
       rg_flags = Array.make capacity 0;
       rg_source = Array.make capacity "";
       rg_ant0 = Array.make capacity 0;
@@ -380,7 +425,10 @@ let create ~pp_value ~scope net =
       pv_vars = [||];
       pv_next_id = 1;
       pv_frames = [];
-      pv_epi = Array.make max_episodes no_episode;
+      ep_id = Array.make max_episodes 0;
+      ep_label = Array.make max_episodes "";
+      ep_parent = Array.make max_episodes None;
+      ep_outcome = Array.make max_episodes (-1);
       pv_last_epi = 0;
       pv_evicted = 0;
     }

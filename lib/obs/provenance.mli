@@ -46,7 +46,7 @@ type episode = {
   epi_id : int;
   epi_label : string;
   epi_parent : Constraint_kernel.Types.parent_ref option;
-  mutable epi_outcome : Constraint_kernel.Types.episode_outcome option;
+  epi_outcome : Constraint_kernel.Types.episode_outcome option;
       (** [None] while the episode is still open *)
 }
 

@@ -8,26 +8,40 @@
     quarantining episode, plus optional 1-in-N head samples of routine
     traffic. The store is a bounded FIFO (newest kept).
 
-    Per-event overhead beyond the ring push is zero; only promoted
-    episodes pay for boxing their events. *)
+    An exemplar is a range of ring rows: the episode's last
+    [Ring.capacity] rows at most. Per-event overhead beyond the ring
+    push is zero and a promotion boxes nothing; rows are copied out of
+    the ring only when it is about to overwrite a range the store still
+    holds, and events are rebuilt when an exemplar is read. *)
 
 open Constraint_kernel.Types
 
 type reason = Head | Slow | Violating | Quarantining
 
+(** Where an exemplar's rows are. *)
+type 'a source
+
+(** A stored exemplar, as read: built on each read from the store. *)
 type 'a exemplar = {
   ex_episode : int;
   ex_span : episode_span;
   ex_reasons : reason list;
-  ex_events : 'a tagged_event list;  (** oldest first *)
+  ex_length : int;  (** events held *)
   ex_truncated : bool;
-      (** the ring wrapped during the episode: leading events evicted *)
+      (** the episode wrote more events than the ring's capacity: its
+          leading events were not kept *)
+  ex_source : 'a source;
 }
+
+(** The exemplar's events, oldest first. An exemplar the store has
+    evicted since it was read keeps only the rows the ring still
+    holds. *)
+val events : 'a exemplar -> 'a tagged_event list
 
 type 'a t
 
 (** [create ~ring ()] — sample episodes whose events flow through
-    [ring]. Defaults: store capacity 32 exemplars, head sampling off
+    [ring], whose overwrite hook ({!Ring.on_lose}) it takes. Defaults: store capacity 32 exemplars, head sampling off
     ([head_every = 0]), [slow_k = 4] slowest per window. *)
 val create :
   ?capacity:int -> ?head_every:int -> ?slow_k:int -> ring:'a Ring.t -> unit -> 'a t
@@ -40,7 +54,8 @@ val violation_seen : 'a t -> unit
 
 val quarantine_seen : 'a t -> unit
 
-(** Decide promotion for the episode that just ended. *)
+(** Decide promotion for the episode that just ended. Its end event
+    must be the newest row of the ring. *)
 val episode_ended : 'a t -> episode_span -> unit
 
 (** Window boundary: reset the per-window slow top-K. *)

@@ -309,12 +309,24 @@ type block = {
   bl_loc : loc;
 }
 
+(* An open block: its points in arrival order, unboxed in two float
+   arrays that grow by doubling up to the block size. *)
 type builder = {
-  mutable bu_pts : (float * float) list; (* newest first *)
+  bu_name : string;
+  mutable bu_t : float array;
+  mutable bu_v : float array;
   mutable bu_n : int;
-  mutable bu_first : float;
-  mutable bu_last : float;
 }
+
+(* earliest and latest timestamp of an open block's [bu_n > 0] points *)
+let bu_bounds bu =
+  let lo = ref bu.bu_t.(0) and hi = ref bu.bu_t.(0) in
+  for i = 1 to bu.bu_n - 1 do
+    let x = bu.bu_t.(i) in
+    if x < !lo then lo := x;
+    if x > !hi then hi := x
+  done;
+  (!lo, !hi)
 
 type seg = { sg_path : string; sg_id : int; mutable sg_bytes : int }
 
@@ -501,7 +513,8 @@ let retention_locked t =
 
 let seal_locked t name bu =
   if bu.bu_n > 0 then begin
-    let pts = Array.of_list (List.rev bu.bu_pts) in
+    let pts = Array.init bu.bu_n (fun i -> (bu.bu_t.(i), bu.bu_v.(i))) in
+    let first, last = bu_bounds bu in
     let payload = encode_block ~series:name pts in
     let fr = Framing.frame payload in
     let seg, fd = active_for_locked t (String.length fr) in
@@ -512,44 +525,52 @@ let seal_locked t name bu =
       {
         bl_series = name;
         bl_count = bu.bu_n;
-        bl_t0 = quantize bu.bu_first;
-        bl_t1 = quantize bu.bu_last;
+        bl_t0 = quantize first;
+        bl_t1 = quantize last;
         bl_loc =
           { lo_path = seg.sg_path; lo_off = off; lo_len = String.length payload };
       }
       :: t.ts_blocks;
     t.ts_sealed_points <- t.ts_sealed_points + bu.bu_n;
     t.ts_sealed_bytes <- t.ts_sealed_bytes + String.length fr;
-    bu.bu_pts <- [];
     bu.bu_n <- 0;
     retention_locked t
   end
 
+let builder_locked t series =
+  match Hashtbl.find_opt t.ts_open series with
+  | Some bu -> bu
+  | None ->
+    let bu = { bu_name = series; bu_t = [||]; bu_v = [||]; bu_n = 0 } in
+    Hashtbl.add t.ts_open series bu;
+    bu
+
+let put_locked t bu time v =
+  if bu.bu_n = Array.length bu.bu_t then begin
+    let size = min t.ts_ppb (max 16 (2 * bu.bu_n)) in
+    let grow a = Array.append a (Array.make (size - bu.bu_n) 0.) in
+    bu.bu_t <- grow bu.bu_t;
+    bu.bu_v <- grow bu.bu_v
+  end;
+  bu.bu_t.(bu.bu_n) <- time;
+  bu.bu_v.(bu.bu_n) <- v;
+  bu.bu_n <- bu.bu_n + 1;
+  t.ts_points <- t.ts_points + 1;
+  if bu.bu_n >= t.ts_ppb then seal_locked t bu.bu_name bu
+
 let append t ~series ~t:time ~v =
   with_lock t (fun () ->
       if t.ts_closed then invalid_arg "Tsdb.append: closed store";
-      let bu =
-        match Hashtbl.find_opt t.ts_open series with
-        | Some bu -> bu
-        | None ->
-          let bu =
-            { bu_pts = []; bu_n = 0; bu_first = time; bu_last = time }
-          in
-          Hashtbl.add t.ts_open series bu;
-          bu
-      in
-      if bu.bu_n = 0 then begin
-        bu.bu_first <- time;
-        bu.bu_last <- time
-      end
-      else begin
-        if time < bu.bu_first then bu.bu_first <- time;
-        if time > bu.bu_last then bu.bu_last <- time
-      end;
-      bu.bu_pts <- (time, v) :: bu.bu_pts;
-      bu.bu_n <- bu.bu_n + 1;
-      t.ts_points <- t.ts_points + 1;
-      if bu.bu_n >= t.ts_ppb then seal_locked t series bu)
+      put_locked t (builder_locked t series) time v)
+
+type handle = builder
+
+let handle t series = with_lock t (fun () -> builder_locked t series)
+
+let append_batch t ~t:time f =
+  with_lock t (fun () ->
+      if t.ts_closed then invalid_arg "Tsdb.append: closed store";
+      f (fun bu v -> put_locked t bu time v))
 
 let flush_locked t =
   Hashtbl.iter (fun name bu -> seal_locked t name bu) t.ts_open;
@@ -596,7 +617,7 @@ let query t ~series ~from_ ~to_ =
         match Hashtbl.find_opt t.ts_open series with
         | None -> []
         | Some bu ->
-          List.rev_map (fun (ts, v) -> (quantize ts, v)) bu.bu_pts
+          List.init bu.bu_n (fun i -> (quantize bu.bu_t.(i), bu.bu_v.(i)))
           |> List.filter in_range
       in
       List.stable_sort
@@ -657,8 +678,10 @@ let series t =
       List.iter (fun b -> note b.bl_series b.bl_count b.bl_t0 b.bl_t1) t.ts_blocks;
       Hashtbl.iter
         (fun name bu ->
-          if bu.bu_n > 0 then
-            note name bu.bu_n (quantize bu.bu_first) (quantize bu.bu_last))
+          if bu.bu_n > 0 then begin
+            let first, last = bu_bounds bu in
+            note name bu.bu_n (quantize first) (quantize last)
+          end)
         t.ts_open;
       Hashtbl.fold
         (fun name (n, fst_, lst) rows -> (name, !n, !fst_, !lst) :: rows)

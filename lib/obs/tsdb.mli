@@ -45,6 +45,17 @@ val quantize : float -> float
     positioned there, the [Unix.Unix_error] is raised. *)
 val append : t -> series:string -> t:float -> v:float -> unit
 
+(** A series of one store, resolved once for repeated batches. *)
+type handle
+
+val handle : t -> string -> handle
+
+(** [append_batch t ~t f] — [f put] records points with [put series v],
+    all at time [t], under one acquisition of the store's lock; each
+    [series] is a handle of [t]. [put] must not be called after [f]
+    returns. *)
+val append_batch : t -> t:float -> ((handle -> float -> unit) -> unit) -> unit
+
 (** Seal every open block to disk and fsync the active segment — the
     graceful-shutdown (SIGTERM) path. Idempotent; appends may
     continue afterwards (they start fresh blocks). A failed write or

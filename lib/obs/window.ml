@@ -24,7 +24,9 @@ type width = Episodes of int | Seconds of float
 type snapshot = {
   w_index : int; (* 0-based window number since creation *)
   w_opened : float; (* clock when the slot opened *)
-  mutable w_duration : float; (* clock span to the latest episode, or to the close *)
+  (* clock span to the close; while the slot is open, set from
+     [wt_open] when read through [current] *)
+  mutable w_duration : float;
   mutable w_episodes : int;
   mutable w_committed : int;
   mutable w_rolled_back : int;
@@ -37,6 +39,8 @@ type snapshot = {
   w_latency : Metrics.histogram; (* episode latency, µs *)
 }
 
+type open_span = { mutable o_duration : float }
+
 type t = {
   wt_width : width;
   wt_clock : unit -> float;
@@ -44,6 +48,9 @@ type t = {
   wt_history : snapshot option array; (* ring, indexed by index mod slots *)
   mutable wt_completed : int; (* total windows ever closed *)
   mutable wt_cur : snapshot;
+  (* the open slot's span to its latest episode, in an all-float
+     record so the per-episode update boxes nothing *)
+  wt_open : open_span;
   mutable wt_on_rotate : (snapshot -> unit) list; (* registration order *)
 }
 
@@ -78,6 +85,7 @@ let create ?(slots = 8) ?(width = Episodes 64)
     wt_history = Array.make slots None;
     wt_completed = 0;
     wt_cur = fresh_slot ~clock 0;
+    wt_open = { o_duration = 0. };
     wt_on_rotate = [];
   }
 
@@ -89,12 +97,13 @@ let rotate t =
   t.wt_history.(closed.w_index mod t.wt_slots) <- Some closed;
   t.wt_completed <- t.wt_completed + 1;
   t.wt_cur <- fresh_slot ~clock:t.wt_clock (closed.w_index + 1);
+  t.wt_open.o_duration <- 0.;
   List.iter (fun f -> f closed) t.wt_on_rotate
 
 let maybe_rotate t =
   match t.wt_width with
   | Episodes n -> if t.wt_cur.w_episodes >= n then rotate t
-  | Seconds s -> if t.wt_cur.w_duration >= s then rotate t
+  | Seconds s -> if t.wt_open.o_duration >= s then rotate t
 
 let note_violation t = t.wt_cur.w_violations <- t.wt_cur.w_violations + 1
 
@@ -113,12 +122,14 @@ let observe_span t sp =
   | E_probe_rejected -> w.w_probe_rejected <- w.w_probe_rejected + 1);
   w.w_steps <- w.w_steps + sp.es_steps;
   Metrics.observe w.w_latency (span_total sp *. 1e6);
-  w.w_duration <- t.wt_clock () -. w.w_opened;
+  t.wt_open.o_duration <- t.wt_clock () -. w.w_opened;
   maybe_rotate t
 
 (* A live view whose duration runs to the latest episode, so reading it
    twice with nothing in between answers the same. *)
-let current t = t.wt_cur
+let current t =
+  t.wt_cur.w_duration <- t.wt_open.o_duration;
+  t.wt_cur
 
 let completed_count t = t.wt_completed
 
