@@ -46,7 +46,7 @@ let configs () =
       cf_drain = (fun () -> Buffer.clear jsonl_buf);
     };
     {
-      (* ring, metrics, profiler, monitor and provenance on one sink *)
+      (* ring, metrics, profiler, monitor and provenance on one log *)
       cf_name = "board";
       cf_attach = (fun net -> ignore (Obs.Board.attach net));
       cf_drain = ignore;

@@ -1,7 +1,7 @@
 (* E18: overhead of continuous monitoring (window + sampler + watchdog).
 
    Runs the E11 equality chain bare and with the board, whose rolling
-   window, tail sampler and watchdog ride its one fused sink together
+   window, tail sampler and watchdog read its one event log together
    with the ring, metrics, profiler and provenance, and reports the best
    (minimum) time per episode plus the overhead relative to the bare
    network.  The bare config doubles as the "no-sink path unchanged"

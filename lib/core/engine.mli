@@ -50,8 +50,10 @@ val set_violation_handler : 'a network -> ('a violation -> unit) -> unit
 
     Sinks are called in registration order. A sink that raises is
     trapped, counted ([st_sink_errors]) and logged; it can never abort
-    an episode. With no sinks attached the whole path — including the
-    clock reads — is short-circuited. *)
+    an episode. A network may also carry one {!Event_log}, written at
+    each event's site without building the event. With neither a log
+    nor a sink attached the whole path — including the clock reads — is
+    short-circuited. *)
 
 (** [add_sink net s] subscribes [s]. Re-using an existing sink name
     replaces that sink in place (same fan-out position). *)
@@ -65,6 +67,16 @@ val remove_sink : 'a network -> string -> bool
 val sinks : 'a network -> 'a sink list
 
 val clear_sinks : 'a network -> unit
+
+(** [attach_log net lg ~on_episode_end] — the engine writes every event
+    of [net] to [lg] as a row, building no event for it, and calls
+    [on_episode_end] after each episode's end row (trapped and counted
+    like a sink). Replaces any log [net] had. Sinks still receive their
+    events, with the same sequence numbers. *)
+val attach_log :
+  'a network -> 'a event_log -> on_episode_end:(episode_span -> unit) -> unit
+
+val detach_log : 'a network -> unit
 
 (** Override the monotonic clock used for episode phase timings
     (seconds). Mainly for tests that want deterministic spans. *)
@@ -200,7 +212,7 @@ val drain : 'a ctx -> (unit, 'a violation) result
 
 (** {1 Episode plumbing} *)
 
-(** Emit a trace event through the network's trace hook, if any. *)
+(** Emit a trace event to the network's log and sinks, if any. *)
 val trace : 'a network -> 'a trace_event -> unit
 
 (** The variable carries this episode's stamp: it was saved (written)

@@ -2,10 +2,12 @@
 
     [attach net] builds a ring buffer, a metrics registry, a per-kind
     profiler, the continuous-monitoring trio and a {!Provenance} store,
-    and attaches them to [net] as a single fused sink named ["board"]:
-    one closure call, exception trap and event match per event feeds
-    them all. [detach net] removes exactly that sink, leaving any other
-    (e.g. a JSONL exporter) alone.
+    all reading one {!Constraint_kernel.Event_log} that it gives [net]
+    ({!Constraint_kernel.Engine.attach_log}): the engine writes each
+    event there as a row, building no event, and calls the board once
+    at each episode end. The board adds no sink. [detach net] takes the
+    log off the network, leaving any sink (e.g. a JSONL exporter)
+    alone.
 
     The monitoring trio is a rolling {!Window} (episode rates and
     latency quantiles per window), a tail {!Sampler} (exemplar traces of
@@ -18,8 +20,8 @@ open Constraint_kernel
 
 type 'a t
 
-(** Build a board and attach its sink; a same-named sink already on the
-    network is replaced in place. The ring holds 256 events;
+(** Build a board and give its log to the network, replacing any log
+    the network had. The ring holds 256 events;
     [window_width] defaults to [Window.Episodes 32], [rules] to
     {!Watchdog.default_rules}; the sampler keeps {!Sampler.create}'s
     defaults. [pp_value] (default ["<opaque>"]) renders the provenance
@@ -30,8 +32,9 @@ type 'a t
     [runtime.gc.heap_words], [runtime.gc.compactions]) refreshed from
     [Gc.quick_stat] once per window rotation — never on the event
     path — plus process gauges: [runtime.uptime_seconds] and, on
-    Linux, [runtime.os.rss_bytes] (from [/proc/self/statm]; the gauge
-    is simply absent where that file is). *)
+    Linux, [runtime.os.rss_bytes] (from [/proc/self/statm], one
+    descriptor per process; the gauge is simply absent where that file
+    is not). *)
 val attach :
   ?window_width:Window.width ->
   ?rules:Watchdog.rule list ->
@@ -40,10 +43,12 @@ val attach :
   'a Types.network ->
   'a t
 
-(** Remove the board's sink from the network. Its provenance store
-    stays readable, and stays in its scope. *)
+(** Take the board's log off the network. Its provenance store stays
+    readable, and stays in its scope. *)
 val detach : 'a Types.network -> unit
 
+(** The registry, its kernel-event counters brought up to the log's
+    counts. *)
 val metrics : 'a t -> Metrics.t
 
 val profiler : 'a t -> Profiler.t

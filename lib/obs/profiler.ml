@@ -1,8 +1,11 @@
 (* Per-constraint-kind profiler: attributes activations, agenda
    traffic, checks, violations and quarantines to each constraint kind
    ("equality", "uni-maximum", ...), and ranks the kinds by activation
-   count into a top-k hotspot report. *)
+   count into a top-k hotspot report.  The counting is the event log's
+   (per constraint id, as each event is written); the profiler sums it
+   by kind when read. *)
 
+open Constraint_kernel
 open Constraint_kernel.Types
 
 type entry = {
@@ -15,52 +18,45 @@ type entry = {
   mutable e_quarantines : int;
 }
 
-type t = {
-  p_entries : (string, entry) Hashtbl.t;
-  (* constraint-id -> entry cache so the hot path never hashes the kind
-     string; ids are small dense ints, so a growable array suffices *)
-  mutable p_by_id : entry option array;
-}
+type t = cstr_stats
 
-let create () = { p_entries = Hashtbl.create 16; p_by_id = Array.make 64 None }
+let of_log lg = lg.lg_stats
 
-let entry t kind =
-  match Hashtbl.find_opt t.p_entries kind with
-  | Some e -> e
-  | None ->
-    let e =
-      { e_kind = kind; e_activations = 0; e_scheduled = 0; e_checks = 0;
-        e_check_failures = 0; e_violations = 0; e_quarantines = 0 }
-    in
-    Hashtbl.add t.p_entries kind e;
-    e
-
-let entry_of_cstr t c =
-  let id = c.c_id in
-  let cache = t.p_by_id in
-  if id < Array.length cache then
-    match Array.unsafe_get cache id with
+let entries st =
+  let by_kind = Hashtbl.create 16 in
+  let entry kind =
+    match Hashtbl.find_opt by_kind kind with
     | Some e -> e
     | None ->
-      let e = entry t c.c_kind in
-      Array.unsafe_set cache id (Some e);
+      let e =
+        { e_kind = kind; e_activations = 0; e_scheduled = 0; e_checks = 0;
+          e_check_failures = 0; e_violations = 0; e_quarantines = 0 }
+      in
+      Hashtbl.add by_kind kind e;
       e
-  else begin
-    let grown = Array.make (max 64 (2 * (id + 1))) None in
-    Array.blit cache 0 grown 0 (Array.length cache);
-    t.p_by_id <- grown;
-    let e = entry t c.c_kind in
-    grown.(id) <- Some e;
-    e
-  end
-
-let entries t =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.p_entries []
+  in
+  Array.iteri
+    (fun id kind ->
+      if kind <> "" then begin
+        let e = entry kind in
+        let n k = st.cs_counts.((Event_log.st_stride * id) + k) in
+        e.e_activations <- e.e_activations + n Event_log.st_activations;
+        e.e_scheduled <- e.e_scheduled + n Event_log.st_scheduled;
+        e.e_checks <- e.e_checks + n Event_log.st_checks;
+        e.e_check_failures <- e.e_check_failures + n Event_log.st_check_failures;
+        e.e_quarantines <- e.e_quarantines + n Event_log.st_quarantines
+      end)
+    st.cs_kinds;
+  Hashtbl.iter
+    (fun kind n -> (entry kind).e_violations <- (entry kind).e_violations + n)
+    st.cs_violations;
+  Hashtbl.fold (fun _ e acc -> e :: acc) by_kind []
   |> List.sort (fun a b ->
          match compare b.e_activations a.e_activations with
          | 0 -> compare a.e_kind b.e_kind
          | c -> c)
 
-let clear t =
-  Hashtbl.reset t.p_entries;
-  Array.fill t.p_by_id 0 (Array.length t.p_by_id) None
+let clear st =
+  Array.fill st.cs_counts 0 (Array.length st.cs_counts) 0;
+  Array.fill st.cs_kinds 0 (Array.length st.cs_kinds) "";
+  Hashtbl.reset st.cs_violations

@@ -1,16 +1,17 @@
-(** Causal provenance: a bounded derivation DAG over assignments, kept
-    by every {!Board} from its one fused sink.
+(** Causal provenance: a bounded derivation DAG over assignments, read
+    from the spans of a network's {!Constraint_kernel.Event_log} (every
+    {!Board} gives its network one).
 
-    Every [T_assign]/[T_reset] becomes a {e causal span} — episode,
-    sequence number, variable, rendered value, justification, source
-    constraint, and the span ids of its antecedents.  Antecedent edges
-    are captured {e at emit time} from the variable's just-installed
-    justification (via {!Constraint_kernel.Dependency.direct_antecedents}),
-    so they stay exact even after the variable is overwritten later —
-    unlike the live dependency walk, which only explains current
-    values.  Spans of episodes that roll back (or tentative probes) are
-    kept but marked dead, and the per-variable latest index is reverted,
-    so queries always agree with the live network.
+    Every assignment and reset is a {e causal span} — episode, sequence
+    number, variable, rendered value, justification, source constraint,
+    and the span ids of its antecedents.  The log captures the
+    antecedent candidates {e at emit time} from the variable's
+    just-installed justification, so the edges stay exact even after
+    the variable is overwritten later — unlike the live dependency walk,
+    which only explains current values.  Spans of episodes that roll
+    back (or tentative probes) are kept but marked dead, and the
+    per-variable latest index is reverted, so queries always agree with
+    the live network.
 
     Cross-network stitching: each store enters a monomorphic
     reader, keyed by network name, in a {!scope} — an explicit value
@@ -61,41 +62,24 @@ type scope
 
 val scope : unit -> scope
 
-(** [create ~pp_value ~scope net] — an empty store for [net], its
-    reader entered under [net]'s name in [scope] for cross-network
-    queries. The newest {!capacity} spans are retained. [pp_value]
-    renders assigned values. {!Board.attach} creates the store and
-    feeds it; it is no sink of its own. *)
+(** [create ~pp_value ~scope log net] — the store reading [net]'s
+    [log], its reader entered under [net]'s name in [scope] for
+    cross-network queries. The newest {!capacity} spans are retained.
+    [pp_value] renders assigned values. {!Board.attach} creates the
+    store. *)
 val create :
   pp_value:('a -> string) -> scope:scope ->
+  'a Constraint_kernel.Types.event_log ->
   'a Constraint_kernel.Types.network -> 'a t
 
 (** Spans retained, oldest evicted first: 8192. *)
 val capacity : int
 
-(** {2 Feeds} — the board's fused match calls these on the four events
-    the store records. *)
-
-val episode_started :
-  'a t -> int -> string -> Constraint_kernel.Types.parent_ref option -> unit
-
-val episode_ended : 'a t -> Constraint_kernel.Types.episode_span -> unit
-
-(** [assigned t ep seq v source] — [v] was just assigned in episode
-    [ep] at sequence number [seq]; [v]'s justification is the new
-    one. *)
-val assigned :
-  'a t -> int -> int -> 'a Constraint_kernel.Types.var -> string -> unit
-
-val reset :
-  'a t -> int -> int -> 'a Constraint_kernel.Types.var -> string -> unit
-
 (** Spans evicted so far by the capacity bound (chains reaching them
     truncate). *)
 val evicted : 'a t -> int
 
-(** Retained spans whose antecedents (three or more) are held outside
-    the flat span ring; evicting such a span drops its entry. *)
+(** Retained spans with three or more antecedents. *)
 val spilled : 'a t -> int
 
 (** {1 Inspection} *)

@@ -1,15 +1,15 @@
 (** Bounded event ring buffer, for post-mortem inspection.
 
-    Reads see the most recent [capacity] tagged trace events; older ones
-    are evicted in FIFO order. The ring stores rows, not events: three
-    ints per row (variables, constraints and labels by number, in
-    tables the ring keeps), the assigned value, and each episode end's
-    id, counts and timings in a small ring of their own; events are
-    rebuilt when read. The [spans] accessor filters the ring down to
-    completed episode spans, which is what the shell's [spans] command
-    and the [stem trace] demo print.
+    Reads see the most recent [capacity] tagged trace events of an
+    {!Constraint_kernel.Event_log}; older ones are evicted in FIFO
+    order. The log stores rows, not events, and events are rebuilt when
+    read. A board's ring reads the log the engine writes for its
+    network; a ring made by {!create} and fed by {!push} has a log of
+    its own. The [spans] accessor filters the ring down to completed
+    episode spans, which is what the shell's [spans] command and the
+    [stem trace] demo print.
 
-    The backing arrays are larger than the read capacity, so rows a
+    The log's backing is larger than the read capacity, so rows a
     reader has evicted can still be retained: {!Sampler} keeps its
     exemplars as row ranges, guarded against overwrite by {!guard}. *)
 
@@ -17,10 +17,15 @@ open Constraint_kernel.Types
 
 type 'a t
 
+(** [create ~capacity ()] — a ring over a fresh log whose backing holds
+    [8 × capacity] rows (rounded up to a power of two). *)
 val create : capacity:int -> unit -> 'a t
 
-(** [push r ep seq ev] — feed one event (the board's sink pushes every
-    event it sees). Keeps no pointer to [ev] except for a violation, a
+(** The log the ring reads; {!Board.attach} gives it to the network. *)
+val log : 'a t -> 'a Constraint_kernel.Types.event_log
+
+(** [push r ep seq ev] — write one event to the ring's log, as a sink
+    would. Keeps no pointer to [ev] except for a violation, a
     quarantine, an episode start with a parent, or a payload too large
     to pack, which are kept as they are. An episode end is always kept
     as a row, whatever its id. *)

@@ -5,9 +5,9 @@
     attached with [Engine.add_sink]); the kernel fans every trace event
     out to all attached sinks in registration order, each call wrapped
     in an exception trap so a broken sink degrades observability, never
-    propagation. The ready-made consumers are {!Board}, which feeds
-    {!Ring}, {!Metrics}, {!Profiler}, the monitor and {!Provenance}
-    from one sink, and the {!Jsonl} and {!Tracing} exporters. *)
+    propagation. The ready-made sinks are this logger and the {!Jsonl}
+    and {!Tracing} exporters; a {!Board} is no sink but reads the
+    network's {!Constraint_kernel.Event_log}. *)
 
 open Constraint_kernel.Types
 

@@ -54,6 +54,13 @@ type t = {
   mutable wt_on_rotate : (snapshot -> unit) list; (* registration order *)
 }
 
+(* The default clock, compared physically so the common case reads it
+   without boxing the result. *)
+let default_clock : unit -> float = Unix.gettimeofday
+
+let[@inline] now clock =
+  if clock == default_clock then Unix.gettimeofday () else clock ()
+
 let fresh_slot ~clock index =
   {
     w_index = index;
@@ -72,7 +79,7 @@ let fresh_slot ~clock index =
   }
 
 let create ?(slots = 8) ?(width = Episodes 64)
-    ?(clock = Unix.gettimeofday) () =
+    ?(clock = default_clock) () =
   let slots = max 1 slots in
   (match width with
   | Episodes n when n < 1 -> invalid_arg "Window.create: width < 1 episode"
@@ -121,8 +128,8 @@ let observe_span t sp =
   | E_probe_ok -> w.w_probe_ok <- w.w_probe_ok + 1
   | E_probe_rejected -> w.w_probe_rejected <- w.w_probe_rejected + 1);
   w.w_steps <- w.w_steps + sp.es_steps;
-  Metrics.observe w.w_latency (span_total sp *. 1e6);
-  t.wt_open.o_duration <- t.wt_clock () -. w.w_opened;
+  Metrics.observe_latency w.w_latency sp;
+  t.wt_open.o_duration <- now t.wt_clock -. w.w_opened;
   maybe_rotate t
 
 (* A live view whose duration runs to the latest episode, so reading it

@@ -48,8 +48,8 @@ val create :
   unit ->
   t
 
-(** Direct feeds, for the board's fused sink. [observe_span] also
-    checks the rotation condition. *)
+(** Direct feeds, for the board's episode-end hook. [observe_span]
+    also checks the rotation condition. *)
 val observe_span : t -> episode_span -> unit
 
 val note_violation : t -> unit

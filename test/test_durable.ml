@@ -296,7 +296,7 @@ let test_snapshot_failure_answered () =
           | Error e -> Alcotest.failf "GET /nets: %s" e))
 
 (* A hosted net carries one observer: an untraced net with no /events
-   subscriber has exactly one sink, its board. *)
+   subscriber has its board's event log and no sink at all. *)
 let test_hosted_net_one_sink () =
   with_dir (fun d ->
       Serve.Wstore.configure ~dir:d ~fsync:Serve.Journal.Never ();
@@ -311,10 +311,13 @@ let test_hosted_net_one_sink () =
       Fun.protect
         ~finally:(fun () -> ignore (Serve.Wstore.drop ~id:"onesink"))
         (fun () ->
-          Alcotest.(check (list string)) "the board alone" [ "board" ]
+          let net = Serve.Wstore.net e in
+          Alcotest.(check (list string)) "the board adds no sink" []
             (List.map
                (fun s -> s.Constraint_kernel.Types.snk_name)
-               (Constraint_kernel.Engine.sinks (Serve.Wstore.net e)))))
+               (Constraint_kernel.Engine.sinks net));
+          Alcotest.(check bool) "the board's log is on the net" true
+            (net.Constraint_kernel.Types.net_log <> None)))
 
 (* ---------------- wstore recovery ---------------- *)
 

@@ -23,7 +23,7 @@ let ok = function Ok () -> true | Error _ -> false
 let rec drop_first n l =
   if n <= 0 then l else match l with [] -> [] | _ :: t -> drop_first (n - 1) t
 
-(* A sink feeding one ring, as the board's sink does. *)
+(* A sink feeding one ring through the ring's own log. *)
 let ring_sink ring = Types.{ snk_name = "ring"; snk_emit = Obs.Ring.push ring }
 
 (* ---------------- fan-out ---------------- *)
@@ -655,8 +655,9 @@ let test_board_bundle () =
   let b = Obs.Board.attach net in
   ignore (Engine.set net a 1);
   ignore (Engine.set net a 2);
-  Alcotest.(check int) "one fused subscription" 1
+  Alcotest.(check int) "no sink: the board reads the net's log" 0
     (List.length (Engine.sinks net));
+  Alcotest.(check bool) "the log is on the net" true (net.Types.net_log <> None);
   Alcotest.(check int) "spans collected" 2 (List.length (Obs.Board.spans b));
   Alcotest.(check bool) "hotspots collected" true
     (Obs.Profiler.entries (Obs.Board.profiler b) <> []);
@@ -664,8 +665,13 @@ let test_board_bundle () =
   | Some (Obs.Metrics.Counter c) ->
     Alcotest.(check int) "metrics fed" 2 (Obs.Metrics.count c)
   | _ -> Alcotest.fail "board metrics missing episodes.total");
+  if Sys.file_exists "/proc/self/statm" then (
+    match Obs.Metrics.find (Obs.Board.metrics b) "runtime.os.rss_bytes" with
+    | Some (Obs.Metrics.Gauge g) ->
+      Alcotest.(check bool) "resident set read" true (Obs.Metrics.gauge_last g > 0.)
+    | _ -> Alcotest.fail "board metrics missing runtime.os.rss_bytes");
   Obs.Board.detach net;
-  Alcotest.(check int) "detached" 0 (List.length (Engine.sinks net));
+  Alcotest.(check bool) "detached" true (net.Types.net_log = None);
   ignore (Engine.set net a 3);
   Alcotest.(check int) "no longer fed" 2 (List.length (Obs.Board.spans b))
 
