@@ -1074,6 +1074,217 @@ let test_jsonl_lenient_parsing () =
       (Obs.Jsonl.int fields "seq")
   | Error e -> Alcotest.failf "large seq rejected: %s" e)
 
+(* ---------------- the board counts what the engine emits ---------------- *)
+
+(* A plain sink's recount of every event the engine emits: what the
+   board's counters, its window's violation and quarantine tallies and
+   its profile must read.  Streams are seeded and random, over spec nets
+   and a cell-library slice: sets, resets, probes, rollbacks, pokes and
+   clears, injected throws in [propagate] and in [satisfied], and manual
+   quarantines. *)
+
+type recount = {
+  rc_named : (string, int) Hashtbl.t; (* by registry counter name *)
+  (* by constraint kind: activations, agenda pushes, checks, failed
+     checks, violations, quarantines *)
+  rc_kinds : (string, int array) Hashtbl.t;
+}
+
+let counter_names =
+  [ "events.assign"; "events.reset"; "events.activate"; "events.schedule";
+    "events.check"; "events.violation"; "events.restore"; "events.quarantine";
+    "episodes.total"; "episodes.committed"; "episodes.rolled_back";
+    "episodes.probe_ok"; "episodes.probe_rejected";
+    "agenda.scheduled.checking"; "agenda.scheduled.functional";
+    "agenda.scheduled.implicit"; "agenda.scheduled.other" ]
+
+let recount net =
+  let rc = { rc_named = Hashtbl.create 32; rc_kinds = Hashtbl.create 16 } in
+  let bump name =
+    Hashtbl.replace rc.rc_named name
+      (1 + Option.value ~default:0 (Hashtbl.find_opt rc.rc_named name))
+  in
+  let kind k i =
+    let a =
+      match Hashtbl.find_opt rc.rc_kinds k with
+      | Some a -> a
+      | None ->
+        let a = Array.make 6 0 in
+        Hashtbl.add rc.rc_kinds k a;
+        a
+    in
+    a.(i) <- a.(i) + 1
+  in
+  let emit _ _ (ev : _ Types.trace_event) =
+    match ev with
+    | T_assign _ -> bump "events.assign"
+    | T_reset _ -> bump "events.reset"
+    | T_activate (c, _) ->
+      bump "events.activate";
+      kind c.c_kind 0
+    | T_schedule (c, p) ->
+      bump "events.schedule";
+      bump
+        ("agenda.scheduled."
+        ^
+        if p = Types.checking_priority then "checking"
+        else if p = Types.functional_priority then "functional"
+        else if p = Types.implicit_priority then "implicit"
+        else "other");
+      kind c.c_kind 1
+    | T_check (c, ok) ->
+      bump "events.check";
+      kind c.c_kind 2;
+      if not ok then kind c.c_kind 3
+    | T_violation viol ->
+      bump "events.violation";
+      Option.iter (fun k -> kind k 4) viol.viol_cstr_kind
+    | T_restore _ -> bump "events.restore"
+    | T_quarantine (c, _) ->
+      bump "events.quarantine";
+      kind c.c_kind 5
+    | T_episode_start _ -> bump "episodes.total"
+    | T_episode_end sp ->
+      bump
+        (match sp.es_outcome with
+        | E_committed -> "episodes.committed"
+        | E_rolled_back -> "episodes.rolled_back"
+        | E_probe_ok -> "episodes.probe_ok"
+        | E_probe_rejected -> "episodes.probe_rejected")
+  in
+  Engine.add_sink net Types.{ snk_name = "recount"; snk_emit = emit };
+  rc
+
+(* A board and a recount on [net], from the same moment. *)
+let counted net =
+  let b = Obs.Board.attach ~window_width:(Obs.Window.Episodes 1_000_000) net in
+  (b, recount net)
+
+let check_counts msg (b, rc) =
+  let m = Obs.Board.metrics b in
+  let named name = Option.value ~default:0 (Hashtbl.find_opt rc.rc_named name) in
+  List.iter
+    (fun name ->
+      let got =
+        match Obs.Metrics.find m name with
+        | Some (Obs.Metrics.Counter c) -> Obs.Metrics.count c
+        | _ -> Alcotest.failf "%s: counter %s missing" msg name
+      in
+      if got <> named name then
+        Alcotest.failf "%s: %s reads %d, recount %d" msg name got (named name))
+    counter_names;
+  let w = Obs.Window.current (Obs.Board.window b) in
+  Alcotest.(check int) (msg ^ ": window violations") (named "events.violation")
+    w.Obs.Window.w_violations;
+  Alcotest.(check int) (msg ^ ": window quarantines") (named "events.quarantine")
+    w.Obs.Window.w_quarantines;
+  let row k (a : int array) = (k, Array.to_list a) in
+  let expected =
+    Hashtbl.fold (fun k a acc -> row k a :: acc) rc.rc_kinds []
+    |> List.sort (fun (ka, a) (kb, b) ->
+           match compare (List.hd b) (List.hd a) with
+           | 0 -> compare ka kb
+           | c -> c)
+  in
+  let got =
+    List.map
+      (fun (e : Obs.Profiler.entry) ->
+        ( e.e_kind,
+          [ e.e_activations; e.e_scheduled; e.e_checks; e.e_check_failures;
+            e.e_violations; e.e_quarantines ] ))
+      (Obs.Profiler.entries (Obs.Board.profiler b))
+  in
+  Alcotest.(check (list (pair string (list int)))) (msg ^ ": profile") expected
+    got
+
+(* One random operation on [net] over [vars] (the variables it may set)
+   with values from [value]. *)
+let count_step rng net vars value =
+  let int n = Random.State.int rng n in
+  let pick l = List.nth l (int (List.length l)) in
+  let v = pick vars in
+  match int 40 with
+  | 0 | 1 | 2 | 3 -> ignore (Engine.reset net v)
+  | 4 | 5 | 6 -> ignore (Engine.explain_set net v (value v))
+  | 7 | 8 -> Engine.poke net v (value v) ~just:Types.Application
+  | 9 -> Engine.clear net v
+  | 10 | 11 -> (
+    match net.Types.net_cstrs with
+    | [] -> ()
+    | cs ->
+      let site = if int 2 = 0 then Fault.Propagate else Fault.Satisfied in
+      ignore
+        (Fault.wrap ~seed:(int 1000) ~site ~mode:(Fault.Throw_every (1 + int 3))
+           (pick cs)))
+  | 12 -> (
+    match net.Types.net_cstrs with
+    | [] -> ()
+    | cs -> Network.quarantine net (pick cs) ~reason:"recount")
+  | _ -> ignore (Engine.set net v (value v))
+
+let count_stream ~seed ~ops net vars value =
+  let counts = counted net in
+  let rng = Random.State.make [| seed |] in
+  for i = 1 to ops do
+    count_step rng net vars value;
+    if i mod 50 = 0 then check_counts (Printf.sprintf "seed %d op %d" seed i) counts
+  done;
+  check_counts (Printf.sprintf "seed %d end" seed) counts
+
+let count_spec =
+  {|var in.a
+var in.b
+var in.c
+var in.d
+var mid.s
+var mid.m
+var out.t
+sum mid.s in.a in.b
+max mid.m in.b in.c
+sum out.t mid.s mid.m
+eq in.c in.d
+le in.a out.t
+cap out.t 40
+range in.b 0..15
+|}
+
+let test_counts_match_recount () =
+  List.iter
+    (fun seed ->
+      let net, _ = Serve.Wstore.build_spec ~id:"recount" count_spec in
+      let vars =
+        List.filter_map
+          (fun p -> Editor.find_var net p)
+          [ "in.a"; "in.b"; "in.c"; "in.d"; "mid.s" ]
+      in
+      let rng = Random.State.make [| seed; 7 |] in
+      count_stream ~seed ~ops:400 net vars (fun _ ->
+          Dval.Int (Random.State.int rng 24)))
+    [ 1; 2; 3 ];
+  (* a cell-library slice, counted from after its build *)
+  let env = Stem.Env.create () in
+  let gates = Cell_library.Gates.make env in
+  let ra = Cell_library.Composed.ripple_adder env gates ~bits:2 in
+  ignore
+    (Delay.Delay_network.delay env ra.Cell_library.Composed.ra_cell
+       ~from_:ra.Cell_library.Composed.ra_cin
+       ~to_:ra.Cell_library.Composed.ra_cout);
+  let net = Stem.Env.cnet env in
+  let numeric v =
+    match v.Types.v_value with
+    | Some (Dval.Int _ | Dval.Float _) -> true
+    | _ -> false
+  in
+  let vars = List.filter numeric net.Types.net_vars in
+  let rng = Random.State.make [| 5 |] in
+  let value v =
+    match v.Types.v_value with
+    | Some (Dval.Float f) -> Dval.Float (f +. float_of_int (Random.State.int rng 5))
+    | Some (Dval.Int i) -> Dval.Int (i + Random.State.int rng 3)
+    | _ -> Dval.Float (float_of_int (Random.State.int rng 10))
+  in
+  count_stream ~seed:5 ~ops:300 net vars value
+
 let suite =
   ( "obs",
     [
@@ -1104,6 +1315,8 @@ let suite =
       Alcotest.test_case "jsonl escaping" `Quick test_jsonl_escaping;
       Alcotest.test_case "answer text view" `Quick test_answer_text;
       Alcotest.test_case "board bundle" `Quick test_board_bundle;
+      Alcotest.test_case "counts equal a sink's recount" `Quick
+        test_counts_match_recount;
       Alcotest.test_case "provenance queries" `Quick test_provenance_queries;
       Alcotest.test_case "provenance rollback" `Quick test_provenance_rollback;
       Alcotest.test_case "provenance eviction" `Quick test_provenance_eviction;
