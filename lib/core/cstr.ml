@@ -49,6 +49,12 @@ let make net ~kind ?label ?(activation = wake_all) ?(fires_on_reset = false)
       c_recompute = recompute;
       c_strength = strength;
       c_failures = 0;
+      c_activations = 0;
+      c_scheduled = 0;
+      c_checks = 0;
+      c_check_failures = 0;
+      c_violations = 0;
+      c_quarantines = 0;
       c_quarantined = None;
       c_all_args_just = Default;
     }

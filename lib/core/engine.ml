@@ -90,12 +90,6 @@ let sinks net = net.net_sinks
 
 let clear_sinks net = net.net_sinks <- []
 
-let attach_log net lg ~on_episode_end =
-  lg.lg_on_end <- on_episode_end;
-  net.net_log <- Some lg
-
-let detach_log net = net.net_log <- None
-
 let set_clock net clock = net.net_clock <- clock
 
 let set_fail_threshold net n = net.net_fail_threshold <- max 0 n
@@ -105,6 +99,24 @@ let set_step_budget net b = net.net_step_budget <- b
 let set_audit_on_restore net b = net.net_audit_on_restore <- b
 
 let stats net = snapshot_stats net.net_stats
+
+(* Cumulative per-stratum agenda accounting (ascending by priority),
+   merged from every finished episode's agenda. *)
+let agenda_totals net =
+  Hashtbl.fold (fun p t acc -> (p, t) :: acc) net.net_agenda_totals []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+(* The log's base is a copy of what the network has counted so far. *)
+let attach_log net lg ~on_episode_end =
+  let k = net.net_stats in
+  lg.lg_on_end <- on_episode_end;
+  lg.lg_kernel <- k;
+  lg.lg_base <- { k with k_assignments = k.k_assignments };
+  lg.lg_base_pushed <-
+    List.map (fun (p, t) -> (p, t.at_pushed)) (agenda_totals net);
+  net.net_log <- Some lg
+
+let detach_log net = net.net_log <- None
 
 let reset_stats net =
   let s = net.net_stats in
@@ -119,13 +131,15 @@ let reset_stats net =
   s.k_sink_errors <- 0;
   s.k_wakeups <- 0;
   s.k_suppressed <- 0;
-  Hashtbl.reset net.net_agenda_totals
-
-(* Cumulative per-stratum agenda accounting (ascending by priority),
-   merged from every finished episode's agenda. *)
-let agenda_totals net =
-  Hashtbl.fold (fun p t acc -> (p, t) :: acc) net.net_agenda_totals []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  s.k_pokes <- 0;
+  s.k_resets <- 0;
+  s.k_restores <- 0;
+  Hashtbl.reset net.net_agenda_totals;
+  Option.iter
+    (fun lg ->
+      lg.lg_base <- fresh_counters ();
+      lg.lg_base_pushed <- [])
+    net.net_log
 
 (* A throwing sink is an observability failure, never a propagation
    failure: trap, count, log, keep going — both to the remaining sinks
@@ -209,10 +223,12 @@ let log_check net c sat =
    path). *)
 let poke net v x ~just =
   Var.poke v x ~just;
+  net.net_stats.k_pokes <- net.net_stats.k_pokes + 1;
   if observed net then log_assign net v x "poke"
 
 let clear net v =
   Var.clear v;
+  net.net_stats.k_resets <- net.net_stats.k_resets + 1;
   if observed net then log_reset net v "poke"
 
 (* ------------------------------------------------------------------ *)
@@ -238,6 +254,7 @@ let note_failure net c ~where exn =
     in
     c.c_quarantined <- Some reason;
     c.c_enabled <- false;
+    c.c_quarantines <- c.c_quarantines + 1;
     net.net_stats.k_quarantined <- net.net_stats.k_quarantined + 1;
     trace net (T_quarantine (c, reason));
     Log.warn (fun m -> m "quarantined %s#%d: %s" c.c_kind c.c_id reason)
@@ -305,6 +322,7 @@ let restore ctx =
     | Saved { sv_var = v; sv_value; sv_just; sv_next } ->
       v.v_value <- sv_value;
       v.v_just <- sv_just;
+      ctx.cx_net.net_stats.k_restores <- ctx.cx_net.net_stats.k_restores + 1;
       if observed ctx.cx_net then log_restore ctx.cx_net v;
       (try v.v_on_change v
        with e ->
@@ -347,6 +365,7 @@ let run_inference ctx c changed =
             budget_prefix budget))
   | _ -> (
     net.net_stats.k_inferences <- net.net_stats.k_inferences + 1;
+    c.c_activations <- c.c_activations + 1;
     if observed net then log_activate net c changed;
     match c.c_propagate ctx c changed with
     | result -> result
@@ -388,6 +407,7 @@ let activate ctx c ~changed =
         let var = if c.c_activation.act_keyed_by_var then changed else None in
         if Agenda.schedule ctx.cx_agenda ~priority c ~var then begin
           ctx.cx_net.net_stats.k_scheduled <- ctx.cx_net.net_stats.k_scheduled + 1;
+          c.c_scheduled <- c.c_scheduled + 1;
           let depth = Agenda.length ctx.cx_agenda in
           if depth > ctx.cx_agenda_hwm then ctx.cx_agenda_hwm <- depth;
           if observed ctx.cx_net then log_schedule ctx.cx_net c priority
@@ -555,20 +575,26 @@ let rec drain ctx =
       | Error _ as e -> e
     else drain ctx
 
+(* A check that raises is a failed check: logged and counted as one. *)
 let check_one net c =
   if not (cstr_enabled c) then Ok ()
   else begin
     net.net_stats.k_checks <- net.net_stats.k_checks + 1;
+    c.c_checks <- c.c_checks + 1;
     match c.c_satisfied c with
     | sat ->
       if observed net then log_check net c sat;
       if sat then Ok ()
-      else
+      else begin
+        c.c_check_failures <- c.c_check_failures + 1;
         Error
           (violation ~cstr:c
              (Printf.sprintf "constraint %s#%d not satisfied after propagation"
                 c.c_kind c.c_id))
+      end
     | exception e ->
+      c.c_check_failures <- c.c_check_failures + 1;
+      if observed net then log_check net c false;
       Error
         (trapped_violation net ~cstr:c
            ~where:(Printf.sprintf "satisfied of %s#%d" c.c_kind c.c_id)
@@ -742,6 +768,7 @@ let erase ctx v ~just ~source_label =
   save_state ctx v;
   v.v_value <- None;
   v.v_just <- just;
+  ctx.cx_net.net_stats.k_resets <- ctx.cx_net.net_stats.k_resets + 1;
   if observed ctx.cx_net then begin
     log_reset ctx.cx_net v source_label;
     note_trace_cause v.v_path
@@ -889,9 +916,26 @@ let end_episode net (id, prev) ~label ~outcome ~timings ~ctx =
   end;
   net.net_cur_episode <- prev
 
-let notify_violation net viol =
+(* One more violation on the constraint of [cs] with id [id], if any. *)
+let rec blame id = function
+  | [] -> ()
+  | c :: cs ->
+    if c.c_id = id then c.c_violations <- c.c_violations + 1 else blame id cs
+
+(* Count an episode's violation, on the network and on the constraint
+   it names: the episode ran that constraint, so it is among those the
+   episode touched. *)
+let count_violation ctx viol =
+  let net = ctx.cx_net in
   net.net_stats.k_violations <- net.net_stats.k_violations + 1;
-  trace net (T_violation viol);
+  (match viol.viol_cstr_id with
+  | Some id -> blame id ctx.cx_cstr_order
+  | None -> ());
+  trace net (T_violation viol)
+
+let notify_violation ctx viol =
+  let net = ctx.cx_net in
+  count_violation ctx viol;
   try net.net_on_violation viol
   with e ->
     net.net_stats.k_trapped <- net.net_stats.k_trapped + 1;
@@ -921,7 +965,7 @@ let run_episode ?(label = "episode") net f =
     end_episode net bracket ~label ~outcome:E_committed ~timings ~ctx;
     Ok ()
   | Error viol ->
-    notify_violation net viol;
+    notify_violation ctx viol;
     let t0 = now timed net in
     restore ctx;
     audit_after_restore net;
@@ -988,9 +1032,7 @@ let explain_set net v x =
     in
     (match result with
     | Ok () -> ()
-    | Error viol ->
-      net.net_stats.k_violations <- net.net_stats.k_violations + 1;
-      trace net (T_violation viol));
+    | Error viol -> count_violation ctx viol);
     let t0 = now timed net in
     restore ctx;
     audit_after_restore net;

@@ -72,7 +72,9 @@ val clear_sinks : 'a network -> unit
     of [net] to [lg] as a row, building no event for it, and calls
     [on_episode_end] after each episode's end row (trapped and counted
     like a sink). Replaces any log [net] had. Sinks still receive their
-    events, with the same sequence numbers. *)
+    events, with the same sequence numbers. [lg] takes the network's
+    counters and agenda pushes as they are now as its base: an observer
+    reports what the network counted since. *)
 val attach_log :
   'a network -> 'a event_log -> on_episode_end:(episode_span -> unit) -> unit
 
@@ -131,8 +133,8 @@ val set_audit_on_restore : 'a network -> bool -> unit
 
 (** Immutable snapshot of the network's event counters. Latency
     histograms and other aggregates are deliberately not here: they are
-    reachable only through the [Obs] metrics registry, fed by a trace
-    sink. *)
+    reachable only through the [Obs] metrics registry, which a board
+    feeds at each episode end. *)
 val stats : 'a network -> stats
 
 (** Cumulative per-stratum agenda accounting — [(priority, totals)]
@@ -140,6 +142,8 @@ val stats : 'a network -> stats
     Cleared by {!reset_stats}. *)
 val agenda_totals : 'a network -> (int * agenda_totals) list
 
+(** Zero the counters and the agenda totals, and the base of the
+    network's log with them. *)
 val reset_stats : 'a network -> unit
 
 (** {1 Top-level assignment} *)

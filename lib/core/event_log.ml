@@ -41,9 +41,11 @@
    the index agrees with the network.
 
    The log also keeps the open episodes (for the cross-network parent
-   of every span and the rollback), the newest [max_episodes]
-   episodes, and counts: events by kind, and per constraint the
-   activity the profiler ranks. *)
+   of every span and the rollback, and the kernel's violation and
+   quarantine counts at each start) and the newest [max_episodes]
+   episodes.  It counts nothing: the kernel's counters are the tallies,
+   and the log holds their values at attach as the base an observer
+   subtracts. *)
 
 open Types
 
@@ -93,29 +95,6 @@ let max_strings = 16
 let span_capacity = 8192
 
 let max_episodes = 1024
-
-(* event counts, by index *)
-let c_assign = 0
-let c_reset = 1
-let c_activate = 2
-let c_check = 3
-let c_restore = 4
-let c_violation = 5
-let c_quarantine = 6
-let c_start = 7
-let c_sched_checking = 8
-let c_sched_functional = 9
-let c_sched_implicit = 10
-let c_sched_other = 11
-let n_counts = 12
-
-(* per-constraint counts, [st_stride] per constraint id *)
-let st_activations = 0
-let st_scheduled = 1
-let st_checks = 2
-let st_check_failures = 3
-let st_quarantines = 4
-let st_stride = 5
 
 (* span flags, in the low bits of the info word; the source code in
    the 5 bits above them, the prior latest span id above that *)
@@ -178,9 +157,9 @@ let create ~rows () =
     lg_ep_parent = Array.make max_episodes None;
     lg_ep_outcome = Array.make max_episodes (-1);
     lg_last_epi = 0;
-    lg_counts = Array.make n_counts 0;
-    lg_stats =
-      { cs_counts = [||]; cs_kinds = [||]; cs_violations = Hashtbl.create 4 };
+    lg_kernel = fresh_counters ();
+    lg_base = fresh_counters ();
+    lg_base_pushed = [];
   }
 
 let rows_count b = Array.length b.b_w / 3
@@ -383,34 +362,7 @@ let[@inline] put_row lg i ep seq word =
   Array.unsafe_set w (j + 2) word;
   lg.lg_seen <- lg.lg_seen + 1
 
-let[@inline] count lg k =
-  let c = lg.lg_counts in
-  Array.unsafe_set c k (Array.unsafe_get c k + 1)
-
-let grow_stats st id =
-  let n = max (id + 1) (2 * Array.length st.cs_kinds) in
-  let kinds = Array.make n "" and counts = Array.make (st_stride * n) 0 in
-  Array.blit st.cs_kinds 0 kinds 0 (Array.length st.cs_kinds);
-  Array.blit st.cs_counts 0 counts 0 (Array.length st.cs_counts);
-  st.cs_kinds <- kinds;
-  st.cs_counts <- counts
-
-(* one more of [c]'s activity [k] *)
-let stat lg c k =
-  let st = lg.lg_stats and id = c.c_id in
-  if id >= Array.length st.cs_kinds then grow_stats st id;
-  if String.length (Array.unsafe_get st.cs_kinds id) = 0 then
-    Array.unsafe_set st.cs_kinds id c.c_kind;
-  let j = (st_stride * id) + k in
-  Array.unsafe_set st.cs_counts j (Array.unsafe_get st.cs_counts j + 1)
-
-let rare lg ep seq ev =
-  let i = next_row lg in
-  put_row lg i ep seq (put_rare lg.lg_rows i ev)
-
 let activate lg ep seq c changed =
-  count lg c_activate;
-  stat lg c st_activations;
   let i = next_row lg in
   let names = lg.lg_rows.b_names in
   let word =
@@ -427,12 +379,6 @@ let activate lg ep seq c changed =
   put_row lg i ep seq word
 
 let schedule lg ep seq c priority =
-  count lg
-    (if priority = checking_priority then c_sched_checking
-     else if priority = functional_priority then c_sched_functional
-     else if priority = implicit_priority then c_sched_implicit
-     else c_sched_other);
-  stat lg c st_scheduled;
   let i = next_row lg in
   let word =
     match cstr_id lg.lg_rows.b_names c with
@@ -443,9 +389,6 @@ let schedule lg ep seq c priority =
   put_row lg i ep seq word
 
 let check lg ep seq c ok =
-  count lg c_check;
-  stat lg c st_checks;
-  if not ok then stat lg c st_check_failures;
   let i = next_row lg in
   let word =
     match cstr_id lg.lg_rows.b_names c with
@@ -455,7 +398,6 @@ let check lg ep seq c ok =
   put_row lg i ep seq word
 
 let restore lg ep seq v =
-  count lg c_restore;
   let i = next_row lg in
   let word =
     match var_id lg.lg_rows.b_names v with
@@ -553,7 +495,6 @@ let span lg ep seq v src flags =
   pack 0 j code
 
 let assign lg ep seq v x src =
-  count lg c_assign;
   let i = next_row lg in
   let word = span lg ep seq v src flag_value in
   let b = lg.lg_rows in
@@ -562,14 +503,12 @@ let assign lg ep seq v x src =
   put_row lg i ep seq (k_assign lor word)
 
 let reset lg ep seq v src =
-  count lg c_reset;
   let i = next_row lg in
   put_row lg i ep seq (k_reset lor span lg ep seq v src 0)
 
 (* ---------------- episodes ---------------- *)
 
 let start lg ep seq id label parent =
-  count lg c_start;
   let i = next_row lg in
   let word =
     match parent with
@@ -589,8 +528,8 @@ let start lg ep seq id label parent =
   f.(k) <- id;
   f.(k + 1) <- lg.lg_next_span;
   f.(k + 2) <- lg.lg_seen;
-  f.(k + 3) <- lg.lg_counts.(c_violation);
-  f.(k + 4) <- lg.lg_counts.(c_quarantine);
+  f.(k + 3) <- lg.lg_kernel.k_violations;
+  f.(k + 4) <- lg.lg_kernel.k_quarantined;
   lg.lg_frame_parent.(d) <- parent;
   lg.lg_depth <- d + 1;
   (* noting overwrites the slot of the episode [max_episodes] ids back:
@@ -673,8 +612,8 @@ let finish lg ep seq sp =
     lg.lg_depth <- d - 1;
     lg.lg_frame_parent.(d - 1) <- None;
     lg.lg_ended_start <- lg.lg_frames.(fr + 2);
-    lg.lg_ended_viol <- lg.lg_counts.(c_violation) - lg.lg_frames.(fr + 3);
-    lg.lg_ended_quar <- lg.lg_counts.(c_quarantine) - lg.lg_frames.(fr + 4);
+    lg.lg_ended_viol <- lg.lg_kernel.k_violations - lg.lg_frames.(fr + 3);
+    lg.lg_ended_quar <- lg.lg_kernel.k_quarantined - lg.lg_frames.(fr + 4);
     if sp.es_outcome <> E_committed then kill lg sp.es_id lg.lg_frames.(fr + 1)
   end
   else begin
@@ -856,16 +795,6 @@ let push lg ep seq (ev : _ trace_event) =
   | T_restore v -> restore lg ep seq v
   | T_episode_start (id, label, parent) -> start lg ep seq id label parent
   | T_episode_end sp -> finish lg ep seq sp
-  | T_violation viol ->
-    count lg c_violation;
-    (match viol.viol_cstr_kind with
-    | Some kind ->
-      let t = lg.lg_stats.cs_violations in
-      Hashtbl.replace t kind
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t kind))
-    | None -> ());
-    rare lg ep seq ev
-  | T_quarantine (c, _) ->
-    count lg c_quarantine;
-    stat lg c st_quarantines;
-    rare lg ep seq ev
+  | T_violation _ | T_quarantine _ ->
+    let i = next_row lg in
+    put_row lg i ep seq (put_rare lg.lg_rows i ev)

@@ -1,9 +1,10 @@
 (** The event log of an observed network: one packed row per trace
     event, written by {!Engine} at each event's site (see
     {!Engine.attach_log}) without building the event, and read by the
-    observers of [Obs]: the ring, the tail sampler, provenance, the
-    board's metrics and profiler. Each assignment is recorded once — a
-    row naming a span that carries the value and what provenance needs.
+    observers of [Obs]: the ring, the tail sampler and provenance. Each
+    assignment is recorded once — a row naming a span that carries the
+    value and what provenance needs. It keeps rows, not counts: the
+    network's counters are the tallies, less the base taken at attach.
 
     The storage types are {!Types.event_log} and {!Types.log_rows}; this
     module alone knows how rows and spans are encoded. *)
@@ -53,29 +54,6 @@ val span_cross : 'a event_log -> int -> parent_ref option
 (** The span ids the justification's dependency record names among the
     candidates logged with the span (oldest argument first). *)
 val span_antecedents : 'a event_log -> int -> int list
-
-(** {1 Counts} *)
-
-val c_assign : int
-val c_reset : int
-val c_activate : int
-val c_check : int
-val c_restore : int
-val c_violation : int
-val c_quarantine : int
-val c_start : int
-val c_sched_checking : int
-val c_sched_functional : int
-val c_sched_implicit : int
-val c_sched_other : int
-
-(** Per-constraint counts in {!Types.cstr_stats}: [st_stride] per id. *)
-val st_activations : int
-val st_scheduled : int
-val st_checks : int
-val st_check_failures : int
-val st_quarantines : int
-val st_stride : int
 
 (** {1 Writing} *)
 

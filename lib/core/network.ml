@@ -95,6 +95,7 @@ let quarantine net c ~reason =
   if c.c_quarantined = None then begin
     c.c_quarantined <- Some reason;
     c.c_enabled <- false;
+    c.c_quarantines <- c.c_quarantines + 1;
     net.net_stats.k_quarantined <- net.net_stats.k_quarantined + 1;
     Engine.trace net (T_quarantine (c, reason))
   end

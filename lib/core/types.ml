@@ -62,11 +62,12 @@ type 'a violation = {
   viol_exn : string option;
 }
 
-(* The live event counters of a network.  Internal: the kernel mutates
-   these in place on the hot path; the public view is the immutable
-   {!stats} snapshot returned by [Engine.stats].  Latency histograms and
-   other aggregates deliberately do not live here — they belong to the
-   [Obs] metrics registry, fed through trace sinks. *)
+(* The live event counters of a network, the one tally of each event
+   the kernel emits, observed or not.  Internal: the kernel mutates these
+   in place on the hot path; the public view is the immutable {!stats}
+   snapshot returned by [Engine.stats], and a board reads them less its
+   log's base.  Latency histograms and other aggregates deliberately do
+   not live here — they belong to the [Obs] metrics registry. *)
 type counters = {
   mutable k_assignments : int; (* values installed during propagation *)
   mutable k_inferences : int; (* constraint inference runs *)
@@ -79,6 +80,10 @@ type counters = {
   mutable k_sink_errors : int; (* exceptions trapped in trace sinks *)
   mutable k_wakeups : int; (* constraints woken by a variable change *)
   mutable k_suppressed : int; (* wakeups avoided by the watch discipline *)
+  (* events with no [stats] field *)
+  mutable k_pokes : int; (* values stored by [Engine.poke] *)
+  mutable k_resets : int; (* values erased, [Engine.clear] included *)
+  mutable k_restores : int; (* variables restored by a rollback *)
 }
 
 (* Immutable statistics snapshot (what [Engine.stats] returns). *)
@@ -298,6 +303,15 @@ and 'a cstr = {
   (* Fault tolerance: exceptions trapped in this constraint's propagate
      or satisfied procedure since the counter was last cleared. *)
   mutable c_failures : int;
+  (* Activity since creation, for the per-kind profile: inference runs,
+     agenda pushes, satisfaction checks (and failed ones), violations
+     naming this constraint, quarantines. *)
+  mutable c_activations : int;
+  mutable c_scheduled : int;
+  mutable c_checks : int;
+  mutable c_check_failures : int;
+  mutable c_violations : int;
+  mutable c_quarantines : int;
   (* When the failure count reaches the network's threshold the
      constraint is quarantined: disabled with a recorded reason, so one
      broken inference procedure degrades its own cell instead of
@@ -466,16 +480,6 @@ and 'a log_rows = {
   b_names : 'a log_names;
 }
 
-(* Per-constraint activity, by [c_id] (5 counts each: activations,
-   agenda pushes, checks, failed checks, quarantines; the kind named by
-   the first constraint seen with that id), and violations by
-   constraint kind. *)
-and cstr_stats = {
-  mutable cs_counts : int array;
-  mutable cs_kinds : string array; (* "" = no constraint seen *)
-  cs_violations : (string, int) Hashtbl.t;
-}
-
 and 'a event_log = {
   lg_rows : 'a log_rows;
   lg_mask : int; (* backing rows - 1 *)
@@ -498,7 +502,8 @@ and 'a event_log = {
   mutable lg_pool_next : int;
   mutable lg_latest : int array; (* v_id -> latest live span id *)
   (* open episodes, innermost last: 5 ints each (id, first span, start
-     row, violations and quarantines counted at the start) *)
+     row, and the kernel's violation and quarantine counts at the
+     start) *)
   mutable lg_depth : int;
   mutable lg_frames : int array;
   mutable lg_frame_parent : parent_ref option array;
@@ -513,8 +518,12 @@ and 'a event_log = {
   lg_ep_parent : parent_ref option array;
   lg_ep_outcome : int array; (* -1 while open *)
   mutable lg_last_epi : int;
-  lg_counts : int array; (* events by [Event_log] count index *)
-  lg_stats : cstr_stats;
+  (* the counters of the network the log is attached to, their values
+     at [Engine.attach_log] (zeroed by [Engine.reset_stats]), and the
+     agenda pushes by priority then: an observer reports the difference *)
+  mutable lg_kernel : counters;
+  mutable lg_base : counters;
+  mutable lg_base_pushed : (int * int) list;
 }
 
 and 'a ctx = {
@@ -552,6 +561,9 @@ let fresh_counters () =
     k_sink_errors = 0;
     k_wakeups = 0;
     k_suppressed = 0;
+    k_pokes = 0;
+    k_resets = 0;
+    k_restores = 0;
   }
 
 let snapshot_stats (k : counters) : stats =

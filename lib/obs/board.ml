@@ -1,12 +1,14 @@
 (* The one observer of a network: a ring buffer, a metrics registry, a
    profiler, the continuous-monitoring trio (rolling window, tail
-   sampler, watchdog) and the provenance store, all reading the one
-   event log the engine writes for the network, plus one hook at each
-   episode end.  Every hosted network, the shell session and the CLI
-   demos carry one. *)
+   sampler, watchdog) and the provenance store, plus one hook at each
+   episode end.  The ring, the sampler and provenance read the one
+   event log the engine writes for the network; the counters, the
+   window's tallies and the profile read the network's own counts.
+   Every hosted network, the shell session and the CLI demos carry
+   one. *)
 
 open Constraint_kernel
-module L = Event_log
+open Constraint_kernel.Types
 
 (* Long-horizon history: where to sample, and every series resolved
    once for this board and prefix — per instrument its series (a
@@ -20,6 +22,7 @@ type history = {
 }
 
 type 'a t = {
+  b_net : 'a network;
   b_ring : 'a Ring.t; (* reads the network's log *)
   b_metrics : Metrics.t;
   b_ks : Metrics.kernel_set;
@@ -28,9 +31,9 @@ type 'a t = {
   b_sampler : 'a Sampler.t;
   b_watchdog : Watchdog.t;
   b_prov : 'a Provenance.t;
-  (* network sink-error total at the last episode end, and the log's
-     violation and quarantine counts last noted in the window, for
-     per-window deltas *)
+  (* network sink-error total at the last episode end, and the
+     violation and quarantine counts since attach last noted in the
+     window, for per-window deltas *)
   mutable b_sink_errs_seen : int;
   mutable b_viol_seen : int;
   mutable b_quar_seen : int;
@@ -158,57 +161,78 @@ let sample_history metrics h (snap : Window.snapshot) =
         put w.(7) (Window.p99 snap)
       end)
 
+(* Agenda pushes at priority [p] since the log's base, from the table
+   [Engine.agenda_totals] sorts, without allocating. *)
+let rec base_pushed p = function
+  | [] -> 0
+  | (q, n) :: rest -> if q = p then n else base_pushed p rest
+
+let pushed_since net lg p =
+  (match Hashtbl.find net.net_agenda_totals p with
+  | t -> t.at_pushed
+  | exception Not_found -> 0)
+  - base_pushed p lg.lg_base_pushed
+
 (* Bring the kernel-event counters and the window's violation and
-   quarantine tallies up to the log's counts.  Done at every episode end
-   and before the registry or the window is read, so events logged
-   between episodes (pokes, manual quarantines) are never missed.  A
-   reader may run this on another thread than the episodes': counters
-   are set, not added to, and a tally claims its delta before noting
-   it. *)
+   quarantine tallies up to the network's counters less the log's base.
+   Done at every episode end and before the registry or the window is
+   read, so events between episodes (pokes, manual quarantines) are
+   never missed; only while the board's log is the network's, so a
+   detached board keeps what it last read.  A reader may run this on
+   another thread than the episodes': counters are set, not added to,
+   and a tally claims its delta before noting it. *)
 let sync b =
-  let c = (Ring.log b.b_ring).Types.lg_counts in
-  let ks = b.b_ks in
-  let set = Metrics.set_count in
-  set ks.ks_assign c.(L.c_assign);
-  set ks.ks_reset c.(L.c_reset);
-  set ks.ks_activate c.(L.c_activate);
-  set ks.ks_check c.(L.c_check);
-  set ks.ks_violation c.(L.c_violation);
-  set ks.ks_restore c.(L.c_restore);
-  set ks.ks_quarantine c.(L.c_quarantine);
-  set ks.ks_ep_total c.(L.c_start);
-  set ks.ks_sched_checking c.(L.c_sched_checking);
-  set ks.ks_sched_functional c.(L.c_sched_functional);
-  set ks.ks_sched_implicit c.(L.c_sched_implicit);
-  set ks.ks_sched_other c.(L.c_sched_other);
-  set ks.ks_schedule
-    (c.(L.c_sched_checking) + c.(L.c_sched_functional)
-    + c.(L.c_sched_implicit) + c.(L.c_sched_other));
-  let w = b.b_window in
-  let viol = c.(L.c_violation) - b.b_viol_seen in
-  b.b_viol_seen <- b.b_viol_seen + viol;
-  for _ = 1 to viol do Window.note_violation w done;
-  let quar = c.(L.c_quarantine) - b.b_quar_seen in
-  b.b_quar_seen <- b.b_quar_seen + quar;
-  for _ = 1 to quar do Window.note_quarantine w done
+  let lg = Ring.log b.b_ring and net = b.b_net in
+  if match net.net_log with Some l -> l == lg | None -> false then begin
+    let k = net.net_stats and base = lg.lg_base and ks = b.b_ks in
+    let set c now was = Metrics.set_count c (now - was) in
+    set ks.ks_assign (k.k_assignments + k.k_pokes)
+      (base.k_assignments + base.k_pokes);
+    set ks.ks_reset k.k_resets base.k_resets;
+    set ks.ks_activate k.k_inferences base.k_inferences;
+    set ks.ks_schedule k.k_scheduled base.k_scheduled;
+    set ks.ks_check k.k_checks base.k_checks;
+    set ks.ks_violation k.k_violations base.k_violations;
+    set ks.ks_restore k.k_restores base.k_restores;
+    set ks.ks_quarantine k.k_quarantined base.k_quarantined;
+    set ks.ks_ep_total k.k_propagations base.k_propagations;
+    (* with no episode open every push is merged into the totals, and
+       the custom priorities' share is the rest of the pushes *)
+    if lg.lg_depth = 0 then begin
+      let c = pushed_since net lg checking_priority
+      and f = pushed_since net lg functional_priority
+      and i = pushed_since net lg implicit_priority in
+      Metrics.set_count ks.ks_sched_checking c;
+      Metrics.set_count ks.ks_sched_functional f;
+      Metrics.set_count ks.ks_sched_implicit i;
+      set ks.ks_sched_other (k.k_scheduled - c - f - i) base.k_scheduled
+    end;
+    let w = b.b_window in
+    let viol = k.k_violations - base.k_violations - b.b_viol_seen in
+    b.b_viol_seen <- b.b_viol_seen + viol;
+    for _ = 1 to viol do Window.note_violation w done;
+    let quar = k.k_quarantined - base.k_quarantined - b.b_quar_seen in
+    b.b_quar_seen <- b.b_quar_seen + quar;
+    for _ = 1 to quar do Window.note_quarantine w done
+  end
 
 (* The log's episode-end hook: everything the board does per episode.
    The end row is already the newest row of the log, and the log has
    closed the episode's frame (provenance's rollback included). *)
-let episode_ended net b sp =
+let episode_ended b sp =
   sync b;
   let lg = Ring.log b.b_ring in
   (* wakeup-discipline gauges mirror the network's cumulative counters
      once per episode *)
-  let s = net.Types.net_stats in
-  Metrics.observe_episode b.b_ks sp ~wakeups:s.Types.k_wakeups
-    ~suppressed:s.Types.k_suppressed;
-  (* promote from the ring before anything else overwrites it *)
-  if lg.Types.lg_depth = 0 then
-    Sampler.finished b.b_sampler ~start:(max 0 lg.Types.lg_ended_start)
-      ~violated:(lg.Types.lg_ended_viol > 0)
-      ~quarantined:(lg.Types.lg_ended_quar > 0) sp;
-  let errs = s.Types.k_sink_errors in
+  let s = b.b_net.net_stats in
+  Metrics.observe_episode b.b_ks sp ~wakeups:s.k_wakeups
+    ~suppressed:s.k_suppressed;
+  (* promote from the ring before anything else overwrites it; the
+     flags are the kernel's counts over the episode's frame *)
+  if lg.lg_depth = 0 then
+    Sampler.finished b.b_sampler ~start:(max 0 lg.lg_ended_start)
+      ~violated:(lg.lg_ended_viol > 0) ~quarantined:(lg.lg_ended_quar > 0) sp;
+  let errs = s.k_sink_errors in
   Window.note_sink_errors b.b_window (errs - b.b_sink_errs_seen);
   b.b_sink_errs_seen <- errs;
   (* last: may rotate the window and run the watchdog *)
@@ -223,7 +247,7 @@ let attach ?(window_width = Window.Episodes 32)
   let history = ref None in
   let w = Window.create ~width:window_width () in
   let sampler = Sampler.create ~ring () in
-  let wd = Watchdog.create ~name:net.Types.net_name rules in
+  let wd = Watchdog.create ~name:net.net_name rules in
   (* every window boundary: fresh slow top-K, then rule evaluation *)
   Window.on_rotate w (fun _ -> Sampler.rotate sampler);
   Watchdog.watch wd w;
@@ -236,10 +260,11 @@ let attach ?(window_width = Window.Episodes 32)
       | None -> ());
   let b =
     {
+      b_net = net;
       b_ring = ring;
       b_metrics = metrics;
       b_ks = Metrics.kernel_set metrics;
-      b_profiler = Profiler.of_log lg;
+      b_profiler = Profiler.of_net net;
       b_window = w;
       b_sampler = sampler;
       b_watchdog = wd;
@@ -250,7 +275,7 @@ let attach ?(window_width = Window.Episodes 32)
       b_history = history;
     }
   in
-  Engine.attach_log net lg ~on_episode_end:(episode_ended net b);
+  Engine.attach_log net lg ~on_episode_end:(episode_ended b);
   b
 
 let detach net = Engine.detach_log net

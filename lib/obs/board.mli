@@ -9,6 +9,12 @@
     log off the network, leaving any sink (e.g. a JSONL exporter)
     alone.
 
+    The board counts nothing itself. Its event counters and window
+    tallies read the network's counters, less their values when the log
+    was attached (or the stats last reset,
+    {!Constraint_kernel.Engine.reset_stats}); its profile reads the
+    constraints' counts, less theirs at attach.
+
     The monitoring trio is a rolling {!Window} (episode rates and
     latency quantiles per window), a tail {!Sampler} (exemplar traces of
     the slowest / violating / quarantining episodes, buffered by the
@@ -44,11 +50,12 @@ val attach :
   'a t
 
 (** Take the board's log off the network. Its provenance store stays
-    readable, and stays in its scope. *)
+    readable, and stays in its scope; its counters keep what they last
+    read. *)
 val detach : 'a Types.network -> unit
 
-(** The registry, its kernel-event counters brought up to the log's
-    counts. *)
+(** The registry, its kernel-event counters brought up to the network's
+    counts since attach. *)
 val metrics : 'a t -> Metrics.t
 
 val profiler : 'a t -> Profiler.t

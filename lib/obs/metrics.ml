@@ -1,6 +1,6 @@
 (* A small metrics registry: named counters, gauges and fixed-bucket
-   histograms, plus the kernel instruments a board aggregates a
-   network's event log into.  All instruments are O(1) per observation and
+   histograms, plus the kernel instruments a board brings up to its
+   network's counters and feeds each finished episode.  All instruments are O(1) per observation and
    allocation-free after creation: their float state lives in all-float
    records, which OCaml stores flat, so an update boxes nothing. *)
 
@@ -318,8 +318,8 @@ let add_family_header buf ~fam ~ty ~help =
 
 (* ---------------- the kernel instruments ---------------- *)
 
-(* Aggregates a network's event stream: one counter per event type,
-   outcome counters, and the histograms the bare NIL feedback of the
+(* A network's kernel instruments: one counter per event type (read
+   from the network's counters), outcome counters, and the histograms the bare NIL feedback of the
    paper could never answer — episode latency (overall and per phase),
    inferences per episode, agenda depth. *)
 

@@ -1,12 +1,13 @@
 (** Metrics registry: named counters, gauges and fixed-bucket
-    histograms, plus the kernel instruments a board aggregates a
-    constraint network's event log into.
+    histograms, plus the kernel instruments of a board.
 
     This registry is the only home of latency/histogram aggregates —
     [Engine.stats] stays a plain snapshot of event counters. A board
-    ({!Board.attach}) populates its registry's {!kernel_set}: episode latency (overall and per phase, microseconds),
-    inferences per episode, agenda-depth high-water marks, event and
-    outcome counts. *)
+    ({!Board.attach}) populates its registry's {!kernel_set}: episode
+    latency (overall and per phase, microseconds), inferences per
+    episode, agenda-depth high-water marks and outcome counts from each
+    finished episode, and event counts read from the network's
+    counters. *)
 
 open Constraint_kernel.Types
 
@@ -32,8 +33,8 @@ val incr : ?by:int -> counter -> unit
 val tick : counter -> unit
 
 (** [set_count c n] — [c] reads [n]: for a counter that mirrors a count
-    kept elsewhere (a board's kernel-event counters mirror its event
-    log's), so setting it twice is harmless. *)
+    kept elsewhere (a board's kernel-event counters read the network's
+    counters, less a base), so setting it twice is harmless. *)
 val set_count : counter -> int -> unit
 
 val count : counter -> int
@@ -115,7 +116,7 @@ val add_family_header :
 val add_series : Buffer.t -> string -> (string * string) list -> string -> unit
 
 (** The kernel instruments, pre-created and exposed so a board can
-    bring them up to its event log's counts and observe each finished
+    bring them up to the network's counts and observe each finished
     episode. *)
 type kernel_set = {
   ks_assign : counter;

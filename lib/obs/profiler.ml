@@ -1,11 +1,10 @@
 (* Per-constraint-kind profiler: attributes activations, agenda
    traffic, checks, violations and quarantines to each constraint kind
    ("equality", "uni-maximum", ...), and ranks the kinds by activation
-   count into a top-k hotspot report.  The counting is the event log's
-   (per constraint id, as each event is written); the profiler sums it
-   by kind when read. *)
+   count into a top-k hotspot report.  The counting is the kernel's (on
+   each constraint's record); the profiler sums the network's
+   constraints by kind when read, less the base it took when made. *)
 
-open Constraint_kernel
 open Constraint_kernel.Types
 
 type entry = {
@@ -18,45 +17,43 @@ type entry = {
   mutable e_quarantines : int;
 }
 
-type t = cstr_stats
+(* the base: [n_counts] per constraint id *)
+type t = P : { net : 'a network; base : int array } -> t
 
-let of_log lg = lg.lg_stats
+let n_counts = 6
 
-let entries st =
+(* a constraint's counts, in [entry] order *)
+let counts c =
+  [| c.c_activations; c.c_scheduled; c.c_checks; c.c_check_failures;
+     c.c_violations; c.c_quarantines |]
+
+let of_net net =
+  let base = Array.make (n_counts * net.net_next_cstr_id) 0 in
+  List.iter
+    (fun c -> Array.blit (counts c) 0 base (n_counts * c.c_id) n_counts)
+    net.net_cstrs;
+  P { net; base }
+
+let entries (P { net; base }) =
   let by_kind = Hashtbl.create 16 in
-  let entry kind =
-    match Hashtbl.find_opt by_kind kind with
-    | Some e -> e
-    | None ->
-      let e =
-        { e_kind = kind; e_activations = 0; e_scheduled = 0; e_checks = 0;
-          e_check_failures = 0; e_violations = 0; e_quarantines = 0 }
-      in
-      Hashtbl.add by_kind kind e;
-      e
-  in
-  Array.iteri
-    (fun id kind ->
-      if kind <> "" then begin
-        let e = entry kind in
-        let n k = st.cs_counts.((Event_log.st_stride * id) + k) in
-        e.e_activations <- e.e_activations + n Event_log.st_activations;
-        e.e_scheduled <- e.e_scheduled + n Event_log.st_scheduled;
-        e.e_checks <- e.e_checks + n Event_log.st_checks;
-        e.e_check_failures <- e.e_check_failures + n Event_log.st_check_failures;
-        e.e_quarantines <- e.e_quarantines + n Event_log.st_quarantines
-      end)
-    st.cs_kinds;
-  Hashtbl.iter
-    (fun kind n -> (entry kind).e_violations <- (entry kind).e_violations + n)
-    st.cs_violations;
-  Hashtbl.fold (fun _ e acc -> e :: acc) by_kind []
+  List.iter
+    (fun c ->
+      let n = counts c and j = n_counts * c.c_id in
+      if j < Array.length base then
+        Array.iteri (fun k x -> n.(k) <- x - base.(j + k)) n;
+      if Array.exists (fun x -> x > 0) n then
+        match Hashtbl.find_opt by_kind c.c_kind with
+        | Some sum -> Array.iteri (fun k x -> sum.(k) <- sum.(k) + x) n
+        | None -> Hashtbl.add by_kind c.c_kind n)
+    net.net_cstrs;
+  Hashtbl.fold
+    (fun kind n acc ->
+      { e_kind = kind; e_activations = n.(0); e_scheduled = n.(1);
+        e_checks = n.(2); e_check_failures = n.(3); e_violations = n.(4);
+        e_quarantines = n.(5) }
+      :: acc)
+    by_kind []
   |> List.sort (fun a b ->
          match compare b.e_activations a.e_activations with
          | 0 -> compare a.e_kind b.e_kind
          | c -> c)
-
-let clear st =
-  Array.fill st.cs_counts 0 (Array.length st.cs_counts) 0;
-  Array.fill st.cs_kinds 0 (Array.length st.cs_kinds) "";
-  Hashtbl.reset st.cs_violations

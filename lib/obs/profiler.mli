@@ -2,12 +2,11 @@
 
     Constraint activity — activations, agenda pushes, satisfaction
     checks (and how many failed), violations, quarantines — is counted
-    by the network's {!Constraint_kernel.Event_log} as each event is
-    written, per constraint, and attributed here to the constraint's
-    [c_kind]. {!entries} ranks kinds by activation count, answering
-    "which constraint family is doing all the work" without
-    per-activation clock reads (counting stays cheap enough to leave
-    on). *)
+    by the kernel on each constraint, and summed here over the
+    network's constraints by [c_kind]. {!entries} ranks kinds by
+    activation count, answering "which constraint family is doing all
+    the work" without per-activation clock reads. A constraint removed
+    from the network leaves the profile. *)
 
 type entry = {
   e_kind : string;
@@ -21,11 +20,9 @@ type entry = {
 
 type t
 
-(** The profiler reading [log]'s counts. *)
-val of_log : 'a Constraint_kernel.Types.event_log -> t
+(** The profiler of [net], counting from now. *)
+val of_net : 'a Constraint_kernel.Types.network -> t
 
-(** All kinds seen so far, most activations first (ties by name). *)
+(** Kinds with activity since the profiler was made, most activations
+    first (ties by name). *)
 val entries : t -> entry list
-
-(** Forget every count so far. *)
-val clear : t -> unit
