@@ -36,10 +36,7 @@ let unsatisfied net =
 (* Wakeup-discipline and per-stratum agenda traffic, for `health`
    surfaces. *)
 let pp_agenda ppf net =
-  let totals =
-    Hashtbl.fold (fun p t acc -> (p, t) :: acc) net.net_agenda_totals []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
+  let totals = Engine.agenda_totals net in
   let s = net.net_stats in
   let touched = s.k_wakeups + s.k_suppressed in
   let pct =
