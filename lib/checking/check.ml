@@ -1,8 +1,6 @@
 open Constraint_kernel
 open Stem.Design
 
-let unsatisfied env = Editor.unsatisfied env.env_cnet
-
 let batch_check env =
   let all =
     List.filter

@@ -8,9 +8,6 @@
 
 open Stem.Design
 
-(** All currently unsatisfied enabled constraints. *)
-val unsatisfied : env -> cstr list
-
 (** Full batch sweep: evaluate [is_satisfied] on every enabled
     constraint. Returns [(constraints examined, violations found)]. *)
 val batch_check : env -> int * cstr list

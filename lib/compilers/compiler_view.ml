@@ -61,12 +61,4 @@ let make env cls =
 
 let get t = Stem.View.get t.view
 
-let model t = t.cv_model
-
 let recomputations t = Stem.View.recomputations t.view
-
-let pins t = function
-  | Left -> (get t).cv_left
-  | Right -> (get t).cv_right
-  | Bottom -> (get t).cv_bottom
-  | Top -> (get t).cv_top

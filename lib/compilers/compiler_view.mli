@@ -31,14 +31,6 @@ val make : env -> cell_class -> t
 
 val get : t -> data
 
-val model : t -> cell_class
-
 (** How many times the view data were recomputed (Ch. 6 laziness
     experiments). *)
 val recomputations : t -> int
-
-(** All pins of one side. *)
-val pins : t -> side -> pin list
-
-(** Every pin with its side classification. *)
-val classify_side : Geometry.Rect.t -> Geometry.Point.t -> side option

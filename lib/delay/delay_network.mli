@@ -14,21 +14,6 @@
 
 open Stem.Design
 
-(** [instance_delay env inst cd] — the instance delay variable dual to
-    the subcell class delay [cd], creating it (with its implicit
-    R·C-adjusting constraint) on first use. *)
-val instance_delay : env -> instance -> class_delay -> var
-
-(** [ensure env cls] — build the delay networks for every declared class
-    delay of [cls] (idempotent; registers a structure-change hook that
-    tears the network down again). Returns the number of delay paths
-    found. *)
-val ensure : env -> cell_class -> int
-
-(** [teardown env cls] — remove the constructed constraints and erase
-    calculated class delay values. *)
-val teardown : env -> cell_class -> unit
-
 (** [is_built env cls]. *)
 val is_built : env -> cell_class -> bool
 

@@ -9,11 +9,8 @@
 
 open Stem.Design
 
-(** [rc_term env inst ~to_signal] — the transient R·C adjustment for the
-    instance's output [to_signal] in its current connectivity; [0.] when
-    the output is unconnected or characteristics are missing. *)
-val rc_term : env -> instance -> to_signal:string -> float
-
 (** [adjust env inst cd nominal] — instance delay value from the class
-    (nominal) delay: [nominal + rc_term]. *)
+    (nominal) delay: [nominal] plus the transient R·C term of the
+    instance's output in its current connectivity ([0.] when the output
+    is unconnected or characteristics are missing). *)
 val adjust : env -> instance -> class_delay -> Dval.t -> Dval.t option

@@ -45,21 +45,9 @@ let to_string v = Fmt.str "%a" pp v
 
 let int = function Int x -> Some x | _ -> None
 
-let float = function Float x -> Some x | _ -> None
-
 let number = function Int x -> Some (float_of_int x) | Float x -> Some x | _ -> None
 
-let bool = function Bool x -> Some x | _ -> None
-
-let str = function Str x -> Some x | _ -> None
-
 let rect = function Rect r -> Some r | _ -> None
-
-let dtype = function Dtype n -> Some n | _ -> None
-
-let etype = function Etype n -> Some n | _ -> None
-
-let type_node = function Dtype n | Etype n -> Some n | _ -> None
 
 let add a b =
   match (a, b) with
@@ -131,12 +119,6 @@ let compatible a b =
   match (a, b) with
   | Dtype x, Dtype y | Etype x, Etype y -> Tt.is_compatible x y
   | _ -> equal a b
-
-let least_abstract a b =
-  match (a, b) with
-  | Dtype x, Dtype y -> Option.map (fun n -> Dtype n) (Tt.least_abstract x y)
-  | Etype x, Etype y -> Option.map (fun n -> Etype n) (Tt.least_abstract x y)
-  | _ -> if equal a b then Some a else None
 
 let is_less_abstract a b =
   match (a, b) with
@@ -219,5 +201,3 @@ let of_string s =
           Some (Rect (Geometry.Rect.make ll ~width:w ~height:h))
         | _ -> None)
       | None, None, None -> range_of s))
-
-let equal_for_tests = equal

@@ -27,23 +27,10 @@ val to_string : t -> string
 
 val int : t -> int option
 
-val float : t -> float option
-
 (** [number v] — [Int] or [Float] as float. *)
 val number : t -> float option
 
-val bool : t -> bool option
-
-val str : t -> string option
-
 val rect : t -> Geometry.Rect.t option
-
-val dtype : t -> Signal_types.Type_tree.node option
-
-val etype : t -> Signal_types.Type_tree.node option
-
-(** Either type constructor's node. *)
-val type_node : t -> Signal_types.Type_tree.node option
 
 (** {1 Arithmetic used by functional constraints}
 
@@ -55,8 +42,6 @@ val add : t -> t -> t option
 val sub : t -> t -> t option
 
 val sum : t list -> t option
-
-val max_ : t -> t -> t option
 
 val maximum : t list -> t option
 
@@ -74,9 +59,6 @@ val le : t -> t -> bool option
 (** Signal-type compatibility (§7.1): both [Dtype]/[Etype] — positions in
     the hierarchy; equal widths for [Int]; equality otherwise. *)
 val compatible : t -> t -> bool
-
-(** Least-abstract of two compatible type values (same constructor). *)
-val least_abstract : t -> t -> t option
 
 (** [is_less_abstract a b] — [a] strictly more specific than [b] (type
     values only; [false] otherwise). *)
@@ -98,6 +80,3 @@ val of_string : string -> t option
     for every value, bit for bit (floats print in [%h]). The one value
     writer of journal, snapshot and persist records. *)
 val to_token : t -> string
-
-(** Alcotest-style testable helpers. *)
-val equal_for_tests : t -> t -> bool

@@ -10,15 +10,6 @@
 
 open Stem.Design
 
-(** [merit env cand ~for_ ~delay_weight ~area_weight] — weighted cost
-    (lower is better): [delay_weight · worst-delay(ns) + area_weight ·
-    area(λ²)/100]. The delay taken is the worst of the candidate's
-    delays that correspond to delay variables of the instance's context.
-    [None] when neither characteristic is known. *)
-val merit :
-  env -> cell_class -> for_:instance -> delay_weight:float -> area_weight:float ->
-  float option
-
 (** [rank env cands ~for_ ()] — candidates sorted by ascending merit
     (unknown-merit candidates last, in their original order). Default
     weights 1.0 / 1.0. *)

@@ -124,8 +124,6 @@ let prepare env inst priorities =
              ~to_:cd.cd_to))
       inst.inst_parent.cc_delays
 
-let prepare_for_debug env inst = prepare env inst [ Delays ]
-
 let select env inst ~priorities ?(prune = true) ?(stats = fresh_stats ()) () =
   prepare env inst priorities;
   let rec search cand =

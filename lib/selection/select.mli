@@ -59,10 +59,6 @@ val select :
   env -> instance -> priorities:priority list -> ?prune:bool -> ?stats:stats ->
   unit -> cell_class list
 
-(** Exposed for debugging/benches: pull the containing cell's delay
-    networks so the instance delay variables exist. *)
-val prepare_for_debug : Stem.Design.env -> Stem.Design.instance -> unit
-
 (** Parse an instance-delay key ["a->s"] back into [(from, to)]. *)
 val split_delay_key : string -> (string * string) option
 

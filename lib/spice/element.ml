@@ -7,21 +7,6 @@ type element =
   | Res of { r_name : string; r_a : terminal; r_b : terminal; r_kohm : float }
   | Cap of { c_name : string; c_a : terminal; c_pf : float }
 
-let pp_terminal ppf = function
-  | T_signal s -> Fmt.string ppf s
-  | T_node n -> Fmt.pf ppf "@@%s" n
-  | T_vdd -> Fmt.string ppf "vdd"
-  | T_gnd -> Fmt.string ppf "gnd"
-
-let pp_element ppf = function
-  | Mos m ->
-    Fmt.pf ppf "M%s %a %a %a %s" m.m_name pp_terminal m.m_d pp_terminal m.m_g
-      pp_terminal m.m_s
-      (match m.m_kind with NMOS -> "NFET" | PMOS -> "PFET")
-  | Res r ->
-    Fmt.pf ppf "R%s %a %a %gk" r.r_name pp_terminal r.r_a pp_terminal r.r_b r.r_kohm
-  | Cap c -> Fmt.pf ppf "C%s %a 0 %gp" c.c_name pp_terminal c.c_a c.c_pf
-
 let inverter_elements ?(name = "inv") ~in_ ~out () =
   [
     Mos { m_name = name ^ "p"; m_kind = PMOS; m_d = out; m_g = in_; m_s = T_vdd };

@@ -18,10 +18,6 @@ type element =
   | Res of { r_name : string; r_a : terminal; r_b : terminal; r_kohm : float }
   | Cap of { c_name : string; c_a : terminal; c_pf : float }
 
-val pp_terminal : Format.formatter -> terminal -> unit
-
-val pp_element : Format.formatter -> element -> unit
-
 (** Transistor quads for common gates, for building templates: [name]
     prefixes element names. *)
 

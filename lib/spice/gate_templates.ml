@@ -4,19 +4,9 @@ let inverter env cls ~in_ ~out =
   Template.register env cls
     (inverter_elements ~in_:(T_signal in_) ~out:(T_signal out) ())
 
-let buffer env cls ~in_ ~out =
-  let mid = T_node "mid" in
-  Template.register env cls
-    (inverter_elements ~name:"i1" ~in_:(T_signal in_) ~out:mid ()
-    @ inverter_elements ~name:"i2" ~in_:mid ~out:(T_signal out) ())
-
 let nand2 env cls ~a ~b ~y =
   Template.register env cls
     (nand2_elements ~a:(T_signal a) ~b:(T_signal b) ~y:(T_signal y) ())
-
-let nor2 env cls ~a ~b ~y =
-  Template.register env cls
-    (nor2_elements ~a:(T_signal a) ~b:(T_signal b) ~y:(T_signal y) ())
 
 (* y = a xor b as four NANDs: n1 = nand(a,b); y = nand(nand(a,n1),
    nand(b,n1)). *)

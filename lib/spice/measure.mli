@@ -1,11 +1,6 @@
 (** Waveform measurements (the SpicePlot point-to-point measurements of
     §6.4.2). *)
 
-(** [crossing wf ~threshold ~rising ~after] — first time the waveform
-    crosses [threshold] in the given direction at or after [after]
-    (linear interpolation). *)
-val crossing : Sim.waveform -> threshold:float -> rising:bool -> ?after:float -> unit -> float option
-
 (** [propagation_delay ~input ~output ~threshold ()] — delay between the
     input's first crossing and the output's next crossing (either
     direction). *)
@@ -14,9 +9,6 @@ val propagation_delay :
 
 (** Final settled value (last sample). *)
 val final_value : Sim.waveform -> float
-
-(** Min/max over the trace. *)
-val extrema : Sim.waveform -> float * float
 
 (** ASCII rendering of a waveform (the SpicePlot display), [width]
     columns by [height] rows. *)

@@ -7,15 +7,6 @@ let dc v _ name = { stim_signal = name; stim_value = (fun _ -> v) }
 let step ~at ~low ~high name =
   { stim_signal = name; stim_value = (fun t -> if t < at then low else high) }
 
-let pulse ~period ~low ~high name =
-  {
-    stim_signal = name;
-    stim_value =
-      (fun t ->
-        let phase = Float.rem t period in
-        if phase < period /. 2.0 then low else high);
-  }
-
 type waveform = { wf_signal : string; wf_times : float array; wf_values : float array }
 
 type result = {

@@ -16,8 +16,6 @@ val dc : float -> float -> string -> stimulus
 
 val step : at:float -> low:float -> high:float -> string -> stimulus
 
-val pulse : period:float -> low:float -> high:float -> string -> stimulus
-
 type waveform = { wf_signal : string; wf_times : float array; wf_values : float array }
 
 type result = {

@@ -13,9 +13,6 @@ type spice_net
 
 val spice_net : env -> cell_class -> spice_net
 
-(** Extract (or reuse the cached) net-list. *)
-val netlist : spice_net -> Netlist.t
-
 (** The textual deck (what the SpiceNet window displays). *)
 val deck : spice_net -> string
 

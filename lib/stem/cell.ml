@@ -145,15 +145,6 @@ let add_signal env cls ~name ~dir ?data ?elec ?width ?res ?cap ?pins () =
   Option.iter (fun ps -> ss.ss_pins <- ps) pins;
   ss
 
-let set_signal_width env cls name w =
-  Engine.set env.env_cnet (find_signal cls name).ss_width (Dval.Int w)
-
-let set_signal_data env cls name node =
-  Engine.set env.env_cnet (find_signal cls name).ss_data (Dval.Dtype node)
-
-let set_signal_elec env cls name node =
-  Engine.set env.env_cnet (find_signal cls name).ss_elec (Dval.Etype node)
-
 let add_param env cls ~name ~range ?default () =
   raw_add_param env cls ~name ~range ?default ()
 

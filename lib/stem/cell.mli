@@ -35,15 +35,6 @@ val add_signal :
   ?width:int -> ?res:float -> ?cap:float -> ?pins:Geometry.Point.t list -> unit ->
   signal_spec
 
-(** [set_signal_width env cls name w] — designer-specified width on the
-    class signal (justification [#USER]; propagates through every net the
-    signal participates in, in any design using this cell). *)
-val set_signal_width : env -> cell_class -> string -> int -> (unit, violation) result
-
-val set_signal_data : env -> cell_class -> string -> Signal_types.Type_tree.node -> (unit, violation) result
-
-val set_signal_elec : env -> cell_class -> string -> Signal_types.Type_tree.node -> (unit, violation) result
-
 (** Declare a parameter with its legal range ([Irange]/[Frange]) and an
     optional default propagated to new instances. *)
 val add_param :

@@ -137,5 +137,3 @@ let bridge env ~kind ?label ~from_ ~to_env ~to_ ?(adjust = fun v -> Some v) () =
   in
   ignore (Network.add_constraint env.env_cnet c);
   c
-
-let unlink env c = Network.remove_constraint env.env_cnet c

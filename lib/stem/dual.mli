@@ -66,6 +66,3 @@ val bridge :
   ?adjust:(Dval.t -> Dval.t option) ->
   unit ->
   cstr
-
-(** Remove an implicit link (instance deletion). *)
-val unlink : env -> cstr -> unit

@@ -34,8 +34,6 @@ let create env parent ~name =
   parent.cc_structure.st_nets <- parent.cc_structure.st_nets @ [ net ];
   net
 
-let members net = net.en_members
-
 let is_member net m = List.exists (member_equal m) net.en_members
 
 (* Resolving [Own_pin] needs the net's parent cell. *)
@@ -100,14 +98,6 @@ let export_width env net ~to_env ~to_ =
             ^ to_.Constraint_kernel.Types.v_name)
     ~from_:net.en_width ~to_env ~to_ ()
 
-let drives net m =
-  let ss = member_spec_in net m in
-  match (m, ss.ss_dir) with
-  | Sub_pin _, Output -> true
-  | Own_pin _, Input -> true (* a signal entering the cell drives the net *)
-  | _, Inout -> false
-  | Sub_pin _, Input | Own_pin _, Output -> false
-
 let loads net m =
   let ss = member_spec_in net m in
   match (m, ss.ss_dir) with
@@ -115,13 +105,6 @@ let loads net m =
   | Own_pin _, Output -> true
   | _, Inout -> true
   | Sub_pin _, Output | Own_pin _, Input -> false
-
-let driver net = List.find_opt (drives net) net.en_members
-
-let drive_resistance net =
-  match driver net with
-  | None -> None
-  | Some m -> (member_spec_in net m).ss_res
 
 let total_load_capacitance net =
   List.fold_left

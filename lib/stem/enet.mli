@@ -27,31 +27,12 @@ val connect : env -> enet -> member -> (unit, violation) result
     on its membership are erased. *)
 val disconnect : env -> enet -> member -> unit
 
-val members : enet -> member list
-
-val is_member : enet -> member -> bool
-
-(** Typing variables of a member's signal: [width, data, elec].
-    ([Own_pin] members resolve against the net's parent cell.) *)
-val member_vars_in : enet -> member -> var * var * var
-
-(** Signal spec behind a member. *)
-val member_spec_in : enet -> member -> signal_spec
-
 (** [export_width env net ~to_env ~to_] — keep a variable of {e another
     environment} equal to this net's inferred bit width, via a
     {!Dual.bridge}: whenever [bitWidth] changes here, the new width is
     pushed into [to_] as a child propagation episode in [to_env]'s
     network (correlated to the inferring episode in the trace). *)
 val export_width : env -> enet -> to_env:env -> to_:var -> cstr
-
-(** The member that electrically drives the net: an [Output] subcell pin
-    or an [Input] io-pin of the parent (a signal entering the cell drives
-    its internal net). [None] for undriven nets. *)
-val driver : enet -> member option
-
-(** Drive resistance of the net (kΩ): the driver's [ss_res]. *)
-val drive_resistance : enet -> float option
 
 (** Total load capacitance on the net (pF): sum of [ss_cap] over every
     loading member ([Input] subcell pins and [Output] io-pins of the

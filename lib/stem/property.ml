@@ -7,8 +7,6 @@ let make env ~owner ~name ?recalc () =
 
 let var p = p.pr_var
 
-let peek p = Var.value p.pr_var
-
 let read env p =
   match Var.value p.pr_var with
   | Some _ as v -> v

@@ -23,9 +23,6 @@ val var : prop -> var
     constraint. *)
 val read : env -> prop -> Dval.t option
 
-(** Peek without triggering recalculation. *)
-val peek : prop -> Dval.t option
-
 (** Erase the stored value; cascades through update-constraints. *)
 val invalidate : env -> prop -> unit
 

@@ -55,8 +55,6 @@ let is_erased view = view.vw_cache = None
 
 let recomputations view = view.vw_recomputations
 
-let detach view = remove_dependent view.vw_model view.vw_dep
-
 (* Broadcast a change to a cell's dependents and up the design hierarchy
    (§6.5.2).  The recursion is guarded against cycles in the containment
    graph (which should not exist, but a broken design must not hang the

@@ -29,9 +29,6 @@ val is_erased : 'a t -> bool
     benchmarks). *)
 val recomputations : 'a t -> int
 
-(** Detach the view from its model. *)
-val detach : 'a t -> unit
-
 (** [changed ?key cell] — the [#changed]/[#changed:key] broadcast: erase
     dependent views of [cell] and propagate the change up the design
     hierarchy to every cell containing an instance of [cell]. *)
