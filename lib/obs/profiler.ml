@@ -9,12 +9,12 @@ open Constraint_kernel.Types
 
 type entry = {
   e_kind : string;
-  mutable e_activations : int;
-  mutable e_scheduled : int;
-  mutable e_checks : int;
-  mutable e_check_failures : int;
-  mutable e_violations : int;
-  mutable e_quarantines : int;
+  e_activations : int;
+  e_scheduled : int;
+  e_checks : int;
+  e_check_failures : int;
+  e_violations : int;
+  e_quarantines : int;
 }
 
 (* the base: [n_counts] per constraint id *)
